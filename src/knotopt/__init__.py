@@ -9,13 +9,11 @@ nonnegative cone reached through the substitution y_i = (x_i - a)/(b - x_i).
 from .cone import ConeProjection, project, project_blocks
 from .curves import (Curve, CurveCatalogEntry, CurveDomainError, CurveFamily,
                      default_catalog, load_catalog)
-from .harness import (ExperimentSpec, ResultRow, emit_plot_data, run_catalog,
-                      run_experiment)
+from .harness import ResultRow, emit_plot_data, run_catalog, run_experiment
 from .kkt import KktReport, hessian_phi, kkt_check, prop1_test
-from .objective import (ObjectiveKind, YObjective, big_phi, from_y,
-                        grad_big_phi, grad_phi, phi, psi, psi_partials, to_y)
-from .pl import (KnotVector, PLApprox, Segment, build_pl, error_concave,
-                 error_general, error_interior_squared, segment_gaps)
+from .objective import ObjectiveKind, YObjective, from_y, grad_phi, phi, to_y
+from .pl import (KnotVector, PLApprox, build_pl, error_concave, error_general,
+                 error_interior_squared, segment_gaps)
 from .quadrature import QuadratureError, integrate, integrate_segments
 from .spg import (Backtrack, BbRule, MinimizeResult, SolveReport, SolverError,
                   SpgConfig, Termination, backtrack_step, minimize_y, solve)
@@ -24,14 +22,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Backtrack", "BbRule", "ConeProjection", "Curve", "CurveCatalogEntry",
-    "CurveDomainError", "CurveFamily", "ExperimentSpec", "KktReport",
-    "KnotVector", "MinimizeResult", "ObjectiveKind", "PLApprox",
-    "QuadratureError", "ResultRow", "Segment", "SolveReport", "SolverError",
-    "SpgConfig", "Termination", "YObjective", "backtrack_step", "big_phi",
-    "build_pl", "default_catalog", "emit_plot_data", "error_concave",
-    "error_general", "error_interior_squared", "from_y", "grad_big_phi",
-    "grad_phi", "hessian_phi", "integrate", "integrate_segments", "kkt_check",
-    "load_catalog", "minimize_y", "phi", "project", "project_blocks",
-    "prop1_test", "psi", "psi_partials", "run_catalog", "run_experiment",
+    "CurveDomainError", "CurveFamily", "KktReport", "KnotVector",
+    "MinimizeResult", "ObjectiveKind", "PLApprox", "QuadratureError",
+    "ResultRow", "SolveReport", "SolverError", "SpgConfig", "Termination",
+    "YObjective", "backtrack_step", "build_pl", "default_catalog",
+    "emit_plot_data", "error_concave", "error_general",
+    "error_interior_squared", "from_y", "grad_phi", "hessian_phi", "integrate",
+    "integrate_segments", "kkt_check", "load_catalog", "minimize_y", "phi",
+    "project", "project_blocks", "prop1_test", "run_catalog", "run_experiment",
     "segment_gaps", "solve", "to_y",
 ]

@@ -7,7 +7,9 @@ Subcommands:
   plot-data  sample a curve and its interpolant to CSV for plotting
 
 The default seed is 42; the environment variable KNOTOPT_SEED overrides it
-and an explicit --seed flag wins over both.
+and an explicit --seed flag wins over both.  Bad input from outside the
+program (the seed variable, knot counts or positions) exits with an
+``error: ...`` message instead of a traceback.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import sys
 import numpy as np
 
 from .curves import default_catalog, load_catalog
-from .harness import (DEFAULT_KNOT_COUNTS, ExperimentSpec, emit_plot_data,
-                      run_catalog, run_experiment, rows_to_csv, rows_to_json)
+from .harness import (DEFAULT_KNOT_COUNTS, emit_plot_data, run_catalog,
+                      run_experiment, rows_to_csv, rows_to_json)
 from .kkt import kkt_check, prop1_test
 from .objective import ObjectiveKind
 from .pl import KnotVector
@@ -29,21 +31,43 @@ from .spg import Backtrack, BbRule, SpgConfig
 
 DEFAULT_SEED = 42
 
+MEASURE_NAMES = [kind.value for kind in ObjectiveKind]
+
 
 def _default_seed() -> int:
-    env = os.environ.get("KNOTOPT_SEED")
-    return int(env) if env else DEFAULT_SEED
+    env = os.environ.get("KNOTOPT_SEED") or str(DEFAULT_SEED)
+    try:
+        return int(env)
+    except ValueError:
+        raise SystemExit(f"error: KNOTOPT_SEED must be an integer, "
+                         f"got {env!r}") from None
 
 
-def _load(args):
-    return default_catalog() if args.catalog is None else load_catalog(args.catalog)
+def _count(text: str) -> int:
+    """One knot count, an integer of at least 1 (an argparse type)."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"knot counts must be integers >= 1, got {text!r}")
+    return int(text)
 
 
-def _entry(catalog, name: str):
+def _knot_vector(entry, text: str) -> KnotVector:
+    """Comma-separated knot positions inside the entry's interval."""
+    try:
+        xs = np.sort(np.array([float(v) for v in text.split(",")]))
+        return KnotVector(entry.a, entry.b, xs)
+    except ValueError as exc:
+        raise SystemExit(f"error: bad knot positions {text!r} for "
+                         f"[{entry.a:g}, {entry.b:g}]: {exc}") from None
+
+
+def _entry(args):
+    """The catalog entry named by --curves, from --catalog or the bundled one."""
+    catalog = default_catalog() if args.catalog is None else load_catalog(args.catalog)
     for entry in catalog:
-        if entry.name == name:
+        if entry.name == args.curves:
             return entry
-    raise SystemExit(f"error: curve {name!r} not in catalog")
+    raise SystemExit(f"error: curve {args.curves!r} not in catalog")
 
 
 def _config(args) -> SpgConfig:
@@ -64,18 +88,11 @@ def _solver_flags(parser):
 
 def _cmd_run(args) -> int:
     curves = args.curves.split(",") if args.curves else None
-    knot_counts = tuple(int(v) for v in args.knots.split(",")) if args.knots \
-        else DEFAULT_KNOT_COUNTS
-    spec_config = _config(args)
-    # validate names before any work so a bad filter writes nothing
-    if curves:
-        for name in curves:
-            ExperimentSpec(curve_name=name, knot_counts=knot_counts,
-                           measure=args.measure, solver_config=spec_config)
     try:
         rows = run_catalog(catalog_path=args.catalog, curves=curves,
-                           knot_counts=knot_counts, measure=args.measure,
-                           config=spec_config, out_path=args.out, fmt=args.format)
+                           knot_counts=args.knots, measure=args.measure,
+                           config=_config(args), out_path=args.out,
+                           fmt=args.format)
     except KeyError as exc:
         raise SystemExit(f"error: {exc.args[0]}")
     if args.out is None:
@@ -86,73 +103,60 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _write_json(record: dict, out: str | None):
+    text = json.dumps(record, indent=2) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_solve(args) -> int:
-    catalog = _load(args)
-    name = args.curves
-    entry = _entry(catalog, name)
-    n = int(args.knots) if args.knots else DEFAULT_KNOT_COUNTS[0]
+    entry = _entry(args)
     config = _config(args)
     rng = np.random.default_rng([config.rng_seed, 0])
-    row = run_experiment(entry, n, args.measure, config, rng=rng)
+    row = run_experiment(entry, args.knots, args.measure, config, rng=rng)
     record = {
-        "curve": name, "a": entry.a, "b": entry.b, "n_knots": n,
+        "curve": entry.name, "a": entry.a, "b": entry.b, "n_knots": args.knots,
         "measure": row.measure,
         "orig_error": row.orig_error, "spg_error": row.spg_error,
         "reduction_pct": row.reduction_pct, "iterations": row.iterations,
         "termination": row.termination, "status": row.status,
         "knots": row.final_knots.tolist(),
     }
-    text = json.dumps(record, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(record, args.out)
     return 0
 
 
 def _cmd_check(args) -> int:
-    catalog = _load(args)
-    entry = _entry(catalog, args.curves)
-    if not args.knots:
-        raise SystemExit("error: check needs --knots with comma-separated positions")
-    xs = np.sort(np.array([float(v) for v in args.knots.split(",")]))
-    knots = KnotVector(entry.a, entry.b, xs)
-    kind = (ObjectiveKind.GENERAL_SQUARED if args.measure == "general"
-            else ObjectiveKind.CONCAVE_AREA)
+    entry = _entry(args)
+    knots = _knot_vector(entry, args.knots)
+    kind = ObjectiveKind(args.measure)
     report = kkt_check(entry.curve, knots, kind)
     record = report.to_dict()
     if kind is ObjectiveKind.CONCAVE_AREA:
         try:
             holds, margins = prop1_test(entry.curve, knots)
-            record["prop1_holds"] = holds
-            record["prop1_margins"] = margins.tolist()
+            record["prop1"] = {"holds": holds, "margins": margins.tolist()}
         except ValueError as exc:
-            record["prop1_holds"] = None
-            record["prop1_note"] = str(exc)
-    text = json.dumps(record, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            record["prop1"] = {"holds": None, "note": str(exc)}
+    _write_json(record, args.out)
     return 0
 
 
 def _cmd_plot_data(args) -> int:
-    catalog = _load(args)
-    entry = _entry(catalog, args.curves)
-    if not args.out:
-        raise SystemExit("error: plot-data needs --out")
+    entry = _entry(args)
     spec = args.knots or str(DEFAULT_KNOT_COUNTS[0])
-    if "," in spec or "." in spec:
-        xs = np.sort(np.array([float(v) for v in spec.split(",")]))
-        knots = KnotVector(entry.a, entry.b, xs)
-    else:
+    if spec.strip().isdecimal():
         config = _config(args)
         rng = np.random.default_rng([config.rng_seed, 0])
         row = run_experiment(entry, int(spec), args.measure, config, rng=rng)
+        if row.status != "ok":
+            raise SystemExit(row.status)
         knots = KnotVector(entry.a, entry.b, row.final_knots[1:-1])
+    else:
+        knots = _knot_vector(entry, spec)
     emit_plot_data(entry.curve, knots, args.out)
     print(f"wrote plot data to {args.out}")
     return 0
@@ -167,9 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run catalog experiments")
     run.add_argument("--catalog", default=None, help="catalog CSV (default: bundled)")
     run.add_argument("--curves", default=None, help="comma-separated curve names")
-    run.add_argument("--knots", default=None, help="comma-separated knot counts")
-    run.add_argument("--measure", choices=["auto", "concave", "general"],
-                     default="auto")
+    run.add_argument("--knots", default=DEFAULT_KNOT_COUNTS,
+                     type=lambda text: tuple(map(_count, text.split(","))),
+                     help="comma-separated knot counts")
+    run.add_argument("--measure", choices=MEASURE_NAMES, default="auto")
     run.add_argument("--out", default=None, help="output file path")
     run.add_argument("--format", choices=["csv", "json"], default="csv")
     _solver_flags(run)
@@ -178,9 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="optimise knots for one curve")
     solve.add_argument("--catalog", default=None)
     solve.add_argument("--curves", required=True, help="curve name")
-    solve.add_argument("--knots", default=None, help="number of knots")
-    solve.add_argument("--measure", choices=["auto", "concave", "general"],
-                       default="auto")
+    solve.add_argument("--knots", type=_count, default=DEFAULT_KNOT_COUNTS[0],
+                       help="number of knots")
+    solve.add_argument("--measure", choices=MEASURE_NAMES, default="auto")
     solve.add_argument("--out", default=None)
     _solver_flags(solve)
     solve.set_defaults(func=_cmd_solve)
@@ -190,10 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--curves", required=True, help="curve name")
     check.add_argument("--knots", required=True,
                        help="comma-separated knot positions")
-    check.add_argument("--measure", choices=["concave", "general"],
-                       default="concave")
+    check.add_argument("--measure", choices=MEASURE_NAMES, default="concave")
     check.add_argument("--out", default=None)
-    _solver_flags(check)
     check.set_defaults(func=_cmd_check)
 
     plot = sub.add_parser("plot-data", help="sample curve and interpolant to CSV")
@@ -201,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--curves", required=True, help="curve name")
     plot.add_argument("--knots", default=None,
                       help="knot count (optimised) or comma-separated positions")
-    plot.add_argument("--measure", choices=["auto", "concave", "general"],
-                      default="auto")
+    plot.add_argument("--measure", choices=MEASURE_NAMES, default="auto")
     plot.add_argument("--out", required=True)
     _solver_flags(plot)
     plot.set_defaults(func=_cmd_plot_data)

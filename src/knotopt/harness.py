@@ -5,12 +5,15 @@ curve is solved for each knot count, starting from equally spaced knots, and
 a result row records the baseline (equal-spacing) error, the optimised
 error, the reduction percentage, and the solver outcome.
 
-The reported error depends on the requested measure.  The default ``auto``
-measure scores knot vectors with the interior squared-gap metric (the
-quantity the reference result tables for this catalog report) and also
-optimises that same functional, so baseline and optimised numbers are
-directly comparable.  Forcing ``concave`` or ``general`` instead runs the
-corresponding library objective and reports its own error measure.
+A measure name is the value of an ``ObjectiveKind``, and each cell is one
+``spg.solve`` of that kind, which optimises the kind's functional and
+reports its own error measure, so baseline and optimised numbers are
+directly comparable.  The default ``auto`` measure is the interior
+squared-gap metric, the quantity the reference result tables for this
+catalog report; ``concave`` and ``general`` select the area and the full
+squared-gap objectives.  A cell that fails (for example because the curve is
+undefined on its interval) gives a row with NaN errors and an ``error: ...``
+status, and the run goes on.
 
 Rows are always assembled in catalog order and all floating-point output is
 formatted explicitly, so two runs with the same seed produce byte-identical
@@ -23,32 +26,17 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .curves import Curve, CurveCatalogEntry, default_catalog, load_catalog
-from .objective import ObjectiveKind, YObjective, from_y, to_y
-from .pl import (KnotVector, build_pl, error_concave, error_general,
-                 error_interior_squared)
-from .spg import SpgConfig, initial_knots, minimize_y
+from .objective import ObjectiveKind
+from .pl import KnotVector, build_pl
+from .spg import SpgConfig, initial_knots, solve
 
 DEFAULT_KNOT_COUNTS = (4, 8)
-
-MEASURES = ("auto", "concave", "general")
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    curve_name: str
-    knot_counts: tuple[int, ...] = DEFAULT_KNOT_COUNTS
-    measure: str = "auto"
-    solver_config: SpgConfig = field(default_factory=SpgConfig)
-
-    def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise ValueError(f"measure must be one of {MEASURES}")
 
 
 @dataclass(frozen=True)
@@ -67,43 +55,22 @@ class ResultRow:
     status: str = "ok"
 
 
-def _measured_error(curve, knots: KnotVector, measure: str) -> float:
-    if measure == "auto":
-        return error_interior_squared(curve, knots)
-    if measure == "concave":
-        return error_concave(curve, knots)
-    return error_general(curve, knots)
-
-
-def _objective_for(curve, a: float, b: float, n: int, measure: str) -> YObjective:
-    if measure == "auto":
-        return YObjective(curve, a, b, segment_window=(1, n - 1))
-    if measure == "concave":
-        return YObjective(curve, a, b, kind=ObjectiveKind.CONCAVE_AREA)
-    return YObjective(curve, a, b, kind=ObjectiveKind.GENERAL_SQUARED)
-
-
 def run_experiment(entry: CurveCatalogEntry, n: int, measure: str,
                    config: SpgConfig,
                    rng: np.random.Generator | None = None) -> ResultRow:
     """Solve one (curve, knot count) cell and score it in the given measure."""
-    curve, a, b = entry.curve, entry.a, entry.b
-    start = initial_knots(a, b, n)
-    orig = _measured_error(curve, start, measure)
-
+    a, b = entry.a, entry.b
     try:
-        objective = _objective_for(curve, a, b, n, measure)
-        result = minimize_y(objective.value, objective.grad,
-                            to_y(start), config, rng=rng)
-        final = from_y(result.y, a, b)
-        spg_error = _measured_error(curve, final, measure)
-        iterations = result.iterations
-        termination = result.termination.value
+        report = solve(entry.curve, ObjectiveKind(measure), n, config,
+                       a=a, b=b, rng=rng)
+        orig, spg_error = report.initial_error, report.final_error
+        final = report.final_knots.full()
+        iterations = report.iterations
+        termination = report.termination.value
         status = "ok"
-        if spg_error > orig:     # incumbent guard in the reported measure
-            final, spg_error = start, orig
     except Exception as exc:     # record per-row failures, keep the run going
-        final, spg_error = start, orig
+        orig = spg_error = float("nan")
+        final = initial_knots(a, b, max(n, 0)).full()  # n < 1 fails too
         iterations, termination, status = 0, "Failed", f"error: {exc}"
 
     reduction = 0.0 if orig == 0.0 else (orig - spg_error) / orig * 100.0
@@ -111,7 +78,7 @@ def run_experiment(entry: CurveCatalogEntry, n: int, measure: str,
         curve_name=entry.name, a=a, b=b, n_knots=n, measure=measure,
         orig_error=orig, spg_error=spg_error, reduction_pct=reduction,
         iterations=iterations, termination=termination,
-        final_knots=final.full(), status=status,
+        final_knots=final, status=status,
     )
 
 
@@ -140,8 +107,7 @@ def run_catalog(catalog_path: str | Path | None = None,
     an independent stream derived from (seed, row index), so results do not
     depend on execution order.
     """
-    if measure not in MEASURES:
-        raise ValueError(f"measure must be one of {MEASURES}")
+    ObjectiveKind(measure)   # a bad measure fails before any work
     catalog = default_catalog() if catalog_path is None else load_catalog(catalog_path)
     selected = _select(catalog, curves)
     if config is None:

@@ -15,7 +15,9 @@ stationarity rows (tied constraints take the value forced by their row,
 separated ones take zero, negatives are clamped) and the residuals report
 how far the rows remain from holding.
 
-``hessian_phi`` assembles the tridiagonal curvature matrix of the area
+The gradient comes from ``YObjective(..., kind).grad_x``, so every kind,
+the harness's interior window included, can be certified.  ``hessian_phi``
+assembles the tridiagonal curvature matrix of the area
 objective's stationarity system: diagonal (x_{i-1} - x_{i+1}) f''(x_i),
 off-diagonal f'(x_{i+1}) - f'(x_i).  This equals twice the Hessian of phi
 (the scale does not affect definiteness).  ``prop1_test`` applies a
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import ObjectiveKind, YObjective, grad_phi
+from .objective import ObjectiveKind, YObjective
 from .pl import KnotVector
 
 #: a segment narrower than this counts as an active (tied) constraint
@@ -49,26 +51,16 @@ class KktReport:
     lam: np.ndarray                      # multipliers lambda_0..lambda_n
     stationarity_residual: float
     complementarity_residual: float
-    hessian: np.ndarray = field(repr=False)
-    prop1_holds: bool | None
-    prop1_margins: np.ndarray | None
+    # the area objective's curvature matrix; None for the squared kinds
+    hessian: np.ndarray | None = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
             "lambda": self.lam.tolist(),
             "stationarity_residual": self.stationarity_residual,
             "complementarity_residual": self.complementarity_residual,
-            "hessian": self.hessian.tolist(),
-            "prop1_holds": self.prop1_holds,
-            "prop1_margins": None if self.prop1_margins is None
-                             else self.prop1_margins.tolist(),
+            "hessian": None if self.hessian is None else self.hessian.tolist(),
         }
-
-
-def _objective_gradient(curve, knots: KnotVector, kind: ObjectiveKind) -> np.ndarray:
-    if kind is ObjectiveKind.CONCAVE_AREA:
-        return grad_phi(curve, knots)
-    return YObjective(curve, knots.a, knots.b, kind=kind).grad_x(knots)
 
 
 def kkt_check(curve, knots: KnotVector,
@@ -76,7 +68,7 @@ def kkt_check(curve, knots: KnotVector,
     """Recover multipliers and measure how far the KKT conditions are violated."""
     xs = knots.full()
     gaps = np.diff(xs)
-    g = _objective_gradient(curve, knots, kind)
+    g = YObjective(curve, knots.a, knots.b, kind).grad_x(knots)
     n = knots.n
 
     active = gaps <= COMPLEMENTARITY_TOL
@@ -92,14 +84,13 @@ def kkt_check(curve, knots: KnotVector,
     stationarity = float(np.max(np.abs(rows))) if n else 0.0
     complementarity = float(np.max(np.minimum(gaps, lam)))
 
-    hessian = hessian_phi(curve, knots)
+    hessian = (hessian_phi(curve, knots)
+               if kind is ObjectiveKind.CONCAVE_AREA else None)
     return KktReport(
         lam=lam,
         stationarity_residual=stationarity,
         complementarity_residual=complementarity,
         hessian=hessian,
-        prop1_holds=None,
-        prop1_margins=None,
     )
 
 
@@ -132,15 +123,12 @@ def prop1_test(curve, knots: KnotVector,
             f"not a KKT point: stationarity residual "
             f"{report.stationarity_residual:.3e} exceeds {kkt_tol:.1e}")
 
-    xs = knots.full()
     n = knots.n
-    fpp = np.asarray(curve.deriv2(xs[1:-1]), dtype=float)
-    diag = (xs[:-2] - xs[2:]) * fpp
+    diag = np.diag(report.hessian)
     if n == 1:
         return bool(diag[0] > 0.0), np.empty(0)
 
-    fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
-    lhs = (fp[1:] - fp[:-1]) ** 2
+    lhs = np.diag(report.hessian, 1) ** 2
     # (x_{i-1} - x_{i+1})(x_i - x_{i+2}) f''(x_i) f''(x_{i+1}) terms, i = 1..n-1
     rhs = 0.25 * diag[:-1] * diag[1:] / math.cos(math.pi / (n + 1)) ** 2
     margins = rhs - lhs

@@ -1,30 +1,35 @@
 """Smooth knot-placement objectives, their gradients, and the y-space map.
 
-Two objective kinds are defined over a knot vector x with fixed endpoints
-x_0 = a, x_{n+1} = b:
+Three objective kinds are defined over a knot vector x with fixed endpoints
+x_0 = a, x_{n+1} = b.  Each kind's value is the name of the error measure it
+minimises:
 
-* ``ConcaveArea``: phi(x) = -(1/2) * sum_i (x_{i+1} - x_i)(f(x_{i+1}) + f(x_i)),
-  the negated trapezoid area.  Because the integral of f over [a, b] is a
-  constant, minimising phi is equivalent to minimising the concave area-gap
-  error measure.
-* ``GeneralSquared``: sum_i psi_i with psi_i the squared signed area gap of
-  segment i, valid for curves without a concavity assumption.
+* ``CONCAVE_AREA`` ("concave"): phi(x) = -(1/2) * sum_i (x_{i+1} - x_i)
+  (f(x_{i+1}) + f(x_i)), the negated trapezoid area.  Because the integral
+  of f over [a, b] is a constant, minimising phi is equivalent to minimising
+  the concave area-gap error measure.
+* ``GENERAL_SQUARED`` ("general"): the sum of the squared signed area gaps
+  of all n + 1 segments, valid for curves without a concavity assumption.
+* ``INTERIOR_SQUARED`` ("auto"): the same sum over the segments between
+  consecutive interior knots only, the harness default.
+
+The squared kinds' values are ``pl.squared_gap_sum`` over their window, the
+routine their error measures use, so each equals its measure exactly.  Writing a gap as I - T, with I the segment
+integral and T the trapezoid term, the partials of its square are
+
+    d (I - T)^2 / d x_lo = (I - T) * [f(x_hi) - f(x_lo) - f'(x_lo)(x_hi - x_lo)]
+    d (I - T)^2 / d x_hi = (I - T) * [f(x_hi) - f(x_lo) - f'(x_hi)(x_hi - x_lo)]
+
+Both factors vanish when x_lo = x_hi, so degenerate segments are smooth
+zeros of the objective.
 
 The substitution y_i = (x_i - a) / (b - x_i), with inverse
 x_i = b - (b - a) / (1 + y_i), maps ordered knots in [a, b) onto the monotone
 nonnegative cone 0 <= y_1 <= ... <= y_n, turning the ordering constraints
-into a cone membership that admits a fast exact projection.  ``big_phi`` and
-``grad_big_phi`` evaluate either objective through that substitution; the
-gradient picks up the chain-rule factor dx_i/dy_i = (b - a) / (1 + y_i)^2.
-
-The gradient of psi is derived from psi = (I - T)^2 with I the segment
-integral and T the trapezoid term:
-
-    d psi / d x_lo = (I - T) * [f(x_hi) - f(x_lo) - f'(x_lo)(x_hi - x_lo)]
-    d psi / d x_hi = (I - T) * [f(x_hi) - f(x_lo) - f'(x_hi)(x_hi - x_lo)]
-
-Both factors vanish when x_lo = x_hi, so degenerate segments are smooth
-zeros of the objective.
+into a cone membership that admits a fast exact projection.
+``YObjective.value`` and ``YObjective.grad`` evaluate any kind through that
+substitution; the gradient picks up the chain-rule factor
+dx_i/dy_i = (b - a) / (1 + y_i)^2.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from enum import Enum
 
 import numpy as np
 
-from .pl import KnotVector
+from . import pl
+from .pl import KnotVector, window_gaps
 
 #: relative width of the guard band below b in which knots may not start
 DELTA_SCALE = 1e-12
@@ -43,8 +49,33 @@ Y_MAX = 1.0 / DELTA_SCALE - 1.0
 
 
 class ObjectiveKind(Enum):
+    """Which error measure a solve minimises; the value is its measure name.
+
+    Each kind owns the window of segments whose squared gaps it sums (None
+    for the closed-form area objective) and the error measure it reports.
+    """
+
     CONCAVE_AREA = "concave"
     GENERAL_SQUARED = "general"
+    INTERIOR_SQUARED = "auto"
+
+    def window(self, n: int) -> tuple[int, int] | None:
+        """Indices lo..hi of the segments scored for n interior knots."""
+        if self is ObjectiveKind.CONCAVE_AREA:
+            return None
+        if self is ObjectiveKind.GENERAL_SQUARED:
+            return 0, n
+        return 1, n - 1
+
+    def error(self, curve, knots: KnotVector) -> float:
+        """This kind's error measure at the given knots."""
+        # looked up by name at call time, so wrappers installed on the pl
+        # functions (such as a tracer's) see every call
+        if self is ObjectiveKind.CONCAVE_AREA:
+            return pl.error_concave(curve, knots)
+        if self is ObjectiveKind.GENERAL_SQUARED:
+            return pl.error_general(curve, knots)
+        return pl.error_interior_squared(curve, knots)
 
 
 # -- x-space objectives ---------------------------------------------------
@@ -66,59 +97,6 @@ def grad_phi(curve, knots: KnotVector) -> np.ndarray:
     fv = np.asarray(curve.value(xs), dtype=float)
     fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
     return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:]))
-
-
-def psi(curve, x_lo: float, x_hi: float) -> float:
-    """Squared signed area gap of one segment (0 for a degenerate segment)."""
-    if x_hi <= x_lo:
-        if x_hi < x_lo:
-            raise ValueError("segment must satisfy x_lo <= x_hi")
-        return 0.0
-    gap = curve.integrate(x_lo, x_hi) \
-        - 0.5 * (curve.value(x_lo) + curve.value(x_hi)) * (x_hi - x_lo)
-    return gap * gap
-
-
-def psi_partials(curve, x_lo: float, x_hi: float) -> tuple[float, float]:
-    """Analytic partial derivatives of ``psi`` at (x_lo, x_hi)."""
-    if x_hi <= x_lo:
-        if x_hi < x_lo:
-            raise ValueError("segment must satisfy x_lo <= x_hi")
-        return 0.0, 0.0
-    h = x_hi - x_lo
-    f_lo, f_hi = curve.value(x_lo), curve.value(x_hi)
-    gap = curve.integrate(x_lo, x_hi) - 0.5 * (f_lo + f_hi) * h
-    d_lo = gap * (f_hi - f_lo - curve.deriv1(x_lo) * h)
-    d_hi = gap * (f_hi - f_lo - curve.deriv1(x_hi) * h)
-    return float(d_lo), float(d_hi)
-
-
-def _windowed_gaps(curve, xs: np.ndarray, fv: np.ndarray,
-                   seg_lo: int, seg_hi: int) -> np.ndarray:
-    """Signed area gaps for segments seg_lo..seg_hi, zeros elsewhere."""
-    gaps = np.zeros(xs.size - 1)
-    lo = xs[seg_lo:seg_hi + 1]
-    hi = xs[seg_lo + 1:seg_hi + 2]
-    integrals = curve.integrate_segments(lo, hi)
-    trap = 0.5 * (fv[seg_lo:seg_hi + 1] + fv[seg_lo + 1:seg_hi + 2]) * (hi - lo)
-    gaps[seg_lo:seg_hi + 1] = integrals - trap
-    return gaps
-
-
-def _squared_gap_value(curve, xs, fv, seg_lo, seg_hi) -> float:
-    gaps = _windowed_gaps(curve, xs, fv, seg_lo, seg_hi)
-    return float(np.sum(gaps ** 2))
-
-
-def _squared_gap_grad(curve, xs, fv, seg_lo, seg_hi) -> np.ndarray:
-    """Gradient of the windowed squared-gap sum w.r.t. interior knots."""
-    gaps = _windowed_gaps(curve, xs, fv, seg_lo, seg_hi)
-    fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
-    h = np.diff(xs)
-    df = fv[1:] - fv[:-1]
-    # knot j borders segment j-1 from above and segment j from below
-    return (gaps[:-1] * (df[:-1] - fp * h[:-1])
-            + gaps[1:] * (df[1:] - fp * h[1:]))
 
 
 # -- the cone substitution ------------------------------------------------
@@ -145,70 +123,37 @@ def from_y(y: np.ndarray, a: float, b: float) -> KnotVector:
     return KnotVector(a, b, xs)
 
 
-def big_phi(curve, y: np.ndarray, a: float, b: float,
-            kind: ObjectiveKind) -> float:
-    """Objective of the given kind evaluated at the knots from_y(y)."""
-    return YObjective(curve, a, b, kind=kind).value(y)
-
-
-def grad_big_phi(curve, y: np.ndarray, a: float, b: float,
-                 kind: ObjectiveKind) -> np.ndarray:
-    """Chain-rule gradient of ``big_phi`` with respect to y."""
-    return YObjective(curve, a, b, kind=kind).grad(y)
-
-
 class YObjective:
-    """A smooth objective over the monotone nonnegative cone.
+    """A smooth objective of the given kind over the monotone nonnegative cone."""
 
-    ``kind`` selects one of the two standard objectives.  Alternatively a
-    ``segment_window`` (lo, hi) restricts the squared-gap sum to segment
-    indices lo..hi; the experiment harness uses the window (1, n - 1) to
-    score only the segments between consecutive interior knots.
-    """
-
-    def __init__(self, curve, a: float, b: float,
-                 kind: ObjectiveKind | None = None,
-                 segment_window: tuple[int, int] | None = None):
-        if (kind is None) == (segment_window is None):
-            raise ValueError("specify exactly one of kind or segment_window")
+    def __init__(self, curve, a: float, b: float, kind: ObjectiveKind):
         self.curve = curve
         self.a = float(a)
         self.b = float(b)
         self.kind = kind
-        self.segment_window = segment_window
 
     def knots(self, y: np.ndarray) -> KnotVector:
         return from_y(y, self.a, self.b)
 
-    def _window(self, n: int) -> tuple[int, int] | None:
-        if self.kind is ObjectiveKind.CONCAVE_AREA:
-            return None
-        if self.kind is ObjectiveKind.GENERAL_SQUARED:
-            return 0, n
-        lo, hi = self.segment_window
-        return max(lo, 0), min(hi, n)
-
     def value_x(self, knots: KnotVector) -> float:
-        xs = knots.full()
-        window = self._window(knots.n)
+        window = self.kind.window(knots.n)
         if window is None:
             return phi(self.curve, knots)
-        lo, hi = window
-        if hi < lo:
-            return 0.0
-        fv = np.asarray(self.curve.value(xs), dtype=float)
-        return _squared_gap_value(self.curve, xs, fv, lo, hi)
+        return pl.squared_gap_sum(self.curve, knots, *window)
 
     def grad_x(self, knots: KnotVector) -> np.ndarray:
-        window = self._window(knots.n)
+        window = self.kind.window(knots.n)
         if window is None:
             return grad_phi(self.curve, knots)
-        lo, hi = window
-        if hi < lo:
-            return np.zeros(knots.n)
         xs = knots.full()
         fv = np.asarray(self.curve.value(xs), dtype=float)
-        return _squared_gap_grad(self.curve, xs, fv, lo, hi)
+        gaps = window_gaps(self.curve, xs, fv, *window)
+        fp = np.asarray(self.curve.deriv1(xs[1:-1]), dtype=float)
+        h = np.diff(xs)
+        df = fv[1:] - fv[:-1]
+        # knot j borders segment j-1 from above and segment j from below
+        return (gaps[:-1] * (df[:-1] - fp * h[:-1])
+                + gaps[1:] * (df[1:] - fp * h[1:]))
 
     def value(self, y: np.ndarray) -> float:
         return self.value_x(self.knots(y))

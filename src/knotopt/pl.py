@@ -1,11 +1,13 @@
 """Piecewise-linear interpolants through a knot vector and their error measures.
 
 A knot vector holds the interval endpoints plus n ordered interior knots.
-The interpolant agrees with the curve at every knot; each segment stores its
-slope/intercept pair.  Coincident knots are allowed as inputs: a zero-width
-segment becomes a degenerate marker that contributes nothing to any error
+The interpolant agrees with the curve at every knot.  Coincident knots are
+allowed as inputs: a zero-width segment contributes nothing to any error
 measure and is skipped during evaluation.
 
+Every error measure sums the signed area gaps that ``window_gaps`` computes
+for a window of segments; the objectives in ``knotopt.objective`` use the
+same routine, so a measure and its objective agree to the last bit.
 Three error measures are provided.  ``error_concave`` is the signed area
 between the curve and the interpolant (exact L1 error when the curve is
 concave, where the interpolant under-approximates everywhere).
@@ -23,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_DEGENERATE_WIDTH = 0.0  # ties are exact; no tolerance involved
-
 
 @dataclass(frozen=True)
 class KnotVector:
@@ -39,9 +39,10 @@ class KnotVector:
         xs = np.array(self.interior, dtype=float).reshape(-1)
         if not self.a < self.b:
             raise ValueError("knot vector needs a < b")
-        if xs.size and (xs[0] < self.a or xs[-1] > self.b):
+        # both checks are written so that a NaN knot fails them
+        if xs.size and not (self.a <= xs[0] and xs[-1] <= self.b):
             raise ValueError("interior knots must lie in [a, b]")
-        if np.any(np.diff(xs) < 0):
+        if not np.all(np.diff(xs) >= 0):
             raise ValueError("interior knots must be nondecreasing")
         xs.flags.writeable = False
         object.__setattr__(self, "interior", xs)
@@ -61,57 +62,58 @@ class KnotVector:
 
 
 @dataclass(frozen=True)
-class Segment:
-    alpha: float
-    beta: float
-    lo: float
-    hi: float
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
 class PLApprox:
     """Piecewise-linear interpolant; callable on scalars or arrays."""
 
-    segments: list[Segment] = field(repr=False)
     knots: KnotVector
     values: np.ndarray = field(repr=False)
 
     def __call__(self, x):
         xs = self.knots.full()
-        keep = np.concatenate(([True], np.diff(xs) > _DEGENERATE_WIDTH))
+        # ties are exact: only zero-width segments are skipped, no tolerance
+        keep = np.concatenate(([True], np.diff(xs) > 0.0))
         out = np.interp(np.asarray(x, dtype=float), xs[keep], self.values[keep])
         return out if np.ndim(x) else float(out)
 
 
 def build_pl(curve, knots: KnotVector) -> PLApprox:
-    """Interpolant through (x_i, f(x_i)); degenerate segments are marked."""
+    """Interpolant through (x_i, f(x_i))."""
+    fv = np.asarray(curve.value(knots.full()), dtype=float)
+    return PLApprox(knots=knots, values=fv)
+
+
+def window_gaps(curve, xs: np.ndarray, fv: np.ndarray,
+                lo: int, hi: int) -> np.ndarray:
+    """Signed area gaps of segments lo..hi, zeros for the other segments.
+
+    gap_i = integral of f over [x_i, x_{i+1}] minus the trapezoid
+    (1/2)(f(x_i) + f(x_{i+1}))(x_{i+1} - x_i), with xs all breakpoints and
+    fv = f(xs).  Degenerate segments give 0, and so does an empty window
+    (hi < lo).  Only the window's segments are integrated: the batched
+    quadrature rounds differently for a different batch, so every caller
+    that must agree on a window passes the same one.
+    """
+    gaps = np.zeros(xs.size - 1)
+    seg_lo = xs[lo:hi + 1]
+    seg_hi = xs[lo + 1:hi + 2]
+    integrals = curve.integrate_segments(seg_lo, seg_hi)
+    trap = 0.5 * (fv[lo:hi + 1] + fv[lo + 1:hi + 2]) * (seg_hi - seg_lo)
+    gaps[lo:hi + 1] = integrals - trap
+    return gaps
+
+
+def squared_gap_sum(curve, knots: KnotVector, lo: int, hi: int) -> float:
+    """Sum of the squared gaps of segments lo..hi."""
     xs = knots.full()
     fv = np.asarray(curve.value(xs), dtype=float)
-    segments = []
-    for lo, hi, flo, fhi in zip(xs[:-1], xs[1:], fv[:-1], fv[1:]):
-        if hi - lo <= _DEGENERATE_WIDTH:
-            segments.append(Segment(0.0, flo, lo, hi, degenerate=True))
-        else:
-            alpha = (fhi - flo) / (hi - lo)
-            beta = (hi * flo - lo * fhi) / (hi - lo)
-            segments.append(Segment(alpha, beta, lo, hi))
-    return PLApprox(segments=segments, knots=knots, values=fv)
+    return float(np.sum(window_gaps(curve, xs, fv, lo, hi) ** 2))
 
 
 def segment_gaps(curve, knots: KnotVector) -> np.ndarray:
-    """Per-segment signed area between curve and chord.
-
-    gap_i = integral of f over [x_i, x_{i+1}] minus the trapezoid
-    (1/2)(f(x_i) + f(x_{i+1}))(x_{i+1} - x_i).  Degenerate segments give 0.
-    Each segment is integrated independently so the gaps can be inspected
-    (and squared) individually.
-    """
+    """Per-segment signed area between curve and chord, all n + 1 segments."""
     xs = knots.full()
     fv = np.asarray(curve.value(xs), dtype=float)
-    integrals = curve.integrate_segments(xs[:-1], xs[1:])
-    trapezoids = 0.5 * (fv[:-1] + fv[1:]) * np.diff(xs)
-    return integrals - trapezoids
+    return window_gaps(curve, xs, fv, 0, knots.n)
 
 
 def error_concave(curve, knots: KnotVector) -> float:
@@ -125,7 +127,7 @@ def error_concave(curve, knots: KnotVector) -> float:
 
 def error_general(curve, knots: KnotVector) -> float:
     """Sum of squared per-segment area gaps over all n + 1 segments."""
-    return float(np.sum(segment_gaps(curve, knots) ** 2))
+    return squared_gap_sum(curve, knots, 0, knots.n)
 
 
 def error_interior_squared(curve, knots: KnotVector) -> float:
@@ -135,7 +137,4 @@ def error_interior_squared(curve, knots: KnotVector) -> float:
     interior knots and excludes the two boundary segments touching a and b.
     Zero when n < 2.  This is the error the experiment harness reports.
     """
-    gaps = segment_gaps(curve, knots)
-    if gaps.size <= 2:
-        return 0.0
-    return float(np.sum(gaps[1:-1] ** 2))
+    return squared_gap_sum(curve, knots, 1, knots.n - 1)

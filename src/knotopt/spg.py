@@ -29,7 +29,7 @@ import numpy as np
 
 from .cone import project
 from .objective import DELTA_SCALE, ObjectiveKind, YObjective, from_y, to_y
-from .pl import KnotVector, error_concave, error_general
+from .pl import KnotVector
 
 
 class BbRule(Enum):
@@ -218,12 +218,6 @@ class SolveReport:
     armijo_slacks: list[float] = field(repr=False)
 
 
-def _error_in_kind(curve, knots: KnotVector, kind: ObjectiveKind) -> float:
-    if kind is ObjectiveKind.CONCAVE_AREA:
-        return error_concave(curve, knots)
-    return error_general(curve, knots)
-
-
 def initial_knots(a: float, b: float, n: int,
                   init: KnotVector | None = None) -> KnotVector:
     """Default equally spaced knots, or a clamped copy of the given start."""
@@ -244,9 +238,8 @@ def solve(curve, kind: ObjectiveKind, n: int,
     """Place n knots minimising the chosen objective over [a, b].
 
     The interval comes from ``init`` when given, otherwise from ``a``/``b``.
-    Reported errors use the error measure matching ``kind`` (area gap for
-    ``CONCAVE_AREA``, squared-gap sum for ``GENERAL_SQUARED``); the incumbent
-    guard ensures the reported final error never exceeds the initial one.
+    Reported errors use ``kind``'s own error measure; the incumbent guard
+    ensures the reported final error never exceeds the initial one.
     """
     if n < 1:
         raise ValueError("need at least one knot")
@@ -258,12 +251,12 @@ def solve(curve, kind: ObjectiveKind, n: int,
         raise ValueError("provide either init or the interval bounds a and b")
 
     start = initial_knots(a, b, n, init)
-    objective = YObjective(curve, a, b, kind=kind)
+    objective = YObjective(curve, a, b, kind)
     result = minimize_y(objective.value, objective.grad, to_y(start), config, rng=rng)
 
     final = from_y(result.y, a, b)
-    initial_error = _error_in_kind(curve, start, kind)
-    final_error = _error_in_kind(curve, final, kind)
+    initial_error = kind.error(curve, start)
+    final_error = kind.error(curve, final)
     if final_error > initial_error:   # incumbent guard on the reported measure
         final, final_error = start, initial_error
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import (ExperimentSpec, KnotVector, SpgConfig, emit_plot_data,
-                     error_concave, error_general, run_catalog, run_experiment)
+from knotopt import (KnotVector, SpgConfig, emit_plot_data, error_concave,
+                     error_general, run_catalog, run_experiment)
 from knotopt.cli import main
 
 
@@ -81,8 +81,24 @@ class TestRunCatalog:
     def test_invalid_measure(self):
         with pytest.raises(ValueError):
             run_catalog(curves=["logistic1a"], measure="bogus")
-        with pytest.raises(ValueError):
-            ExperimentSpec(curve_name="logistic1a", measure="bogus")
+
+    def test_undefined_curve_fails_only_its_row(self, tmp_path):
+        # the Weibull formula takes (x - 1) ** 1.5, undefined below x = 1
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("name,type,v1,v2,s,d1,d2,concave,a,b\n"
+                           "badw,Weibull,0,1,1.5,1,-1,N,0,2\n"
+                           "logistic1a,Logistic,0.0,1.0,1.0,-1.0,0.0,Y,0.0,2.0\n")
+        out = tmp_path / "rows.csv"
+        code = main(["run", "--catalog", str(catalog), "--knots", "4",
+                     "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            bad, good = csv.DictReader(fh)
+        assert bad["status"].startswith("error: ")
+        assert bad["termination"] == "Failed"
+        assert bad["orig_error"] == bad["spg_error"] == "NAN"
+        assert good["status"] == "ok"
+        assert float(good["spg_error"]) < float(good["orig_error"])
 
 
 class TestEmitPlotData:
@@ -143,6 +159,14 @@ class TestCli:
         assert record["spg_error"] <= record["orig_error"]
         assert len(record["knots"]) == 6
 
+    def test_check_accepts_auto(self, capsys):
+        code = main(["check", "--curves", "logistic1a", "--measure", "auto",
+                     "--knots", "0.4,0.8,1.2,1.6"])
+        assert code == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["stationarity_residual"] > 0.0
+        assert record["hessian"] is None
+
     def test_check_reports_multipliers(self, capsys):
         code = main(["check", "--curves", "logistic1a",
                      "--knots", "0.4,0.8,1.2,1.6"])
@@ -164,6 +188,37 @@ class TestCli:
         assert _default_seed() == 42
         monkeypatch.setenv("KNOTOPT_SEED", "7")
         assert _default_seed() == 7
+
+    def test_bad_seed_env_exits_with_error(self, monkeypatch):
+        monkeypatch.setenv("KNOTOPT_SEED", "forty-two")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--curves", "logistic1a"])
+        assert str(exc.value).startswith("error: KNOTOPT_SEED")
+
+    @pytest.mark.parametrize("positions", ["0.5,2.5", "-0.1", "nan,0.5",
+                                           "0.5,x"])
+    def test_check_positions_outside_interval_exit_with_error(self, positions):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--curves", "logistic1a", "--knots", positions])
+        assert str(exc.value).startswith("error: ")
+
+    def test_plot_data_failed_solve_exits_with_error(self, tmp_path):
+        out = tmp_path / "plot.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["plot-data", "--curves", "logistic1a", "--knots", "0",
+                  "--out", str(out)])
+        assert str(exc.value).startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("counts", ["4,x", "0", "-2", "2.5"])
+    def test_bad_knot_counts_exit_with_error(self, counts, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--curves", "logistic1a", "--knots", counts,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: argument --knots" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_flag_beats_env(self, monkeypatch):
         import argparse

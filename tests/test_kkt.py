@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import (KnotVector, ObjectiveKind, grad_phi, hessian_phi,
-                     kkt_check, prop1_test, solve)
+from knotopt import (KnotVector, ObjectiveKind, YObjective, grad_phi,
+                     hessian_phi, kkt_check, prop1_test, solve)
 
 from helpers import QuadraticCurve
 
@@ -74,6 +74,30 @@ class TestKktCheck:
         report = kkt_check(entry.curve, kv, ObjectiveKind.GENERAL_SQUARED)
         assert report.stationarity_residual > 0.0
         assert_allclose(report.lam, 0.0)
+
+    def test_interior_kind_residual_is_window_gradient_norm(
+            self, catalog_by_name_module):
+        # the harness's own objective can be certified like any other kind
+        entry = catalog_by_name_module["gompertz1b"]
+        kind = ObjectiveKind.INTERIOR_SQUARED
+        kv = KnotVector(entry.a, entry.b, np.array([-1.2, 0.1, 0.4, 1.3]))
+        report = kkt_check(entry.curve, kv, kind)
+        grad = YObjective(entry.curve, entry.a, entry.b, kind).grad_x(kv)
+        assert report.stationarity_residual == float(np.max(np.abs(grad)))
+        assert report.stationarity_residual > 0.0
+        assert_allclose(report.lam, 0.0)
+
+    def test_hessian_only_for_area_kind(self, catalog_by_name_module):
+        entry = catalog_by_name_module["logistic1a"]
+        kv = KnotVector.equally_spaced(entry.a, entry.b, 3)
+        for kind in ObjectiveKind:
+            report = kkt_check(entry.curve, kv, kind)
+            if kind is ObjectiveKind.CONCAVE_AREA:
+                assert np.array_equal(report.hessian,
+                                      hessian_phi(entry.curve, kv))
+            else:
+                assert report.hessian is None
+                assert report.to_dict()["hessian"] is None
 
     def test_report_serialises(self, catalog_by_name_module):
         import json

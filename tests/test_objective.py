@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import (KnotVector, ObjectiveKind, YObjective, big_phi,
-                     error_concave, from_y, grad_big_phi, grad_phi, phi, psi,
-                     psi_partials, to_y)
+from knotopt import (KnotVector, ObjectiveKind, YObjective, error_concave,
+                     from_y, grad_phi, phi, to_y)
 from knotopt.objective import Y_MAX
+from knotopt.pl import window_gaps
 
-from helpers import LinearCurve, QuadraticCurve, fd_gradient
+from helpers import LinearCurve, QuadraticCurve, fd_gradient, simpson_integral
+
+GENERAL = ObjectiveKind.GENERAL_SQUARED
+INTERIOR = ObjectiveKind.INTERIOR_SQUARED
 
 
 class TestPhi:
@@ -54,31 +57,45 @@ class TestGradPhi:
 
 
 class TestPsi:
-    def test_empty_segment(self, catalog_by_name):
-        curve = catalog_by_name["logistic1b"].curve
-        assert psi(curve, 1.0, 1.0) == 0.0
-        assert psi_partials(curve, 1.0, 1.0) == (0.0, 0.0)
+    # psi is the squared area gap of one segment; the general objective sums
+    # it over all segments, so one segment's psi and partials are read off a
+    # general objective whose other segments are empty or exact
 
-    def test_affine_segment(self):
-        curve = LinearCurve(2.0, 1.0)
-        assert psi(curve, 0.25, 1.5) == pytest.approx(0.0, abs=1e-26)
-        d_lo, d_hi = psi_partials(curve, 0.25, 1.5)
-        assert d_lo == pytest.approx(0.0, abs=1e-13)
-        assert d_hi == pytest.approx(0.0, abs=1e-13)
+    def test_empty_segment(self, catalog_by_name):
+        # a tied knot pair makes a zero-width segment: no gap, no gradient
+        entry = catalog_by_name["logistic1b"]
+        tied = KnotVector(entry.a, entry.b, np.array([-1.0, 1.0, 1.0, 2.0]))
+        xs = tied.full()
+        gaps = window_gaps(entry.curve, xs, entry.curve.value(xs), 0, tied.n)
+        assert gaps[2] == 0.0
+        untied = KnotVector(entry.a, entry.b, np.array([-1.0, 1.0, 2.0]))
+        objective = YObjective(entry.curve, entry.a, entry.b, GENERAL)
+        assert objective.value_x(tied) == objective.value_x(untied)
+
+    def test_affine_segment(self, rng):
+        objective = YObjective(LinearCurve(2.0, 1.0), 0.0, 2.0, GENERAL)
+        for _ in range(5):
+            kv = KnotVector(0.0, 2.0, np.sort(rng.uniform(0.0, 2.0, size=3)))
+            assert objective.value_x(kv) == pytest.approx(0.0, abs=1e-26)
+            assert_allclose(objective.grad_x(kv), 0.0, atol=1e-13)
 
     def test_partials_match_finite_differences(self, catalog_by_name):
-        curve = catalog_by_name["logistic1b"].curve
-        lo, hi, h = -2.0, 0.0, 1e-6
-        d_lo, d_hi = psi_partials(curve, lo, hi)
-        fd_lo = (psi(curve, lo + h, hi) - psi(curve, lo - h, hi)) / (2 * h)
-        fd_hi = (psi(curve, lo, hi + h) - psi(curve, lo, hi - h)) / (2 * h)
-        assert_allclose(d_lo, fd_lo, rtol=1e-6)
-        assert_allclose(d_hi, fd_hi, rtol=1e-6)
+        # each knot's component adds the partials of psi for its two segments
+        entry = catalog_by_name["logistic1b"]
+        objective = YObjective(entry.curve, entry.a, entry.b, GENERAL)
+
+        def value_at(inner):
+            return objective.value_x(KnotVector(entry.a, entry.b, inner))
+
+        kv = KnotVector(entry.a, entry.b, np.array([-1.0, 0.5]))
+        fd = fd_gradient(value_at, kv.interior.copy(), 1e-6)
+        assert_allclose(objective.grad_x(kv), fd, rtol=1e-6)
 
     def test_reversed_segment_rejected(self, catalog_by_name):
         curve = catalog_by_name["logistic1b"].curve
+        xs = np.array([-2.0, 1.0, 0.0, 2.0])
         with pytest.raises(ValueError):
-            psi(curve, 1.0, 0.0)
+            window_gaps(curve, xs, curve.value(xs), 0, 2)
 
 
 class TestYTransform:
@@ -120,29 +137,29 @@ class TestYTransform:
 
 
 class TestBigPhi:
+    # the objective of any kind seen through the cone substitution
     def test_zero_vector_collapses(self, catalog_by_name):
         entry = catalog_by_name["logistic1a"]
         y = np.zeros(4)
         expected = phi(entry.curve, KnotVector(entry.a, entry.b, np.empty(0)))
-        value = big_phi(entry.curve, y, entry.a, entry.b, ObjectiveKind.CONCAVE_AREA)
-        assert value == pytest.approx(expected, rel=1e-13)
+        objective = YObjective(entry.curve, entry.a, entry.b,
+                               ObjectiveKind.CONCAVE_AREA)
+        assert objective.value(y) == pytest.approx(expected, rel=1e-13)
 
     def test_even_spacing_stationary_for_quadratic(self):
         curve = QuadraticCurve(-1.0, 0.0, 4.0)
         y = to_y(KnotVector.equally_spaced(0.0, 2.0, 4))
-        grad = grad_big_phi(curve, y, 0.0, 2.0, ObjectiveKind.CONCAVE_AREA)
-        assert_allclose(grad, 0.0, atol=1e-10)
+        objective = YObjective(curve, 0.0, 2.0, ObjectiveKind.CONCAVE_AREA)
+        assert_allclose(objective.grad(y), 0.0, atol=1e-10)
 
     def test_gradient_matches_fd(self, catalog_by_name, rng):
         entry = catalog_by_name["logistic2a"]
         for kind in ObjectiveKind:
             xs = np.sort(rng.uniform(entry.a + 0.05, entry.b - 0.05, size=4))
             y = to_y(KnotVector(entry.a, entry.b, xs))
-            grad = grad_big_phi(entry.curve, y, entry.a, entry.b, kind)
-            fd = fd_gradient(
-                lambda v: big_phi(entry.curve, v, entry.a, entry.b, kind),
-                y, 1e-5 * (1.0 + np.abs(y)))
-            assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
+            objective = YObjective(entry.curve, entry.a, entry.b, kind)
+            fd = fd_gradient(objective.value, y, 1e-5 * (1.0 + np.abs(y)))
+            assert_allclose(objective.grad(y), fd, rtol=1e-6, atol=1e-9)
 
     def test_chain_rule_factor(self, catalog_by_name, rng):
         entry = catalog_by_name["logistic1b"]
@@ -150,7 +167,7 @@ class TestBigPhi:
         kv = KnotVector(entry.a, entry.b, xs)
         y = to_y(kv)
         for kind in ObjectiveKind:
-            objective = YObjective(entry.curve, entry.a, entry.b, kind=kind)
+            objective = YObjective(entry.curve, entry.a, entry.b, kind)
             grad_x = objective.grad_x(kv)
             expected = grad_x * (entry.b - entry.a) / (1.0 + y) ** 2
             assert_allclose(objective.grad(y), expected, rtol=0, atol=1e-10)
@@ -178,37 +195,62 @@ class TestArgminInvariance:
 
 
 class TestWindowedObjective:
+    # the interior kind scores segments 1..n-1, between the interior knots
     def test_window_matches_manual_sum(self, catalog_by_name):
         entry = catalog_by_name["logistic1b"]
-        n = 4
+        curve, n = entry.curve, 4
         kv = KnotVector.equally_spaced(entry.a, entry.b, n)
-        objective = YObjective(entry.curve, entry.a, entry.b,
-                               segment_window=(1, n - 1))
-        xs = kv.full()
-        manual = sum(psi(entry.curve, xs[i], xs[i + 1]) for i in range(1, n))
-        assert objective.value_x(kv) == pytest.approx(manual, rel=1e-12)
+        objective = YObjective(curve, entry.a, entry.b, INTERIOR)
+        xs, fv = kv.full(), curve.value(kv.full())
+        manual = sum(
+            (simpson_integral(curve.value, xs[i], xs[i + 1], tol=1e-14)
+             - 0.5 * (fv[i] + fv[i + 1]) * (xs[i + 1] - xs[i])) ** 2
+            for i in range(1, n))
+        assert objective.value_x(kv) == pytest.approx(manual, rel=1e-9)
 
     def test_windowed_gradient_matches_fd(self, catalog_by_name, rng):
         entry = catalog_by_name["gompertz1b"]
         n = 4
-        objective = YObjective(entry.curve, entry.a, entry.b,
-                               segment_window=(1, n - 1))
+        objective = YObjective(entry.curve, entry.a, entry.b, INTERIOR)
         xs = np.sort(rng.uniform(entry.a + 0.1, entry.b - 0.1, size=n))
         y = to_y(KnotVector(entry.a, entry.b, xs))
         fd = fd_gradient(objective.value, y, 1e-5 * (1.0 + np.abs(y)))
         assert_allclose(objective.grad(y), fd, rtol=1e-6, atol=1e-9)
 
     def test_empty_window_is_flat(self, catalog_by_name):
+        # one interior knot leaves no segment between interior knots
         entry = catalog_by_name["logistic1a"]
-        objective = YObjective(entry.curve, entry.a, entry.b, segment_window=(1, 0))
+        objective = YObjective(entry.curve, entry.a, entry.b, INTERIOR)
         y = np.array([1.0])
         assert objective.value(y) == 0.0
         assert_allclose(objective.grad(y), 0.0)
 
-    def test_kind_and_window_exclusive(self, catalog_by_name):
-        entry = catalog_by_name["logistic1a"]
-        with pytest.raises(ValueError):
-            YObjective(entry.curve, entry.a, entry.b)
-        with pytest.raises(ValueError):
-            YObjective(entry.curve, entry.a, entry.b,
-                       kind=ObjectiveKind.CONCAVE_AREA, segment_window=(0, 1))
+
+class TestKindOwnsItsMeasure:
+    # every kind's objective is its error measure (the area kind up to the
+    # constant integral of f), on every catalog row and many knot counts
+    def test_objective_agrees_with_measure(self, catalog):
+        rng = np.random.default_rng(7)
+        for entry in catalog:
+            a, b = entry.a, entry.b
+            for kind in ObjectiveKind:
+                objective = YObjective(entry.curve, a, b, kind)
+                offset = None
+                for n in (1, 2, 4, 8, 16):
+                    for _ in range(2):
+                        kv = KnotVector(a, b, np.sort(rng.uniform(a, b, n)))
+                        diff = kind.error(entry.curve, kv) - objective.value_x(kv)
+                        label = (entry.name, kind, n)
+                        if kind is not ObjectiveKind.CONCAVE_AREA:
+                            assert diff == 0.0, label
+                            continue
+                        if offset is None:
+                            offset = diff
+                        assert abs(diff - offset) <= 1e-11 * max(1.0, abs(offset)), label
+
+    def test_measure_names_are_kind_values(self):
+        assert {kind.value for kind in ObjectiveKind} == {"auto", "concave", "general"}
+        assert ObjectiveKind("auto") is INTERIOR
+        assert INTERIOR.window(4) == (1, 3)
+        assert GENERAL.window(4) == (0, 4)
+        assert ObjectiveKind.CONCAVE_AREA.window(4) is None

@@ -25,38 +25,45 @@ class TestKnotVector:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
             KnotVector(0.0, 1.0, np.array([1.5]))
+        for bad in ([np.nan], [0.2, np.nan], [np.nan, 0.2], [0.1, np.nan, 0.5]):
+            with pytest.raises(ValueError):
+                KnotVector(0.0, 1.0, np.array(bad))
 
 
 class TestBuildPl:
     def test_quadratic_secants(self):
         curve = QuadraticCurve(1.0, 0.0, 0.0)  # x^2
         pl = build_pl(curve, KnotVector(0.0, 2.0, np.array([1.0])))
-        (s0, s1) = pl.segments
-        assert (s0.alpha, s0.beta) == pytest.approx((1.0, 0.0))
-        assert (s1.alpha, s1.beta) == pytest.approx((3.0, -2.0))
+        # chords y = x on [0, 1] and y = 3x - 2 on [1, 2]
+        xs = np.array([0.0, 0.25, 0.5, 1.0, 1.25, 1.5, 2.0])
+        expected = np.where(xs <= 1.0, xs, 3.0 * xs - 2.0)
+        assert_allclose(pl(xs), expected, atol=1e-15)
 
     def test_single_segment_secant(self, catalog_by_name):
         entry = catalog_by_name["logistic1a"]
         pl = build_pl(entry.curve, KnotVector(entry.a, entry.b, np.empty(0)))
-        assert len(pl.segments) == 1
         fa, fb = entry.curve.value(entry.a), entry.curve.value(entry.b)
-        assert pl.segments[0].alpha == pytest.approx((fb - fa) / (entry.b - entry.a))
+        slope = (fb - fa) / (entry.b - entry.a)
+        xs = np.linspace(entry.a, entry.b, 11)
+        assert_allclose(pl(xs), fa + slope * (xs - entry.a), atol=1e-14)
 
     def test_interpolation_at_knots(self, catalog_by_name):
         entry = catalog_by_name["logistic1a"]
         kv = KnotVector(0.0, 2.0, np.array([0.5, 1.0, 1.5]))
         pl = build_pl(entry.curve, kv)
-        for x in kv.full():
+        xs = kv.full()
+        for x in xs:
             assert abs(pl(x) - entry.curve.value(x)) < 1e-12
-        for seg in pl.segments:
-            assert abs(seg.alpha * seg.lo + seg.beta - entry.curve.value(seg.lo)) < 1e-10
-            assert abs(seg.alpha * seg.hi + seg.beta - entry.curve.value(seg.hi)) < 1e-10
+        # linear between knots: each segment's midpoint gets the chord mean
+        fv = entry.curve.value(xs)
+        mids = 0.5 * (xs[:-1] + xs[1:])
+        assert_allclose(pl(mids), 0.5 * (fv[:-1] + fv[1:]), atol=1e-12)
 
     def test_degenerate_segments_skipped(self, catalog_by_name):
         entry = catalog_by_name["logistic1a"]
         kv = KnotVector(0.0, 2.0, np.array([0.5, 0.5, 1.5]))
         pl = build_pl(entry.curve, kv)
-        assert [seg.degenerate for seg in pl.segments] == [False, True, False, False]
+        assert pl(0.5) == entry.curve.value(0.5)
         xs = np.linspace(0.0, 2.0, 101)
         reference = build_pl(entry.curve, KnotVector(0.0, 2.0, np.array([0.5, 1.5])))
         assert_allclose(pl(xs), reference(xs), atol=1e-14)
