@@ -33,14 +33,6 @@ class Parabola:
         out = np.full_like(x, -2.0)
         return out if out.ndim else float(out)
 
-    def integrate(self, lo, hi):
-        F = lambda t: -t ** 3 / 3 + 4 * t
-        return F(hi) - F(lo)
-
-    def integrate_segments(self, lo, hi):
-        F = lambda t: -np.asarray(t, float) ** 3 / 3 + 4 * np.asarray(t, float)
-        return F(hi) - F(lo)
-
 
 report = solve(Parabola(), ObjectiveKind.CONCAVE_AREA, 3,
                init=KnotVector(0.0, 2.0, np.array([0.2, 0.3, 0.4])))

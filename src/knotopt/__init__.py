@@ -14,7 +14,7 @@ from .kkt import KktReport, hessian_phi, kkt_check, prop1_test
 from .objective import ObjectiveKind, YObjective, from_y, grad_phi, phi, to_y
 from .pl import (KnotVector, PLApprox, build_pl, error_concave, error_general,
                  error_interior_squared, segment_gaps)
-from .quadrature import QuadratureError, integrate, integrate_segments
+from .quadrature import QuadratureError
 from .spg import (Backtrack, BbRule, MinimizeResult, SolveReport, SolverError,
                   SpgConfig, Termination, backtrack_step, minimize_y, solve)
 
@@ -27,8 +27,8 @@ __all__ = [
     "ResultRow", "SolveReport", "SolverError", "SpgConfig", "Termination",
     "YObjective", "backtrack_step", "build_pl", "default_catalog",
     "emit_plot_data", "error_concave", "error_general",
-    "error_interior_squared", "from_y", "grad_phi", "hessian_phi", "integrate",
-    "integrate_segments", "kkt_check", "load_catalog", "minimize_y", "phi",
-    "project", "project_blocks", "prop1_test", "run_catalog", "run_experiment",
+    "error_interior_squared", "from_y", "grad_phi", "hessian_phi",
+    "kkt_check", "load_catalog", "minimize_y", "phi", "project",
+    "project_blocks", "prop1_test", "run_catalog", "run_experiment",
     "segment_gaps", "solve", "to_y",
 ]

@@ -104,7 +104,9 @@ def _cmd_run(args) -> int:
 
 
 def _write_json(record: dict, out: str | None):
-    text = json.dumps(record, indent=2) + "\n"
+    # RFC 8259 JSON has no NaN or Infinity: a failed row's errors become null
+    record = json.loads(json.dumps(record), parse_constant=lambda _: None)
+    text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)

@@ -10,8 +10,8 @@ pair ``d1``/``d2`` (with u = d1*x + d2):
 * Arctan:     f(x) = v1 + v2 * arctan(u)            (no shape parameter)
 * Algebraic:  f(x) = v1 + v2 * (d1 * x**s + d2)**(1/s)
 
-Values, first and second derivatives are analytic; definite integrals use
-adaptive Gauss-Legendre quadrature.  Instances are immutable, so all
+Values, first and second derivatives are analytic; the segment gaps come
+from f'' (``knotopt.quadrature``).  Instances are immutable, so all
 operations are pure and safe to share across threads.
 """
 
@@ -24,8 +24,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-
-from .quadrature import integrate, integrate_segments
 
 
 class CurveDomainError(ValueError):
@@ -41,8 +39,11 @@ class CurveFamily(Enum):
 
 
 def _finite_or_raise(values, family: CurveFamily, x):
+    # a finite sum proves every value finite; an overflowing one proves nothing
+    if np.isfinite(values.sum()):
+        return values
     flat = np.atleast_1d(values)
-    if not np.all(np.isfinite(flat)):
+    if not np.isfinite(flat).all():
         bad = np.atleast_1d(x)[~np.isfinite(flat)]
         raise CurveDomainError(f"{family.value} formula undefined at x={bad}")
     return values
@@ -134,14 +135,6 @@ class Curve:
                 out = v2 * d1 * d2 * (s - 1.0) * x ** (s - 2.0) * q ** (1.0 / s - 2.0)
         _finite_or_raise(out, self.family, x)
         return out if out.ndim else float(out)
-
-    def integrate(self, lo: float, hi: float) -> float:
-        """Definite integral of f over [lo, hi] (lo <= hi)."""
-        return integrate(self.value, lo, hi)
-
-    def integrate_segments(self, lo, hi) -> np.ndarray:
-        """Batched definite integrals over the segments [lo_j, hi_j]."""
-        return integrate_segments(self.value, lo, hi)
 
 
 # -- catalog --------------------------------------------------------------

@@ -13,9 +13,10 @@ minimises:
 * ``INTERIOR_SQUARED`` ("auto"): the same sum over the segments between
   consecutive interior knots only, the harness default.
 
-The squared kinds' values are ``pl.squared_gap_sum`` over their window, the
-routine their error measures use, so each equals its measure exactly.  Writing a gap as I - T, with I the segment
-integral and T the trapezoid term, the partials of its square are
+The squared kinds' values are ``pl.squared_gap_sum``'s sum over their window,
+as their error measures are, so each equals its measure exactly.  Writing a
+gap as I - T, with I the segment integral and T the trapezoid, the partials
+of its square are
 
     d (I - T)^2 / d x_lo = (I - T) * [f(x_hi) - f(x_lo) - f'(x_lo)(x_hi - x_lo)]
     d (I - T)^2 / d x_hi = (I - T) * [f(x_hi) - f(x_lo) - f'(x_hi)(x_hi - x_lo)]
@@ -131,23 +132,31 @@ class YObjective:
         self.a = float(a)
         self.b = float(b)
         self.kind = kind
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
 
     def knots(self, y: np.ndarray) -> KnotVector:
         return from_y(y, self.a, self.b)
+
+    def _gaps(self, xs: np.ndarray, window: tuple[int, int]) -> np.ndarray:
+        # the solver asks for the gradient at the knots it has just scored
+        if self._last is None or not np.array_equal(self._last[0], xs):
+            self._last = (xs, window_gaps(self.curve, xs, *window))
+        return self._last[1]
 
     def value_x(self, knots: KnotVector) -> float:
         window = self.kind.window(knots.n)
         if window is None:
             return phi(self.curve, knots)
-        return pl.squared_gap_sum(self.curve, knots, *window)
+        # pl.squared_gap_sum's arithmetic: bitwise the kind's error measure
+        return float(np.sum(self._gaps(knots.full(), window) ** 2))
 
     def grad_x(self, knots: KnotVector) -> np.ndarray:
         window = self.kind.window(knots.n)
         if window is None:
             return grad_phi(self.curve, knots)
         xs = knots.full()
+        gaps = self._gaps(xs, window)
         fv = np.asarray(self.curve.value(xs), dtype=float)
-        gaps = window_gaps(self.curve, xs, fv, *window)
         fp = np.asarray(self.curve.deriv1(xs[1:-1]), dtype=float)
         h = np.diff(xs)
         df = fv[1:] - fv[:-1]

@@ -6,7 +6,8 @@ allowed as inputs: a zero-width segment contributes nothing to any error
 measure and is skipped during evaluation.
 
 Every error measure sums the signed area gaps that ``window_gaps`` computes
-for a window of segments; the objectives in ``knotopt.objective`` use the
+for a window of segments, from the curve's second derivative in the Peano
+form of the trapezoid error; the objectives in ``knotopt.objective`` use the
 same routine, so a measure and its objective agree to the last bit.
 Three error measures are provided.  ``error_concave`` is the signed area
 between the curve and the interpolant (exact L1 error when the curve is
@@ -24,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .quadrature import integrate_segments
 
 
 @dataclass(frozen=True)
@@ -82,38 +85,29 @@ def build_pl(curve, knots: KnotVector) -> PLApprox:
     return PLApprox(knots=knots, values=fv)
 
 
-def window_gaps(curve, xs: np.ndarray, fv: np.ndarray,
-                lo: int, hi: int) -> np.ndarray:
+def window_gaps(curve, xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Signed area gaps of segments lo..hi, zeros for the other segments.
 
-    gap_i = integral of f over [x_i, x_{i+1}] minus the trapezoid
-    (1/2)(f(x_i) + f(x_{i+1}))(x_{i+1} - x_i), with xs all breakpoints and
-    fv = f(xs).  Degenerate segments give 0, and so does an empty window
-    (hi < lo).  Only the window's segments are integrated: the batched
-    quadrature rounds differently for a different batch, so every caller
-    that must agree on a window passes the same one.
+    gap_i = integral of f over [x_i, x_{i+1}] minus its trapezoid, with xs
+    all breakpoints, computed from f'' (see ``knotopt.quadrature``).
+    Degenerate segments give 0, and so does an empty window (hi < lo).  Only
+    the window's segments are integrated: the batched kernel may round
+    differently for a different batch, so every caller that must agree on a
+    window passes the same one.
     """
     gaps = np.zeros(xs.size - 1)
-    seg_lo = xs[lo:hi + 1]
-    seg_hi = xs[lo + 1:hi + 2]
-    integrals = curve.integrate_segments(seg_lo, seg_hi)
-    trap = 0.5 * (fv[lo:hi + 1] + fv[lo + 1:hi + 2]) * (seg_hi - seg_lo)
-    gaps[lo:hi + 1] = integrals - trap
+    gaps[lo:hi + 1] = integrate_segments(curve.deriv2, xs[lo:hi + 1], xs[lo + 1:hi + 2])
     return gaps
 
 
 def squared_gap_sum(curve, knots: KnotVector, lo: int, hi: int) -> float:
     """Sum of the squared gaps of segments lo..hi."""
-    xs = knots.full()
-    fv = np.asarray(curve.value(xs), dtype=float)
-    return float(np.sum(window_gaps(curve, xs, fv, lo, hi) ** 2))
+    return float(np.sum(window_gaps(curve, knots.full(), lo, hi) ** 2))
 
 
 def segment_gaps(curve, knots: KnotVector) -> np.ndarray:
     """Per-segment signed area between curve and chord, all n + 1 segments."""
-    xs = knots.full()
-    fv = np.asarray(curve.value(xs), dtype=float)
-    return window_gaps(curve, xs, fv, 0, knots.n)
+    return window_gaps(curve, knots.full(), 0, knots.n)
 
 
 def error_concave(curve, knots: KnotVector) -> float:

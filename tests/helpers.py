@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from knotopt.quadrature import integrate_segments
-
 
 class QuadraticCurve:
     """Closed-form quadratic a2*x^2 + a1*x + a0 used as a test hook."""
@@ -28,35 +26,12 @@ class QuadraticCurve:
         out = np.full_like(x, 2.0 * self.a2)
         return out if out.ndim else float(out)
 
-    def _antideriv(self, x):
-        return self.a2 * x ** 3 / 3.0 + self.a1 * x ** 2 / 2.0 + self.a0 * x
-
-    def integrate(self, lo, hi):
-        return float(self._antideriv(hi) - self._antideriv(lo))
-
-    def integrate_segments(self, lo, hi):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        return self._antideriv(hi) - self._antideriv(lo)
-
 
 class LinearCurve(QuadraticCurve):
     """Affine curve; every chord matches it exactly."""
 
     def __init__(self, slope: float, offset: float):
         super().__init__(0.0, slope, offset)
-
-
-class QuadratureBackedQuadratic(QuadraticCurve):
-    """Quadratic hook whose integrals go through the production quadrature."""
-
-    def integrate(self, lo, hi):
-        if hi == lo:
-            return 0.0
-        return float(integrate_segments(self.value, [lo], [hi])[0])
-
-    def integrate_segments(self, lo, hi):
-        return integrate_segments(self.value, lo, hi)
 
 
 def central_diff(func, x: float, h: float) -> float:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from knotopt import (Curve, CurveCatalogEntry, CurveDomainError, CurveFamily,
                      load_catalog)
+from knotopt.quadrature import integrate_segments
 
 from helpers import central_diff, simpson_integral
 
@@ -58,32 +59,47 @@ class TestDerivatives:
                             err_msg=f"deriv2 mismatch for {entry.name}")
 
 
+def gap(curve, lo: float, hi: float) -> float:
+    """One segment's gap from the production kernel."""
+    return float(integrate_segments(curve.deriv2, np.array([lo]), np.array([hi]))[0])
+
+
+def trap(curve, lo: float, hi: float) -> float:
+    return 0.5 * (hi - lo) * (curve.value(lo) + curve.value(hi))
+
+
 class TestIntegration:
+    # a segment's integral is its trapezoid plus its gap, which the kernel
+    # computes from deriv2
+
     def test_empty_interval(self, catalog):
         for entry in catalog:
-            assert entry.curve.integrate(1.3, 1.3) == 0.0
+            assert gap(entry.curve, 1.3, 1.3) == 0.0
 
     def test_logistic_closed_form(self, catalog_by_name):
-        value = catalog_by_name["logistic1a"].curve.integrate(0.0, 2.0)
+        curve = catalog_by_name["logistic1a"].curve
+        value = trap(curve, 0.0, 2.0) + gap(curve, 0.0, 2.0)
         assert_allclose(value, math.log((1.0 + math.e ** 2) / 2.0), rtol=1e-13)
 
     def test_gompertz_against_simpson(self, catalog_by_name):
         curve = catalog_by_name["gompertz1a"].curve
         oracle = simpson_integral(curve.value, 0.0, 6.0, tol=1e-13)
-        assert_allclose(curve.integrate(0.0, 6.0), oracle, atol=1e-10)
+        assert_allclose(trap(curve, 0.0, 6.0) + gap(curve, 0.0, 6.0), oracle, atol=1e-10)
 
     def test_additivity(self, catalog, rng):
+        # gap(a, b) = gap(a, m) + gap(m, b) + trap(a, m) + trap(m, b) - trap(a, b)
         for entry in catalog:
-            whole = entry.curve.integrate(entry.a, entry.b)
+            c, a, b = entry.curve, entry.a, entry.b
+            whole = gap(c, a, b)
             for _ in range(3):
-                mid = rng.uniform(entry.a, entry.b)
-                split = entry.curve.integrate(entry.a, mid) \
-                    + entry.curve.integrate(mid, entry.b)
+                mid = rng.uniform(a, b)
+                split = gap(c, a, mid) + gap(c, mid, b) \
+                    + trap(c, a, mid) + trap(c, mid, b) - trap(c, a, b)
                 assert abs(whole - split) < 1e-11
 
     def test_reversed_bounds_rejected(self, catalog_by_name):
         with pytest.raises(ValueError):
-            catalog_by_name["logistic1a"].curve.integrate(2.0, 0.0)
+            gap(catalog_by_name["logistic1a"].curve, 2.0, 0.0)
 
 
 class TestShape:

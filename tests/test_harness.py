@@ -159,6 +159,20 @@ class TestCli:
         assert record["spg_error"] <= record["orig_error"]
         assert len(record["knots"]) == 6
 
+    def test_solve_failed_row_is_valid_json(self, tmp_path, capsys):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("name,type,v1,v2,s,d1,d2,concave,a,b\n"
+                           "badw,Weibull,0,1,1.5,1,-1,N,0,2\n")
+        code = main(["solve", "--catalog", str(catalog), "--curves", "badw"])
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        record = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert record["status"].startswith("error: ")
+        assert record["orig_error"] is None and record["spg_error"] is None
+
     def test_check_accepts_auto(self, capsys):
         code = main(["check", "--curves", "logistic1a", "--measure", "auto",
                      "--knots", "0.4,0.8,1.2,1.6"])

@@ -24,7 +24,7 @@ class TestPhi:
         entry = catalog_by_name["logistic1a"]
         kv = KnotVector.equally_spaced(entry.a, entry.b, 4)
         diff = error_concave(entry.curve, kv) - phi(entry.curve, kv)
-        assert abs(diff - entry.curve.integrate(entry.a, entry.b)) < 1e-11
+        assert abs(diff - simpson_integral(entry.curve.value, entry.a, entry.b)) < 1e-11
 
     def test_collapsed_knots_match_empty(self, catalog_by_name):
         entry = catalog_by_name["logistic1a"]
@@ -66,7 +66,7 @@ class TestPsi:
         entry = catalog_by_name["logistic1b"]
         tied = KnotVector(entry.a, entry.b, np.array([-1.0, 1.0, 1.0, 2.0]))
         xs = tied.full()
-        gaps = window_gaps(entry.curve, xs, entry.curve.value(xs), 0, tied.n)
+        gaps = window_gaps(entry.curve, xs, 0, tied.n)
         assert gaps[2] == 0.0
         untied = KnotVector(entry.a, entry.b, np.array([-1.0, 1.0, 2.0]))
         objective = YObjective(entry.curve, entry.a, entry.b, GENERAL)
@@ -95,7 +95,57 @@ class TestPsi:
         curve = catalog_by_name["logistic1b"].curve
         xs = np.array([-2.0, 1.0, 0.0, 2.0])
         with pytest.raises(ValueError):
-            window_gaps(curve, xs, curve.value(xs), 0, 2)
+            window_gaps(curve, xs, 0, 2)
+
+
+class CountingCurve:
+    """Delegates to a curve and counts the calls of its deriv2."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.deriv2_calls = 0
+
+    def value(self, x):
+        return self.curve.value(x)
+
+    def deriv1(self, x):
+        return self.curve.deriv1(x)
+
+    def deriv2(self, x):
+        self.deriv2_calls += 1
+        return self.curve.deriv2(x)
+
+
+class TestGapReuse:
+    # the solver asks for the gradient where it has just taken the value, so
+    # the gaps the value integrated serve the gradient too
+
+    @pytest.mark.parametrize("kind", [GENERAL, INTERIOR])
+    def test_grad_after_value_reuses_the_gaps(self, catalog_by_name, kind):
+        entry = catalog_by_name["logistic2b"]
+        curve = CountingCurve(entry.curve)
+        objective = YObjective(curve, entry.a, entry.b, kind)
+        y = to_y(KnotVector(entry.a, entry.b, np.array([-1.5, -0.2, 0.3, 1.1, 1.7])))
+        objective.value(y)
+        after_value = curve.deriv2_calls
+        assert after_value > 0
+        grad = objective.grad(y)
+        assert curve.deriv2_calls == after_value
+        fresh = YObjective(entry.curve, entry.a, entry.b, kind)
+        assert np.array_equal(grad, fresh.grad(y))
+
+    def test_grad_elsewhere_recomputes(self, catalog_by_name):
+        entry = catalog_by_name["logistic2b"]
+        curve = CountingCurve(entry.curve)
+        objective = YObjective(curve, entry.a, entry.b, GENERAL)
+        y = to_y(KnotVector(entry.a, entry.b, np.array([-1.5, -0.2, 0.3, 1.1])))
+        objective.value(y)
+        after_value = curve.deriv2_calls
+        moved = y * 1.01
+        grad = objective.grad(moved)
+        assert curve.deriv2_calls > after_value
+        fresh = YObjective(entry.curve, entry.a, entry.b, GENERAL)
+        assert np.array_equal(grad, fresh.grad(moved))
 
 
 class TestYTransform:
