@@ -8,8 +8,8 @@ Subcommands:
 
 The default seed is 42; the environment variable KNOTOPT_SEED overrides it
 and an explicit --seed flag wins over both.  Bad input from outside the
-program (the seed variable, knot counts or positions) exits with an
-``error: ...`` message instead of a traceback.
+program (the seed, knot counts or positions, the catalog file) exits with
+an ``error: ...`` message instead of a traceback.
 """
 
 from __future__ import annotations
@@ -63,7 +63,11 @@ def _knot_vector(entry, text: str) -> KnotVector:
 
 def _entry(args):
     """The catalog entry named by --curves, from --catalog or the bundled one."""
-    catalog = default_catalog() if args.catalog is None else load_catalog(args.catalog)
+    try:
+        catalog = (default_catalog() if args.catalog is None
+                   else load_catalog(args.catalog))
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: {exc}") from None
     for entry in catalog:
         if entry.name == args.curves:
             return entry
@@ -72,9 +76,12 @@ def _entry(args):
 
 def _config(args) -> SpgConfig:
     seed = args.seed if args.seed is not None else _default_seed()
-    return SpgConfig(rng_seed=seed,
-                     bb_rule=BbRule(args.bb),
-                     backtrack=Backtrack(args.backtrack))
+    try:
+        return SpgConfig(rng_seed=seed,
+                         bb_rule=BbRule(args.bb),
+                         backtrack=Backtrack(args.backtrack))
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _solver_flags(parser):
@@ -94,7 +101,9 @@ def _cmd_run(args) -> int:
                            config=_config(args), out_path=args.out,
                            fmt=args.format)
     except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}")
+        raise SystemExit(f"error: {exc.args[0]}") from None
+    except (OSError, ValueError) as exc:   # an unreadable or malformed catalog
+        raise SystemExit(f"error: {exc}") from None
     if args.out is None:
         sys.stdout.write(rows_to_csv(rows) if args.format == "csv"
                          else rows_to_json(rows))
@@ -116,9 +125,7 @@ def _write_json(record: dict, out: str | None):
 
 def _cmd_solve(args) -> int:
     entry = _entry(args)
-    config = _config(args)
-    rng = np.random.default_rng([config.rng_seed, 0])
-    row = run_experiment(entry, args.knots, args.measure, config, rng=rng)
+    row = run_experiment(entry, args.knots, args.measure, _config(args))
     record = {
         "curve": entry.name, "a": entry.a, "b": entry.b, "n_knots": args.knots,
         "measure": row.measure,
@@ -151,9 +158,7 @@ def _cmd_plot_data(args) -> int:
     entry = _entry(args)
     spec = args.knots or str(DEFAULT_KNOT_COUNTS[0])
     if spec.strip().isdecimal():
-        config = _config(args)
-        rng = np.random.default_rng([config.rng_seed, 0])
-        row = run_experiment(entry, int(spec), args.measure, config, rng=rng)
+        row = run_experiment(entry, int(spec), args.measure, _config(args))
         if row.status != "ok":
             raise SystemExit(row.status)
         knots = KnotVector(entry.a, entry.b, row.final_knots[1:-1])

@@ -165,32 +165,42 @@ def load_catalog(path: str | Path) -> list[CurveCatalogEntry]:
 
     Expected columns: name, type, v1, v2, s, d1, d2, concave, a, b.  The
     shape column accepts "-" (or blank) for families without one; the
-    concave column is Y/N.  Names must be unique.
+    concave column is Y/N.  Names must be unique.  A row that cannot be
+    read raises ValueError naming the file, the line and the row.
     """
     entries: list[CurveCatalogEntry] = []
     seen: set[str] = set()
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            name = row["name"].strip()
-            if name in seen:
-                raise ValueError(f"duplicate catalog entry {name!r}")
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for fields in filter(None, reader):      # skip blank lines
+            try:
+                if len(fields) != len(header):
+                    raise ValueError(f"{len(fields)} fields for {len(header)} columns")
+                row = dict(zip(header, fields))
+                name = row["name"].strip()
+                if name in seen:
+                    raise ValueError(f"duplicate catalog entry {name!r}")
+                curve = Curve(
+                    family=CurveFamily(row["type"].strip().capitalize()),
+                    v1=float(row["v1"]),
+                    v2=float(row["v2"]),
+                    s=_parse_shape(row["s"]),
+                    d1=float(row["d1"]),
+                    d2=float(row["d2"]),
+                )
+                entries.append(CurveCatalogEntry(
+                    name=name,
+                    curve=curve,
+                    concave=row["concave"].strip().upper() == "Y",
+                    a=float(row["a"]),
+                    b=float(row["b"]),
+                ))
+            except (KeyError, ValueError) as exc:
+                reason = f"no column {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}, line {reader.line_num}: "
+                                 f"{','.join(fields)!r}: {reason}") from None
             seen.add(name)
-            family = CurveFamily(row["type"].strip().capitalize())
-            curve = Curve(
-                family=family,
-                v1=float(row["v1"]),
-                v2=float(row["v2"]),
-                s=_parse_shape(row["s"]),
-                d1=float(row["d1"]),
-                d2=float(row["d2"]),
-            )
-            entries.append(CurveCatalogEntry(
-                name=name,
-                curve=curve,
-                concave=row["concave"].strip().upper() == "Y",
-                a=float(row["a"]),
-                b=float(row["b"]),
-            ))
     return entries
 
 

@@ -15,9 +15,10 @@ squared-gap objectives.  A cell that fails (for example because the curve is
 undefined on its interval) gives a row with NaN errors and an ``error: ...``
 status, and the run goes on.
 
-Rows are always assembled in catalog order and all floating-point output is
-formatted explicitly, so two runs with the same seed produce byte-identical
-files.
+Each cell's solve draws from the config's seed alone, so a row is the same
+whatever else the run holds.  Rows are assembled in catalog order and all
+floating-point output is formatted explicitly, so two runs with the same
+seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -56,13 +57,11 @@ class ResultRow:
 
 
 def run_experiment(entry: CurveCatalogEntry, n: int, measure: str,
-                   config: SpgConfig,
-                   rng: np.random.Generator | None = None) -> ResultRow:
+                   config: SpgConfig) -> ResultRow:
     """Solve one (curve, knot count) cell and score it in the given measure."""
     a, b = entry.a, entry.b
     try:
-        report = solve(entry.curve, ObjectiveKind(measure), n, config,
-                       a=a, b=b, rng=rng)
+        report = solve(entry.curve, ObjectiveKind(measure), n, config, a=a, b=b)
         orig, spg_error = report.initial_error, report.final_error
         final = report.final_knots.full()
         iterations = report.iterations
@@ -97,27 +96,21 @@ def run_catalog(catalog_path: str | Path | None = None,
                 curves: list[str] | None = None,
                 knot_counts: tuple[int, ...] = DEFAULT_KNOT_COUNTS,
                 measure: str = "auto",
-                config: SpgConfig | None = None,
+                config: SpgConfig = SpgConfig(),
                 out_path: str | Path | None = None,
                 fmt: str = "csv") -> list[ResultRow]:
     """Run every selected (curve, knot count) experiment, in catalog order.
 
     With an output path the table is written as CSV or JSON; the file only
-    appears once the whole run has finished.  Each row's solver draws from
-    an independent stream derived from (seed, row index), so results do not
-    depend on execution order.
+    appears once the whole run has finished.  Each cell's solve draws from
+    ``config.rng_seed`` alone, so a row does not depend on which other
+    curves and knot counts are selected, or on their order.
     """
     ObjectiveKind(measure)   # a bad measure fails before any work
     catalog = default_catalog() if catalog_path is None else load_catalog(catalog_path)
     selected = _select(catalog, curves)
-    if config is None:
-        config = SpgConfig()
-
-    rows = []
-    for idx, (entry, n) in enumerate(
-            (entry, n) for entry in selected for n in knot_counts):
-        rng = np.random.default_rng([config.rng_seed, idx])
-        rows.append(run_experiment(entry, n, measure, config, rng=rng))
+    rows = [run_experiment(entry, n, measure, config)
+            for entry in selected for n in knot_counts]
 
     if out_path is not None:
         write_rows(rows, out_path, fmt)

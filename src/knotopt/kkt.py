@@ -15,7 +15,7 @@ stationarity rows (tied constraints take the value forced by their row,
 separated ones take zero, negatives are clamped) and the residuals report
 how far the rows remain from holding.
 
-The gradient comes from ``YObjective(..., kind).grad_x``, so every kind,
+The gradient comes from ``objective.grad_x``, so every kind,
 the harness's interior window included, can be certified.  ``hessian_phi``
 assembles the tridiagonal curvature matrix of the area
 objective's stationarity system: diagonal (x_{i-1} - x_{i+1}) f''(x_i),
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import ObjectiveKind, YObjective
+from .objective import ObjectiveKind, grad_x
 from .pl import KnotVector
 
 #: a segment narrower than this counts as an active (tied) constraint
@@ -68,7 +68,7 @@ def kkt_check(curve, knots: KnotVector,
     """Recover multipliers and measure how far the KKT conditions are violated."""
     xs = knots.full()
     gaps = np.diff(xs)
-    g = YObjective(curve, knots.a, knots.b, kind).grad_x(knots)
+    g = grad_x(curve, kind, knots)
     n = knots.n
 
     active = gaps <= COMPLEMENTARITY_TOL

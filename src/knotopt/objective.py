@@ -29,8 +29,8 @@ x_i = b - (b - a) / (1 + y_i), maps ordered knots in [a, b) onto the monotone
 nonnegative cone 0 <= y_1 <= ... <= y_n, turning the ordering constraints
 into a cone membership that admits a fast exact projection.
 ``YObjective.value`` and ``YObjective.grad`` evaluate any kind through that
-substitution; the gradient picks up the chain-rule factor
-dx_i/dy_i = (b - a) / (1 + y_i)^2.
+substitution; the gradient is ``grad_x``, the one x-space gradient of every
+kind, times the chain-rule factor dx_i/dy_i = (b - a) / (1 + y_i)^2.
 """
 
 from __future__ import annotations
@@ -100,6 +100,24 @@ def grad_phi(curve, knots: KnotVector) -> np.ndarray:
     return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:]))
 
 
+def grad_x(curve, kind: ObjectiveKind, knots: KnotVector,
+           gaps: np.ndarray | None = None) -> np.ndarray:
+    """The kind's gradient in the interior knots; uses ``gaps`` when given."""
+    window = kind.window(knots.n)
+    if window is None:
+        return grad_phi(curve, knots)
+    xs = knots.full()
+    if gaps is None:
+        gaps = window_gaps(curve, xs, *window)
+    fv = np.asarray(curve.value(xs), dtype=float)
+    fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
+    h = np.diff(xs)
+    df = fv[1:] - fv[:-1]
+    # knot j borders segment j-1 from above and segment j from below
+    return (gaps[:-1] * (df[:-1] - fp * h[:-1])
+            + gaps[1:] * (df[1:] - fp * h[1:]))
+
+
 # -- the cone substitution ------------------------------------------------
 
 
@@ -125,50 +143,35 @@ def from_y(y: np.ndarray, a: float, b: float) -> KnotVector:
 
 
 class YObjective:
-    """A smooth objective of the given kind over the monotone nonnegative cone."""
+    """A smooth objective of the given kind over the monotone nonnegative cone.
+
+    The solver asks for the gradient where it has just taken the value, so
+    ``grad`` reuses the state ``value`` left at the same y.
+    """
 
     def __init__(self, curve, a: float, b: float, kind: ObjectiveKind):
         self.curve = curve
         self.a = float(a)
         self.b = float(b)
         self.kind = kind
-        self._last: tuple[np.ndarray, np.ndarray] | None = None
+        self._state = None   # (clipped y, knots, window gaps) of the last y
 
-    def knots(self, y: np.ndarray) -> KnotVector:
-        return from_y(y, self.a, self.b)
-
-    def _gaps(self, xs: np.ndarray, window: tuple[int, int]) -> np.ndarray:
-        # the solver asks for the gradient at the knots it has just scored
-        if self._last is None or not np.array_equal(self._last[0], xs):
-            self._last = (xs, window_gaps(self.curve, xs, *window))
-        return self._last[1]
-
-    def value_x(self, knots: KnotVector) -> float:
-        window = self.kind.window(knots.n)
-        if window is None:
-            return phi(self.curve, knots)
-        # pl.squared_gap_sum's arithmetic: bitwise the kind's error measure
-        return float(np.sum(self._gaps(knots.full(), window) ** 2))
-
-    def grad_x(self, knots: KnotVector) -> np.ndarray:
-        window = self.kind.window(knots.n)
-        if window is None:
-            return grad_phi(self.curve, knots)
-        xs = knots.full()
-        gaps = self._gaps(xs, window)
-        fv = np.asarray(self.curve.value(xs), dtype=float)
-        fp = np.asarray(self.curve.deriv1(xs[1:-1]), dtype=float)
-        h = np.diff(xs)
-        df = fv[1:] - fv[:-1]
-        # knot j borders segment j-1 from above and segment j from below
-        return (gaps[:-1] * (df[:-1] - fp * h[:-1])
-                + gaps[1:] * (df[1:] - fp * h[1:]))
+    def _at(self, y: np.ndarray):
+        y = np.clip(np.asarray(y, dtype=float), 0.0, Y_MAX)
+        if self._state is None or not np.array_equal(self._state[0], y):
+            knots = from_y(y, self.a, self.b)
+            window = self.kind.window(knots.n)
+            gaps = (None if window is None
+                    else window_gaps(self.curve, knots.full(), *window))
+            self._state = (y, knots, gaps)
+        return self._state
 
     def value(self, y: np.ndarray) -> float:
-        return self.value_x(self.knots(y))
+        _, knots, gaps = self._at(y)
+        # pl.squared_gap_sum's arithmetic: bitwise the kind's error measure
+        return phi(self.curve, knots) if gaps is None else float(np.sum(gaps ** 2))
 
     def grad(self, y: np.ndarray) -> np.ndarray:
-        yc = np.clip(np.asarray(y, dtype=float), 0.0, Y_MAX)
-        knots = self.knots(yc)
-        dx_dy = (self.b - self.a) / (1.0 + yc) ** 2
-        return self.grad_x(knots) * dx_dy
+        y, knots, gaps = self._at(y)
+        dx_dy = (self.b - self.a) / (1.0 + y) ** 2
+        return grad_x(self.curve, self.kind, knots, gaps) * dx_dy

@@ -21,6 +21,7 @@ the initial point.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -78,6 +79,8 @@ class SpgConfig:
             raise ValueError("sufficient-decrease parameter nu must lie in (0, 1)")
         if self.history < 1 or self.max_iter < 1:
             raise ValueError("history and max_iter must be positive")
+        if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
 
 
 _ALPHA_FLOOR = 1e-16
@@ -109,11 +112,18 @@ class MinimizeResult:
     armijo_slacks: list[float] = field(repr=False)
 
 
-def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig,
-               rng: np.random.Generator | None = None) -> MinimizeResult:
+@dataclass(frozen=True)
+class SolveReport(MinimizeResult):
+    """``minimize_y``'s result plus the knots and errors in the kind's measure."""
+
+    final_knots: KnotVector
+    initial_error: float
+    final_error: float
+
+
+def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> MinimizeResult:
     """Minimise a smooth objective over {0 <= y_1 <= ... <= y_n}."""
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(config.rng_seed)   # the only generator
 
     def checked(value, k, y, what):
         if not np.all(np.isfinite(value)):
@@ -205,19 +215,6 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig,
     )
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    final_knots: KnotVector
-    final_error: float
-    initial_error: float
-    iterations: int
-    termination: Termination
-    objective_trace: list[float] = field(repr=False)
-    d_norm_trace: list[float] = field(repr=False)
-    accepted_alphas: list[float] = field(repr=False)
-    armijo_slacks: list[float] = field(repr=False)
-
-
 def initial_knots(a: float, b: float, n: int,
                   init: KnotVector | None = None) -> KnotVector:
     """Default equally spaced knots, or a clamped copy of the given start."""
@@ -231,20 +228,18 @@ def initial_knots(a: float, b: float, n: int,
 
 
 def solve(curve, kind: ObjectiveKind, n: int,
-          config: SpgConfig | None = None,
+          config: SpgConfig = SpgConfig(),
           init: KnotVector | None = None,
-          a: float | None = None, b: float | None = None,
-          rng: np.random.Generator | None = None) -> SolveReport:
+          a: float | None = None, b: float | None = None) -> SolveReport:
     """Place n knots minimising the chosen objective over [a, b].
 
     The interval comes from ``init`` when given, otherwise from ``a``/``b``.
     Reported errors use ``kind``'s own error measure; the incumbent guard
-    ensures the reported final error never exceeds the initial one.
+    ensures the reported final error never exceeds the initial one, so
+    ``final_knots`` is the start when it rejects the minimiser's ``y``.
     """
     if n < 1:
         raise ValueError("need at least one knot")
-    if config is None:
-        config = SpgConfig()
     if init is not None:
         a, b = init.a, init.b
     if a is None or b is None:
@@ -252,7 +247,7 @@ def solve(curve, kind: ObjectiveKind, n: int,
 
     start = initial_knots(a, b, n, init)
     objective = YObjective(curve, a, b, kind)
-    result = minimize_y(objective.value, objective.grad, to_y(start), config, rng=rng)
+    result = minimize_y(objective.value, objective.grad, to_y(start), config)
 
     final = from_y(result.y, a, b)
     initial_error = kind.error(curve, start)
@@ -260,14 +255,5 @@ def solve(curve, kind: ObjectiveKind, n: int,
     if final_error > initial_error:   # incumbent guard on the reported measure
         final, final_error = start, initial_error
 
-    return SolveReport(
-        final_knots=final,
-        final_error=final_error,
-        initial_error=initial_error,
-        iterations=result.iterations,
-        termination=result.termination,
-        objective_trace=result.objective_trace,
-        d_norm_trace=result.d_norm_trace,
-        accepted_alphas=result.accepted_alphas,
-        armijo_slacks=result.armijo_slacks,
-    )
+    return SolveReport(**vars(result), final_knots=final,
+                       initial_error=initial_error, final_error=final_error)

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import (KnotVector, SpgConfig, emit_plot_data, error_concave,
-                     error_general, run_catalog, run_experiment)
+from knotopt import (KnotVector, ObjectiveKind, SpgConfig, emit_plot_data,
+                     error_concave, error_general, load_catalog, run_catalog,
+                     run_experiment, solve)
 from knotopt.cli import main
+
+HEADER = "name,type,v1,v2,s,d1,d2,concave,a,b\n"
+OK_ROW = "ok,Logistic,0,1,1,-1,0,Y,0,2\n"
 
 
 class TestRunCatalog:
@@ -49,12 +53,37 @@ class TestRunCatalog:
         assert hashlib.sha256(texts[0]).hexdigest() \
             == hashlib.sha256(texts[1]).hexdigest()
 
+    def test_cell_result_does_not_depend_on_the_run(self, catalog_by_name,
+                                                    monkeypatch, capsys):
+        # every cell draws from the seed's own stream, so logistic1b n=8
+        # comes out the same in a larger run, alone, from the CLI and from
+        # the library
+        in_run = run_catalog(curves=["logistic1a", "logistic1b"],
+                             knot_counts=(4, 8))[3]
+        alone = run_catalog(curves=["logistic1b"], knot_counts=(8,))[0]
+        monkeypatch.delenv("KNOTOPT_SEED", raising=False)
+        assert main(["solve", "--curves", "logistic1b", "--knots", "8"]) == 0
+        cli = json.loads(capsys.readouterr().out)
+        entry = catalog_by_name["logistic1b"]
+        report = solve(entry.curve, ObjectiveKind.INTERIOR_SQUARED, 8,
+                       SpgConfig(rng_seed=42), a=entry.a, b=entry.b)
+
+        assert (in_run.curve_name, in_run.n_knots) == ("logistic1b", 8)
+        expected = (in_run.spg_error, in_run.iterations, in_run.termination,
+                    in_run.final_knots.tolist())
+        assert (alone.spg_error, alone.iterations, alone.termination,
+                alone.final_knots.tolist()) == expected
+        assert (cli["spg_error"], cli["iterations"], cli["termination"],
+                cli["knots"]) == expected
+        assert (report.final_error, report.iterations,
+                report.termination.value,
+                report.final_knots.full().tolist()) == expected
+
     def test_concave_measure_reports_area_gap(self, catalog_by_name):
         # the area measure improves only a little at its optimum: equal
         # spacing is already close to optimal for this gently curved row
         entry = catalog_by_name["logistic1a"]
-        row = run_experiment(entry, 4, "concave", SpgConfig(),
-                             rng=np.random.default_rng(0))
+        row = run_experiment(entry, 4, "concave", SpgConfig())
         start = KnotVector.equally_spaced(entry.a, entry.b, 4)
         assert row.orig_error == pytest.approx(error_concave(entry.curve, start),
                                                rel=1e-12)
@@ -63,8 +92,7 @@ class TestRunCatalog:
 
     def test_general_measure_reports_squared_gaps(self, catalog_by_name):
         entry = catalog_by_name["logistic1b"]
-        row = run_experiment(entry, 4, "general", SpgConfig(),
-                             rng=np.random.default_rng(0))
+        row = run_experiment(entry, 4, "general", SpgConfig())
         start = KnotVector.equally_spaced(entry.a, entry.b, 4)
         assert row.orig_error == pytest.approx(error_general(entry.curve, start),
                                                rel=1e-12)
@@ -233,6 +261,46 @@ class TestCli:
         assert exc.value.code == 2
         assert "error: argument --knots" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "solve"])
+    def test_negative_seed_exits_with_error(self, command, monkeypatch):
+        monkeypatch.delenv("KNOTOPT_SEED", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--curves", "logistic1a", "--seed", "-1"])
+        assert str(exc.value).startswith("error: rng_seed")
+        monkeypatch.setenv("KNOTOPT_SEED", "-1")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--curves", "logistic1a"])
+        assert str(exc.value).startswith("error: rng_seed")
+
+    @pytest.mark.parametrize("text, line, reason", [
+        (HEADER + OK_ROW + "foo,Foo,0,1,1,1,0,Y,0,1\n", 3,
+         "'Foo' is not a valid CurveFamily"),
+        (HEADER + OK_ROW + "foo,Logistic,0,x,1,1,0,Y,0,1\n", 3,
+         "could not convert string to float: 'x'"),
+        (HEADER + OK_ROW + "foo,Logistic,0,1,1,1,0,Y,1,1\n", 3,
+         "needs a < b"),
+        (HEADER + OK_ROW + "foo,Logistic,0,1,1,1,0,Y,0\n", 3,
+         "9 fields for 10 columns"),
+        (HEADER.replace("type,", "") + OK_ROW.replace("Logistic,", ""), 2,
+         "no column 'type'"),
+        (None, None, "No such file"),
+    ], ids=["family", "number", "interval", "short-row", "column", "missing-file"])
+    def test_bad_catalog_exits_with_error(self, text, line, reason, tmp_path):
+        catalog = tmp_path / "catalog.csv"
+        if text is not None:
+            catalog.write_text(text)
+            with pytest.raises(ValueError) as exc:
+                load_catalog(catalog)
+            message = str(exc.value)
+            row = text.splitlines()[line - 1]
+            assert message.startswith(f"{catalog}, line {line}: {row!r}: ")
+            assert message.endswith(reason)
+        for argv in (["run"], ["solve", "--curves", "ok"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--catalog", str(catalog)])
+            assert str(exc.value).startswith("error: ")
+            assert str(catalog) in str(exc.value) and reason in str(exc.value)
 
     def test_seed_flag_beats_env(self, monkeypatch):
         import argparse

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from knotopt import (KnotVector, ObjectiveKind, YObjective, error_concave,
                      from_y, grad_phi, phi, to_y)
-from knotopt.objective import Y_MAX
+from knotopt import objective as objective_module
+from knotopt.objective import Y_MAX, grad_x
 from knotopt.pl import window_gaps
 
 from helpers import LinearCurve, QuadraticCurve, fd_gradient, simpson_integral
@@ -64,20 +65,25 @@ class TestPsi:
     def test_empty_segment(self, catalog_by_name):
         # a tied knot pair makes a zero-width segment: no gap, no gradient
         entry = catalog_by_name["logistic1b"]
-        tied = KnotVector(entry.a, entry.b, np.array([-1.0, 1.0, 1.0, 2.0]))
+        a, b = entry.a, entry.b
+        tied = KnotVector(a, b, np.array([-1.0, 1.0, 1.0, 2.0]))
         xs = tied.full()
         gaps = window_gaps(entry.curve, xs, 0, tied.n)
         assert gaps[2] == 0.0
-        untied = KnotVector(entry.a, entry.b, np.array([-1.0, 1.0, 2.0]))
-        objective = YObjective(entry.curve, entry.a, entry.b, GENERAL)
-        assert objective.value_x(tied) == objective.value_x(untied)
+        untied = KnotVector(a, b, np.array([-1.0, 1.0, 2.0]))
+        assert GENERAL.error(entry.curve, tied) == GENERAL.error(entry.curve, untied)
+        # the objective sees knots through y, which cannot reach b = 2.0
+        objective = YObjective(entry.curve, a, b, GENERAL)
+        tied_y = to_y(KnotVector(a, b, np.array([-1.0, 1.0, 1.0, 1.5])))
+        untied_y = to_y(KnotVector(a, b, np.array([-1.0, 1.0, 1.5])))
+        assert objective.value(tied_y) == objective.value(untied_y)
 
     def test_affine_segment(self, rng):
         objective = YObjective(LinearCurve(2.0, 1.0), 0.0, 2.0, GENERAL)
         for _ in range(5):
             kv = KnotVector(0.0, 2.0, np.sort(rng.uniform(0.0, 2.0, size=3)))
-            assert objective.value_x(kv) == pytest.approx(0.0, abs=1e-26)
-            assert_allclose(objective.grad_x(kv), 0.0, atol=1e-13)
+            assert objective.value(to_y(kv)) == pytest.approx(0.0, abs=1e-26)
+            assert_allclose(grad_x(objective.curve, GENERAL, kv), 0.0, atol=1e-13)
 
     def test_partials_match_finite_differences(self, catalog_by_name):
         # each knot's component adds the partials of psi for its two segments
@@ -85,11 +91,11 @@ class TestPsi:
         objective = YObjective(entry.curve, entry.a, entry.b, GENERAL)
 
         def value_at(inner):
-            return objective.value_x(KnotVector(entry.a, entry.b, inner))
+            return objective.value(to_y(KnotVector(entry.a, entry.b, inner)))
 
         kv = KnotVector(entry.a, entry.b, np.array([-1.0, 0.5]))
         fd = fd_gradient(value_at, kv.interior.copy(), 1e-6)
-        assert_allclose(objective.grad_x(kv), fd, rtol=1e-6)
+        assert_allclose(grad_x(entry.curve, GENERAL, kv), fd, rtol=1e-6)
 
     def test_reversed_segment_rejected(self, catalog_by_name):
         curve = catalog_by_name["logistic1b"].curve
@@ -133,6 +139,22 @@ class TestGapReuse:
         assert curve.deriv2_calls == after_value
         fresh = YObjective(entry.curve, entry.a, entry.b, kind)
         assert np.array_equal(grad, fresh.grad(y))
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_value_then_grad_maps_y_once(self, catalog_by_name, kind, monkeypatch):
+        entry = catalog_by_name["logistic2b"]
+        calls = []
+
+        def counting_from_y(*args):
+            calls.append(args)
+            return from_y(*args)
+
+        monkeypatch.setattr(objective_module, "from_y", counting_from_y)
+        objective = YObjective(entry.curve, entry.a, entry.b, kind)
+        y = to_y(KnotVector(entry.a, entry.b, np.array([-1.5, -0.2, 0.3, 1.1])))
+        objective.value(y)
+        objective.grad(y)
+        assert len(calls) == 1
 
     def test_grad_elsewhere_recomputes(self, catalog_by_name):
         entry = catalog_by_name["logistic2b"]
@@ -218,8 +240,8 @@ class TestBigPhi:
         y = to_y(kv)
         for kind in ObjectiveKind:
             objective = YObjective(entry.curve, entry.a, entry.b, kind)
-            grad_x = objective.grad_x(kv)
-            expected = grad_x * (entry.b - entry.a) / (1.0 + y) ** 2
+            expected = (grad_x(entry.curve, kind, kv)
+                        * (entry.b - entry.a) / (1.0 + y) ** 2)
             assert_allclose(objective.grad(y), expected, rtol=0, atol=1e-10)
 
 
@@ -256,7 +278,7 @@ class TestWindowedObjective:
             (simpson_integral(curve.value, xs[i], xs[i + 1], tol=1e-14)
              - 0.5 * (fv[i] + fv[i + 1]) * (xs[i + 1] - xs[i])) ** 2
             for i in range(1, n))
-        assert objective.value_x(kv) == pytest.approx(manual, rel=1e-9)
+        assert objective.value(to_y(kv)) == pytest.approx(manual, rel=1e-9)
 
     def test_windowed_gradient_matches_fd(self, catalog_by_name, rng):
         entry = catalog_by_name["gompertz1b"]
@@ -288,8 +310,9 @@ class TestKindOwnsItsMeasure:
                 offset = None
                 for n in (1, 2, 4, 8, 16):
                     for _ in range(2):
-                        kv = KnotVector(a, b, np.sort(rng.uniform(a, b, n)))
-                        diff = kind.error(entry.curve, kv) - objective.value_x(kv)
+                        y = to_y(KnotVector(a, b, np.sort(rng.uniform(a, b, n))))
+                        value = objective.value(y)
+                        diff = kind.error(entry.curve, from_y(y, a, b)) - value
                         label = (entry.name, kind, n)
                         if kind is not ObjectiveKind.CONCAVE_AREA:
                             assert diff == 0.0, label

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import (Backtrack, BbRule, KnotVector, ObjectiveKind, SolverError,
-                     SpgConfig, Termination, backtrack_step, minimize_y, solve,
-                     to_y)
+from knotopt import (Backtrack, BbRule, KnotVector, MinimizeResult,
+                     ObjectiveKind, SolverError, SpgConfig, Termination,
+                     backtrack_step, from_y, minimize_y, solve, to_y)
 
 from helpers import QuadraticCurve
 
@@ -182,6 +182,16 @@ class TestReports:
                        a=entry.a, b=entry.b)
         assert_allclose(report.final_knots.interior, np.sort(oracle.x), atol=5e-6)
 
+    def test_report_is_the_minimiser_result_plus_errors(self, catalog_by_name):
+        entry = catalog_by_name["logistic2a"]
+        report = solve(entry.curve, ObjectiveKind.GENERAL_SQUARED, 4,
+                       a=entry.a, b=entry.b)
+        assert isinstance(report, MinimizeResult)
+        assert report.objective == min(report.objective_trace)
+        assert report.final_error < report.initial_error
+        assert np.array_equal(report.final_knots.interior,
+                              from_y(report.y, entry.a, entry.b).interior)
+
     def test_objective_trace_starts_at_initial_point(self, catalog_by_name):
         entry = catalog_by_name["logistic1a"]
         report = solve(entry.curve, ObjectiveKind.CONCAVE_AREA, 4,
@@ -215,3 +225,9 @@ class TestValidation:
             SpgConfig(alpha_min=1.0, alpha_max=0.5)
         with pytest.raises(ValueError):
             SpgConfig(nu=2.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            SpgConfig(rng_seed=seed)
+        assert SpgConfig(rng_seed=np.int64(0)).rng_seed == 0
