@@ -15,13 +15,13 @@ from .objective import ObjectiveKind, YObjective, from_y, grad_phi, phi, to_y
 from .pl import (KnotVector, PLApprox, build_pl, error_concave, error_general,
                  error_interior_squared, segment_gaps)
 from .quadrature import QuadratureError
-from .spg import (Backtrack, BbRule, MinimizeResult, SolveReport, SolverError,
-                  SpgConfig, Termination, backtrack_step, minimize_y, solve)
+from .spg import (MinimizeResult, SolveReport, SolverError, SpgConfig,
+                  Termination, backtrack_step, minimize_y, solve)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Backtrack", "BbRule", "ConeProjection", "Curve", "CurveCatalogEntry",
+    "ConeProjection", "Curve", "CurveCatalogEntry",
     "CurveDomainError", "CurveFamily", "KktReport", "KnotVector",
     "MinimizeResult", "ObjectiveKind", "PLApprox", "QuadratureError",
     "ResultRow", "SolveReport", "SolverError", "SpgConfig", "Termination",

@@ -27,7 +27,7 @@ from .harness import (DEFAULT_KNOT_COUNTS, emit_plot_data, run_catalog,
 from .kkt import kkt_check, prop1_test
 from .objective import ObjectiveKind
 from .pl import KnotVector
-from .spg import Backtrack, BbRule, SpgConfig
+from .spg import SpgConfig
 
 DEFAULT_SEED = 42
 
@@ -77,9 +77,7 @@ def _entry(args):
 def _config(args) -> SpgConfig:
     seed = args.seed if args.seed is not None else _default_seed()
     try:
-        return SpgConfig(rng_seed=seed,
-                         bb_rule=BbRule(args.bb),
-                         backtrack=Backtrack(args.backtrack))
+        return SpgConfig(rng_seed=seed)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
 
@@ -87,10 +85,6 @@ def _config(args) -> SpgConfig:
 def _solver_flags(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default {DEFAULT_SEED}, env KNOTOPT_SEED)")
-    parser.add_argument("--bb", choices=[r.value for r in BbRule], default="bb1",
-                        help="Barzilai-Borwein step rule")
-    parser.add_argument("--backtrack", choices=[m.value for m in Backtrack],
-                        default="random", help="line-search shrink rule")
 
 
 def _cmd_run(args) -> int:

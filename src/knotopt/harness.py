@@ -106,7 +106,8 @@ def run_catalog(catalog_path: str | Path | None = None,
     ``config.rng_seed`` alone, so a row does not depend on which other
     curves and knot counts are selected, or on their order.
     """
-    ObjectiveKind(measure)   # a bad measure fails before any work
+    ObjectiveKind(measure)   # a bad measure or format fails before any work
+    _check_format(fmt)
     catalog = default_catalog() if catalog_path is None else load_catalog(catalog_path)
     selected = _select(catalog, curves)
     rows = [run_experiment(entry, n, measure, config)
@@ -154,9 +155,13 @@ def rows_to_json(rows: list[ResultRow]) -> str:
     return json.dumps([_row_record(row) for row in rows], indent=2) + "\n"
 
 
-def write_rows(rows: list[ResultRow], out_path: str | Path, fmt: str = "csv"):
+def _check_format(fmt: str):
     if fmt not in ("csv", "json"):
         raise ValueError("format must be csv or json")
+
+
+def write_rows(rows: list[ResultRow], out_path: str | Path, fmt: str = "csv"):
+    _check_format(fmt)
     text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
     out_path = Path(out_path)
     tmp = out_path.with_name(out_path.name + ".tmp")

@@ -82,34 +82,38 @@ class ObjectiveKind(Enum):
 # -- x-space objectives ---------------------------------------------------
 
 
-def phi(curve, knots: KnotVector) -> float:
-    """Negated trapezoid area of the interpolant over [a, b]."""
+def phi(curve, knots: KnotVector, fv: np.ndarray | None = None) -> float:
+    """Negated trapezoid area of the interpolant over [a, b].
+
+    ``fv``, f at ``knots.full()``, spares the curve evaluation when given.
+    """
     xs = knots.full()
-    fv = np.asarray(curve.value(xs), dtype=float)
+    fv = np.asarray(curve.value(xs), dtype=float) if fv is None else fv
     return float(-0.5 * np.sum(np.diff(xs) * (fv[:-1] + fv[1:])))
 
 
-def grad_phi(curve, knots: KnotVector) -> np.ndarray:
+def grad_phi(curve, knots: KnotVector, fv: np.ndarray | None = None) -> np.ndarray:
     """Analytic gradient of phi with respect to the n interior knots.
 
     Component i is (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1} - x_{i+1})].
     """
     xs = knots.full()
-    fv = np.asarray(curve.value(xs), dtype=float)
+    fv = np.asarray(curve.value(xs), dtype=float) if fv is None else fv
     fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
     return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:]))
 
 
 def grad_x(curve, kind: ObjectiveKind, knots: KnotVector,
-           gaps: np.ndarray | None = None) -> np.ndarray:
-    """The kind's gradient in the interior knots; uses ``gaps`` when given."""
+           gaps: np.ndarray | None = None,
+           fv: np.ndarray | None = None) -> np.ndarray:
+    """The kind's gradient in the interior knots; uses ``gaps``/``fv`` when given."""
     window = kind.window(knots.n)
     if window is None:
-        return grad_phi(curve, knots)
+        return grad_phi(curve, knots, fv)
     xs = knots.full()
     if gaps is None:
         gaps = window_gaps(curve, xs, *window)
-    fv = np.asarray(curve.value(xs), dtype=float)
+    fv = np.asarray(curve.value(xs), dtype=float) if fv is None else fv
     fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
     h = np.diff(xs)
     df = fv[1:] - fv[:-1]
@@ -146,7 +150,8 @@ class YObjective:
     """A smooth objective of the given kind over the monotone nonnegative cone.
 
     The solver asks for the gradient where it has just taken the value, so
-    ``grad`` reuses the state ``value`` left at the same y.
+    ``grad`` reuses the state ``value`` left at the same y: the window gaps
+    of a squared kind, or f at the knots for the area kind.
     """
 
     def __init__(self, curve, a: float, b: float, kind: ObjectiveKind):
@@ -154,24 +159,26 @@ class YObjective:
         self.a = float(a)
         self.b = float(b)
         self.kind = kind
-        self._state = None   # (clipped y, knots, window gaps) of the last y
+        self._state = None   # (clipped y, knots, gaps, f at knots) of the last y
 
     def _at(self, y: np.ndarray):
         y = np.clip(np.asarray(y, dtype=float), 0.0, Y_MAX)
         if self._state is None or not np.array_equal(self._state[0], y):
             knots = from_y(y, self.a, self.b)
             window = self.kind.window(knots.n)
-            gaps = (None if window is None
-                    else window_gaps(self.curve, knots.full(), *window))
-            self._state = (y, knots, gaps)
+            if window is None:
+                gaps, fv = None, np.asarray(self.curve.value(knots.full()), dtype=float)
+            else:
+                gaps, fv = window_gaps(self.curve, knots.full(), *window), None
+            self._state = (y, knots, gaps, fv)
         return self._state
 
     def value(self, y: np.ndarray) -> float:
-        _, knots, gaps = self._at(y)
+        _, knots, gaps, fv = self._at(y)
         # pl.squared_gap_sum's arithmetic: bitwise the kind's error measure
-        return phi(self.curve, knots) if gaps is None else float(np.sum(gaps ** 2))
+        return phi(self.curve, knots, fv) if gaps is None else float(np.sum(gaps ** 2))
 
     def grad(self, y: np.ndarray) -> np.ndarray:
-        y, knots, gaps = self._at(y)
+        y, knots, gaps, fv = self._at(y)
         dx_dy = (self.b - self.a) / (1.0 + y) ** 2
-        return grad_x(self.curve, self.kind, knots, gaps) * dx_dy
+        return grad_x(self.curve, self.kind, knots, gaps, fv) * dx_dy

@@ -2,19 +2,20 @@
 
 Each iteration projects a Barzilai-Borwein-scaled gradient step onto the
 cone to obtain the search direction d_k, then runs a nonmonotone line search
-against the largest of the last h + 1 objective values:
+against the largest of the last HISTORY + 1 objective values:
 
-    accept alpha when  F(y_k + alpha d_k) <= f_b + nu * alpha * grad_k . d_k
+    accept alpha when  F(y_k + alpha d_k) <= f_b + NU * alpha * grad_k . d_k
 
-with alpha shrunk either by uniform random redraws on (0, alpha) from a
-seeded generator (reproducible) or by plain halving.  Because y_k is
-feasible, the projection output is feasible, and alpha lies in (0, 1], the
-trial point is a convex combination of feasible points; the accepted iterate
-is re-projected only to scrub 1-ulp rounding so cone membership stays exact.
+with alpha shrunk by uniform random redraws on (0, alpha) from a seeded
+generator (reproducible).  The step scale is the classical Barzilai-Borwein
+s.s / s.z.  Because y_k is feasible, the projection output is feasible, and
+alpha lies in (0, 1], the trial point is a convex combination of feasible
+points; the accepted iterate is re-projected only to scrub 1-ulp rounding so
+cone membership stays exact.
 
-Termination: the direction norm drops to ``eps`` (stationary), the best
-objective stalls for ``stall_iters`` consecutive iterations (not enough
-improvement), the line search underflows, or ``max_iter`` is reached.  The
+Termination: the direction norm drops to ``EPS`` (stationary), the best
+objective stalls for ``STALL_ITERS`` consecutive iterations (not enough
+improvement), the line search underflows, or ``MAX_ITER`` is reached.  The
 best point seen is always returned, so the result never scores worse than
 the initial point.
 """
@@ -33,16 +34,6 @@ from .objective import DELTA_SCALE, ObjectiveKind, YObjective, from_y, to_y
 from .pl import KnotVector
 
 
-class BbRule(Enum):
-    BB1 = "bb1"                 # s.s / s.z, the classical first rule
-    PAPER_LITERAL = "paper"     # z.z / s.s, kept for fidelity experiments
-
-
-class Backtrack(Enum):
-    SEEDED_RANDOM = "random"
-    HALVING = "halving"
-
-
 class Termination(Enum):
     MAX_ITER = "MaxIter"
     NO_IMPROVEMENT = "NoImprovement"
@@ -58,43 +49,33 @@ class SolverError(RuntimeError):
         self.y = y
 
 
+# minimize_y reads these at call time; none is bound as a default argument
+ALPHA_MIN = 1e-10           # bounds on the Barzilai-Borwein step scale
+ALPHA_MAX = 1e10
+HISTORY = 10                # nonmonotone line search: last HISTORY + 1 values
+NU = 1e-4                   # sufficient-decrease parameter
+EPS = 1e-8                  # stationarity bound on the direction norm
+IMPROVEMENT_TOL = 1e-12     # relative stall threshold on the best value
+STALL_ITERS = 25            # consecutive stalled iterations allowed
+MAX_ITER = 1000
+_ALPHA_FLOOR = 1e-16
+
+
 @dataclass(frozen=True)
 class SpgConfig:
-    alpha_min: float = 1e-10
-    alpha_max: float = 1e10
-    history: int = 10
-    nu: float = 1e-4
-    eps: float = 1e-8
-    improvement_tol: float = 1e-12   # relative stall threshold on the best value
-    stall_iters: int = 25            # consecutive stalled iterations allowed
-    max_iter: int = 1000
+    """The solver's one setting: the seed of its random backtracking."""
+
     rng_seed: int = 42
-    bb_rule: BbRule = BbRule.BB1
-    backtrack: Backtrack = Backtrack.SEEDED_RANDOM
 
     def __post_init__(self):
-        if not 0.0 < self.alpha_min < self.alpha_max:
-            raise ValueError("step bounds must satisfy 0 < alpha_min < alpha_max")
-        if not 0.0 < self.nu < 1.0:
-            raise ValueError("sufficient-decrease parameter nu must lie in (0, 1)")
-        if self.history < 1 or self.max_iter < 1:
-            raise ValueError("history and max_iter must be positive")
         if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
             raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
 
 
-_ALPHA_FLOOR = 1e-16
-
-
-def backtrack_step(alpha: float, rng: np.random.Generator | None = None,
-                   mode: Backtrack = Backtrack.SEEDED_RANDOM) -> float:
-    """Shrink the line-search step: U(0, alpha) draw or alpha / 2."""
+def backtrack_step(alpha: float, rng: np.random.Generator) -> float:
+    """Shrink the line-search step by a U(0, alpha) draw."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    if mode is Backtrack.HALVING:
-        return 0.5 * alpha
-    if rng is None:
-        raise ValueError("seeded-random backtracking needs a generator")
     return float(rng.uniform(0.0, alpha))
 
 
@@ -135,7 +116,7 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
     g = np.asarray(checked(grad_fn(y), 0, y, "gradient"), dtype=float)
 
     best_y, best_f = y, f
-    history = deque([f], maxlen=config.history + 1)
+    history = deque([f], maxlen=HISTORY + 1)
     objective_trace = [f]
     d_norm_trace: list[float] = []
     accepted_alphas: list[float] = []
@@ -143,15 +124,15 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
     alpha_bb = 1.0
     stall = 0
     termination = Termination.MAX_ITER
-    iterations = config.max_iter
+    iterations = MAX_ITER
 
-    for k in range(config.max_iter):
-        alpha_bar = min(config.alpha_max, max(config.alpha_min, alpha_bb))
+    for k in range(MAX_ITER):
+        alpha_bar = min(ALPHA_MAX, max(ALPHA_MIN, alpha_bb))
         d = project(y - alpha_bar * g) - y
         checked(d, k, y, "step direction")
         d_norm = float(np.linalg.norm(d))
         d_norm_trace.append(d_norm)
-        if d_norm <= config.eps:
+        if d_norm <= EPS:
             termination = Termination.STATIONARY
             iterations = k
             break
@@ -161,8 +142,8 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
         alpha = 1.0
         f_new = float(checked(value_fn(y + alpha * d), k, y, "objective"))
         underflow = False
-        while f_new > f_bound + config.nu * alpha * g_dot_d:
-            alpha = backtrack_step(alpha, rng, config.backtrack)
+        while f_new > f_bound + NU * alpha * g_dot_d:
+            alpha = backtrack_step(alpha, rng)
             if alpha < _ALPHA_FLOOR:
                 underflow = True
                 break
@@ -172,25 +153,21 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
             iterations = k
             break
         accepted_alphas.append(alpha)
-        armijo_slacks.append(f_bound + config.nu * alpha * g_dot_d - f_new)
+        armijo_slacks.append(f_bound + NU * alpha * g_dot_d - f_new)
 
         y_new = project(y + alpha * d)   # exact cone membership
         g_new = np.asarray(checked(grad_fn(y_new), k, y_new, "gradient"), dtype=float)
         s = y_new - y
         z = g_new - g
-        if config.bb_rule is BbRule.BB1:
-            s_dot_z = float(s @ z)
-            alpha_bb = float(s @ s) / s_dot_z if s_dot_z > 0.0 else config.alpha_max
-        else:
-            s_dot_s = float(s @ s)
-            alpha_bb = float(z @ z) / s_dot_s if s_dot_s > 0.0 else config.alpha_max
+        s_dot_z = float(s @ z)
+        alpha_bb = float(s @ s) / s_dot_z if s_dot_z > 0.0 else ALPHA_MAX
         if not np.isfinite(alpha_bb):
-            alpha_bb = config.alpha_max
+            alpha_bb = ALPHA_MAX
 
         improvement = best_f - f_new
         if f_new < best_f:
             best_f, best_y = f_new, y_new
-        if improvement <= config.improvement_tol * max(1.0, abs(best_f)):
+        if improvement <= IMPROVEMENT_TOL * max(1.0, abs(best_f)):
             stall += 1
         else:
             stall = 0
@@ -198,7 +175,7 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
         y, f, g = y_new, f_new, g_new
         history.append(f)
         objective_trace.append(f)
-        if stall >= config.stall_iters:
+        if stall >= STALL_ITERS:
             termination = Termination.NO_IMPROVEMENT
             iterations = k + 1
             break

@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from knotopt import (KnotVector, ObjectiveKind, SpgConfig, emit_plot_data,
-                     error_concave, error_general, load_catalog, run_catalog,
-                     run_experiment, solve)
+                     error_concave, error_general, harness, load_catalog,
+                     run_catalog, run_experiment, solve)
 from knotopt.cli import main
 
 HEADER = "name,type,v1,v2,s,d1,d2,concave,a,b\n"
@@ -110,6 +110,21 @@ class TestRunCatalog:
         with pytest.raises(ValueError):
             run_catalog(curves=["logistic1a"], measure="bogus")
 
+    def test_invalid_format_fails_before_any_work(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_run_experiment(*args):
+            calls.append(args)
+            return run_experiment(*args)
+
+        monkeypatch.setattr(harness, "run_experiment", counting_run_experiment)
+        out = tmp_path / "rows.xml"
+        with pytest.raises(ValueError, match="format must be csv or json"):
+            run_catalog(curves=["logistic1a"], knot_counts=(4,), out_path=out,
+                        fmt="xml")
+        assert len(calls) == 0
+        assert not out.exists()
+
     def test_undefined_curve_fails_only_its_row(self, tmp_path):
         # the Weibull formula takes (x - 1) ** 1.5, undefined below x = 1
         catalog = tmp_path / "catalog.csv"
@@ -172,6 +187,13 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert rows[0]["curve_name"] == "logistic1a"
         assert rows[0]["termination"] in ("Stationary", "NoImprovement", "MaxIter")
+
+    @pytest.mark.parametrize("flag", [["--bb", "bb1"], ["--backtrack", "halving"]])
+    def test_seed_is_the_only_solver_flag(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_unknown_curve_exits_with_error(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -306,7 +328,7 @@ class TestCli:
         import argparse
         from knotopt.cli import _config
         monkeypatch.setenv("KNOTOPT_SEED", "7")
-        args = argparse.Namespace(seed=11, bb="bb1", backtrack="random")
+        args = argparse.Namespace(seed=11)
         assert _config(args).rng_seed == 11
-        args = argparse.Namespace(seed=None, bb="bb1", backtrack="random")
+        args = argparse.Namespace(seed=None)
         assert _config(args).rng_seed == 7

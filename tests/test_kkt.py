@@ -57,8 +57,8 @@ class TestKktCheck:
     def test_stationary_solutions_satisfy_kkt(self, catalog_by_name_module):
         # strictly concave rows solved to stationarity carry zero multipliers
         # and a first-order residual within 10x the solver tolerance
-        from knotopt import SpgConfig, Termination
-        eps = SpgConfig().eps
+        from knotopt import Termination, spg
+        eps = spg.EPS
         for name in ("logistic1a", "logistic2a", "weibull2a", "weibull3a"):
             entry = catalog_by_name_module[name]
             result = solve(entry.curve, ObjectiveKind.CONCAVE_AREA, 4,

@@ -105,13 +105,15 @@ class TestPsi:
 
 
 class CountingCurve:
-    """Delegates to a curve and counts the calls of its deriv2."""
+    """Delegates to a curve and counts the calls of its value and deriv2."""
 
     def __init__(self, curve):
         self.curve = curve
+        self.value_calls = 0
         self.deriv2_calls = 0
 
     def value(self, x):
+        self.value_calls += 1
         return self.curve.value(x)
 
     def deriv1(self, x):
@@ -155,6 +157,19 @@ class TestGapReuse:
         objective.value(y)
         objective.grad(y)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_value_then_grad_evaluates_f_once(self, catalog_by_name, kind):
+        entry = catalog_by_name["logistic2b"]
+        curve = CountingCurve(entry.curve)
+        objective = YObjective(curve, entry.a, entry.b, kind)
+        y = to_y(KnotVector(entry.a, entry.b, np.array([-1.5, -0.2, 0.3, 1.1])))
+        value = objective.value(y)
+        grad = objective.grad(y)
+        assert curve.value_calls == 1
+        fresh = YObjective(entry.curve, entry.a, entry.b, kind)
+        assert np.array_equal(grad, fresh.grad(y))
+        assert value == fresh.value(y)
 
     def test_grad_elsewhere_recomputes(self, catalog_by_name):
         entry = catalog_by_name["logistic2b"]

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import (Backtrack, BbRule, KnotVector, MinimizeResult,
-                     ObjectiveKind, SolverError, SpgConfig, Termination,
-                     backtrack_step, from_y, minimize_y, solve, to_y)
+from knotopt import (KnotVector, MinimizeResult, ObjectiveKind, SolverError,
+                     SpgConfig, Termination, backtrack_step, from_y,
+                     minimize_y, solve, to_y)
+from knotopt import spg
 
 from helpers import QuadraticCurve
 
@@ -27,11 +30,9 @@ class TestQuadraticHook:
         assert report.iterations < 200
         assert np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) < 1e-6
 
-    def test_halving_mode_converges_too(self):
+    def test_converges_from_start_near_b(self):
         init = KnotVector(0.0, 2.0, np.array([1.2, 1.5, 1.7]))
-        config = SpgConfig(backtrack=Backtrack.HALVING)
-        report = solve(make_hook(), ObjectiveKind.CONCAVE_AREA, 3,
-                       config=config, init=init)
+        report = solve(make_hook(), ObjectiveKind.CONCAVE_AREA, 3, init=init)
         assert report.termination is Termination.STATIONARY
         assert np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) < 1e-6
 
@@ -50,23 +51,16 @@ class TestQuadraticHook:
 
 
 class TestBacktrackStep:
-    def test_halving(self):
-        assert backtrack_step(1.0, mode=Backtrack.HALVING) == 0.5
-
     def test_random_draw_in_range(self, rng):
         alpha = 1.0
         for _ in range(50):
-            alpha_new = backtrack_step(alpha, rng, Backtrack.SEEDED_RANDOM)
+            alpha_new = backtrack_step(alpha, rng)
             assert 0.0 <= alpha_new < alpha
             alpha = max(alpha_new, 1e-12)
 
-    def test_random_needs_generator(self):
+    def test_rejects_nonpositive(self, rng):
         with pytest.raises(ValueError):
-            backtrack_step(1.0, None, Backtrack.SEEDED_RANDOM)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            backtrack_step(0.0, mode=Backtrack.HALVING)
+            backtrack_step(0.0, rng)
 
 
 class TestDeterminism:
@@ -91,7 +85,7 @@ class TestLineSearchContract:
         assert all(0.0 < alpha <= 1.0 for alpha in report.accepted_alphas)
         assert all(slack >= 0.0 for slack in report.armijo_slacks)
 
-    def test_iterates_stay_in_cone_exactly(self, catalog_by_name):
+    def test_iterates_stay_in_cone_exactly(self, catalog_by_name, monkeypatch):
         entry = catalog_by_name["logistic1a"]
         from knotopt import YObjective
         objective = YObjective(entry.curve, entry.a, entry.b,
@@ -103,7 +97,8 @@ class TestLineSearchContract:
             return objective.value(y)
 
         y0 = to_y(KnotVector(entry.a, entry.b, np.array([0.2, 0.3, 0.5, 1.9])))
-        minimize_y(value, objective.grad, y0, SpgConfig(max_iter=60))
+        monkeypatch.setattr(spg, "MAX_ITER", 60)
+        minimize_y(value, objective.grad, y0, SpgConfig())
         assert len(seen) > 10
         for y in seen:
             assert y[0] >= -1e-15
@@ -112,19 +107,21 @@ class TestLineSearchContract:
 
 
 class TestTermination:
-    def test_max_iter(self, catalog_by_name):
+    def test_max_iter(self, catalog_by_name, monkeypatch):
         entry = catalog_by_name["gompertz1b"]
-        config = SpgConfig(max_iter=3)
+        monkeypatch.setattr(spg, "MAX_ITER", 3)
         report = solve(entry.curve, ObjectiveKind.GENERAL_SQUARED, 4,
-                       a=entry.a, b=entry.b, config=config)
+                       a=entry.a, b=entry.b)
         assert report.termination is Termination.MAX_ITER
         assert report.iterations == 3
 
-    def test_no_improvement_stall(self, catalog_by_name):
+    def test_no_improvement_stall(self, catalog_by_name, monkeypatch):
         entry = catalog_by_name["logistic1a"]
-        config = SpgConfig(improvement_tol=1e30, stall_iters=5, max_iter=100)
+        monkeypatch.setattr(spg, "IMPROVEMENT_TOL", 1e30)
+        monkeypatch.setattr(spg, "STALL_ITERS", 5)
+        monkeypatch.setattr(spg, "MAX_ITER", 100)
         report = solve(entry.curve, ObjectiveKind.CONCAVE_AREA, 4,
-                       a=entry.a, b=entry.b, config=config)
+                       a=entry.a, b=entry.b)
         assert report.termination is Termination.NO_IMPROVEMENT
         assert report.iterations == 5
 
@@ -140,22 +137,16 @@ class TestTermination:
         report = solve(make_hook(), ObjectiveKind.CONCAVE_AREA, 3, a=0.0, b=2.0,
                        init=KnotVector(0.0, 2.0, np.array([0.4, 1.0, 1.6])))
         assert report.termination is Termination.STATIONARY
-        assert report.d_norm_trace[-1] <= SpgConfig().eps
+        assert report.d_norm_trace[-1] <= spg.EPS
 
 
 class TestReports:
-    def test_incumbent_guard(self, catalog):
+    def test_incumbent_guard(self, catalog, monkeypatch):
+        monkeypatch.setattr(spg, "MAX_ITER", 40)
         for entry in catalog[:6]:
             report = solve(entry.curve, ObjectiveKind.GENERAL_SQUARED, 4,
-                           a=entry.a, b=entry.b, config=SpgConfig(max_iter=40))
+                           a=entry.a, b=entry.b)
             assert report.final_error <= report.initial_error + 1e-12
-
-    def test_paper_literal_bb_rule_still_improves(self, catalog_by_name):
-        entry = catalog_by_name["logistic1a"]
-        config = SpgConfig(bb_rule=BbRule.PAPER_LITERAL)
-        report = solve(entry.curve, ObjectiveKind.CONCAVE_AREA, 4,
-                       a=entry.a, b=entry.b, config=config)
-        assert report.final_error <= report.initial_error
 
     def test_final_knots_sorted_and_strictly_increasing(self, catalog_by_name):
         # strictly concave rows: interior optima keep all knots separated
@@ -220,11 +211,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve(make_hook(), ObjectiveKind.CONCAVE_AREA, 2)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SpgConfig(alpha_min=1.0, alpha_max=0.5)
-        with pytest.raises(ValueError):
-            SpgConfig(nu=2.0)
+    def test_seed_is_the_only_setting(self):
+        assert [f.name for f in dataclasses.fields(SpgConfig)] == ["rng_seed"]
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
