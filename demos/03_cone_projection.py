@@ -8,20 +8,17 @@ blocks to zero.
 
 import numpy as np
 
-from knotopt import project, project_blocks
+from knotopt import project
 
 examples = [
     np.array([1.0, 2.0, 3.0]),        # already feasible
     np.array([-1.0, -2.0]),           # everything below the floor
     np.array([2.0, 1.0, 3.0]),        # one violating pair
-    np.array([3.0, 1.0, 2.0, -1.0, 5.0]),
+    np.array([3.0, 1.0, 2.0, -1.0, 5.0]),  # four entries pool into one block
 ]
 for v in examples:
     print(f"project({np.array2string(v, precision=2)}) ="
           f" {np.array2string(project(v), precision=4)}")
-
-result = project_blocks(examples[-1])
-print("\npooled blocks (start, stop, value):", result.blocks)
 
 # the projection is the nearest feasible point: no feasible w does better
 rng = np.random.default_rng(3)

@@ -6,12 +6,12 @@ interior knots with a spectral projected gradient method over the monotone
 nonnegative cone reached through the substitution y_i = (x_i - a)/(b - x_i).
 """
 
-from .cone import ConeProjection, project, project_blocks
+from .cone import project
 from .curves import (Curve, CurveCatalogEntry, CurveDomainError, CurveFamily,
                      default_catalog, load_catalog)
 from .harness import ResultRow, emit_plot_data, run_catalog, run_experiment
 from .kkt import KktReport, hessian_phi, kkt_check, prop1_test
-from .objective import ObjectiveKind, YObjective, from_y, grad_phi, phi, to_y
+from .objective import ObjectiveKind, YObjective, from_y, phi, to_y
 from .pl import (KnotVector, PLApprox, build_pl, error_concave, error_general,
                  error_interior_squared, segment_gaps)
 from .quadrature import QuadratureError
@@ -21,14 +21,12 @@ from .spg import (MinimizeResult, SolveReport, SolverError, SpgConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConeProjection", "Curve", "CurveCatalogEntry",
-    "CurveDomainError", "CurveFamily", "KktReport", "KnotVector",
-    "MinimizeResult", "ObjectiveKind", "PLApprox", "QuadratureError",
-    "ResultRow", "SolveReport", "SolverError", "SpgConfig", "Termination",
-    "YObjective", "backtrack_step", "build_pl", "default_catalog",
-    "emit_plot_data", "error_concave", "error_general",
-    "error_interior_squared", "from_y", "grad_phi", "hessian_phi",
-    "kkt_check", "load_catalog", "minimize_y", "phi", "project",
-    "project_blocks", "prop1_test", "run_catalog", "run_experiment",
-    "segment_gaps", "solve", "to_y",
+    "Curve", "CurveCatalogEntry", "CurveDomainError", "CurveFamily",
+    "KktReport", "KnotVector", "MinimizeResult", "ObjectiveKind", "PLApprox",
+    "QuadratureError", "ResultRow", "SolveReport", "SolverError", "SpgConfig",
+    "Termination", "YObjective", "backtrack_step", "build_pl",
+    "default_catalog", "emit_plot_data", "error_concave", "error_general",
+    "error_interior_squared", "from_y", "hessian_phi", "kkt_check",
+    "load_catalog", "minimize_y", "phi", "project", "prop1_test",
+    "run_catalog", "run_experiment", "segment_gaps", "solve", "to_y",
 ]

@@ -6,17 +6,15 @@ Subcommands:
   check      first-order optimality diagnostic at given knot positions
   plot-data  sample a curve and its interpolant to CSV for plotting
 
-The default seed is 42; the environment variable KNOTOPT_SEED overrides it
-and an explicit --seed flag wins over both.  Bad input from outside the
-program (the seed, knot counts or positions, the catalog file) exits with
-an ``error: ...`` message instead of a traceback.
+The solver's one setting is its seed, --seed (default 42).  Bad input from
+outside the program (the seed, knot counts or positions, the catalog file)
+exits with an ``error: ...`` message instead of a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -32,15 +30,6 @@ from .spg import SpgConfig
 DEFAULT_SEED = 42
 
 MEASURE_NAMES = [kind.value for kind in ObjectiveKind]
-
-
-def _default_seed() -> int:
-    env = os.environ.get("KNOTOPT_SEED") or str(DEFAULT_SEED)
-    try:
-        return int(env)
-    except ValueError:
-        raise SystemExit(f"error: KNOTOPT_SEED must be an integer, "
-                         f"got {env!r}") from None
 
 
 def _count(text: str) -> int:
@@ -75,16 +64,15 @@ def _entry(args):
 
 
 def _config(args) -> SpgConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
-        return SpgConfig(rng_seed=seed)
+        return SpgConfig(rng_seed=args.seed)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
 
 
 def _solver_flags(parser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default {DEFAULT_SEED}, env KNOTOPT_SEED)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help=f"RNG seed (default {DEFAULT_SEED})")
 
 
 def _cmd_run(args) -> int:

@@ -17,25 +17,15 @@ an already-feasible vector returns it unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ConeProjection:
-    """Projection result with the pooled block structure for diagnostics."""
-
-    input: np.ndarray
-    output: np.ndarray
-    blocks: list[tuple[int, int, float]]  # (start, stop, common value)
 
 
 def project(v: np.ndarray) -> np.ndarray:
     """Project v onto {y : 0 <= y_1 <= ... <= y_n}.
 
     O(n) amortised: each element is pushed onto the block stack once and
-    every merge removes a block.  Rejects empty or non-finite input.
+    every merge removes a block; the clamped block means are then written
+    out in one vectorised repeat.  Rejects empty or non-finite input.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -59,23 +49,7 @@ def project(v: np.ndarray) -> np.ndarray:
             counts[top - 1] += counts[top]
             top -= 1
 
-    out = np.empty(v.size)
-    pos = 0
-    for i in range(top + 1):
-        value = max(sums[i] / counts[i], 0.0)
-        out[pos:pos + counts[i]] = value
-        pos += counts[i]
-    return out
-
-
-def project_blocks(v: np.ndarray) -> ConeProjection:
-    """Like ``project`` but also reports the pooled index ranges."""
-    v = np.asarray(v, dtype=float)
-    out = project(v)
-    blocks = []
-    start = 0
-    for i in range(1, out.size + 1):
-        if i == out.size or out[i] != out[start]:
-            blocks.append((start, i, float(out[start])))
-            start = i
-    return ConeProjection(input=v.copy(), output=out, blocks=blocks)
+    # 0.0 first: on a tie np.maximum returns its second operand, so a -0.0
+    # mean keeps its sign and a feasible input comes back bit for bit
+    top += 1
+    return np.repeat(np.maximum(0.0, sums[:top] / counts[:top]), counts[:top])

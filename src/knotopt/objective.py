@@ -92,29 +92,22 @@ def phi(curve, knots: KnotVector, fv: np.ndarray | None = None) -> float:
     return float(-0.5 * np.sum(np.diff(xs) * (fv[:-1] + fv[1:])))
 
 
-def grad_phi(curve, knots: KnotVector, fv: np.ndarray | None = None) -> np.ndarray:
-    """Analytic gradient of phi with respect to the n interior knots.
-
-    Component i is (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1} - x_{i+1})].
-    """
-    xs = knots.full()
-    fv = np.asarray(curve.value(xs), dtype=float) if fv is None else fv
-    fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
-    return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:]))
-
-
 def grad_x(curve, kind: ObjectiveKind, knots: KnotVector,
            gaps: np.ndarray | None = None,
            fv: np.ndarray | None = None) -> np.ndarray:
-    """The kind's gradient in the interior knots; uses ``gaps``/``fv`` when given."""
+    """The kind's gradient in the interior knots; uses ``gaps``/``fv`` when given.
+
+    For the area kind (phi) component i is
+    (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1} - x_{i+1})].
+    """
     window = kind.window(knots.n)
-    if window is None:
-        return grad_phi(curve, knots, fv)
     xs = knots.full()
-    if gaps is None:
+    if window is not None and gaps is None:
         gaps = window_gaps(curve, xs, *window)
     fv = np.asarray(curve.value(xs), dtype=float) if fv is None else fv
     fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
+    if window is None:
+        return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:]))
     h = np.diff(xs)
     df = fv[1:] - fv[:-1]
     # knot j borders segment j-1 from above and segment j from below

@@ -17,14 +17,15 @@ Termination: the direction norm drops to ``EPS`` (stationary), the best
 objective stalls for ``STALL_ITERS`` consecutive iterations (not enough
 improvement), the line search underflows, or ``MAX_ITER`` is reached.  The
 best point seen is always returned, so the result never scores worse than
-the initial point.
+the initial point.  The result is that point, its value, the iteration
+count and the reason to stop; no per-iteration record is kept.
 """
 
 from __future__ import annotations
 
 import numbers
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -87,10 +88,6 @@ class MinimizeResult:
     objective: float              # objective at the best point
     iterations: int
     termination: Termination
-    objective_trace: list[float] = field(repr=False)
-    d_norm_trace: list[float] = field(repr=False)
-    accepted_alphas: list[float] = field(repr=False)
-    armijo_slacks: list[float] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -117,10 +114,6 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
 
     best_y, best_f = y, f
     history = deque([f], maxlen=HISTORY + 1)
-    objective_trace = [f]
-    d_norm_trace: list[float] = []
-    accepted_alphas: list[float] = []
-    armijo_slacks: list[float] = []
     alpha_bb = 1.0
     stall = 0
     termination = Termination.MAX_ITER
@@ -129,10 +122,7 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
     for k in range(MAX_ITER):
         alpha_bar = min(ALPHA_MAX, max(ALPHA_MIN, alpha_bb))
         d = project(y - alpha_bar * g) - y
-        checked(d, k, y, "step direction")
-        d_norm = float(np.linalg.norm(d))
-        d_norm_trace.append(d_norm)
-        if d_norm <= EPS:
+        if np.linalg.norm(d) <= EPS:
             termination = Termination.STATIONARY
             iterations = k
             break
@@ -152,8 +142,6 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
             termination = Termination.NO_IMPROVEMENT
             iterations = k
             break
-        accepted_alphas.append(alpha)
-        armijo_slacks.append(f_bound + NU * alpha * g_dot_d - f_new)
 
         y_new = project(y + alpha * d)   # exact cone membership
         g_new = np.asarray(checked(grad_fn(y_new), k, y_new, "gradient"), dtype=float)
@@ -174,22 +162,13 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
 
         y, f, g = y_new, f_new, g_new
         history.append(f)
-        objective_trace.append(f)
         if stall >= STALL_ITERS:
             termination = Termination.NO_IMPROVEMENT
             iterations = k + 1
             break
 
-    return MinimizeResult(
-        y=best_y,
-        objective=best_f,
-        iterations=iterations,
-        termination=termination,
-        objective_trace=objective_trace,
-        d_norm_trace=d_norm_trace,
-        accepted_alphas=accepted_alphas,
-        armijo_slacks=armijo_slacks,
-    )
+    return MinimizeResult(y=best_y, objective=best_f, iterations=iterations,
+                          termination=termination)
 
 
 def initial_knots(a: float, b: float, n: int,
@@ -210,14 +189,17 @@ def solve(curve, kind: ObjectiveKind, n: int,
           a: float | None = None, b: float | None = None) -> SolveReport:
     """Place n knots minimising the chosen objective over [a, b].
 
-    The interval comes from ``init`` when given, otherwise from ``a``/``b``.
-    Reported errors use ``kind``'s own error measure; the incumbent guard
+    The interval comes from ``init`` when given, otherwise from ``a``/``b``;
+    bounds given with ``init`` must equal its own.  Reported errors use ``kind``'s own error measure; the incumbent guard
     ensures the reported final error never exceeds the initial one, so
     ``final_knots`` is the start when it rejects the minimiser's ``y``.
     """
     if n < 1:
         raise ValueError("need at least one knot")
     if init is not None:
+        if (a is not None and a != init.a) or (b is not None and b != init.b):
+            raise ValueError(f"a={a}, b={b} disagree with init's interval "
+                             f"[{init.a}, {init.b}]")
         a, b = init.a, init.b
     if a is None or b is None:
         raise ValueError("provide either init or the interval bounds a and b")

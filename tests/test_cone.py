@@ -2,21 +2,25 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import project, project_blocks
+from knotopt import project
 
 from helpers import brute_force_cone_projection, random_feasible_y
 
 
 class TestAnchors:
     def test_feasible_input_unchanged(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(project(v), v)
+        for v in (np.array([1.0, 2.0, 3.0]), np.array([-0.0, -0.0, 3.0])):
+            assert project(v).tobytes() == v.tobytes()   # sign bits included
 
     def test_all_negative_projects_to_apex(self):
         assert_allclose(project(np.array([-1.0, -2.0])), [0.0, 0.0])
 
     def test_pooling(self):
         assert_allclose(project(np.array([2.0, 1.0, 3.0])), [1.5, 1.5, 3.0])
+
+    def test_pools_a_run_with_a_negative_entry(self):
+        out = project(np.array([3.0, 1.0, 2.0, -1.0, 5.0]))
+        assert np.array_equal(out, [1.25] * 4 + [5.0])
 
     def test_matches_brute_force_on_anchor(self):
         v = np.array([2.0, 1.0, 3.0])
@@ -57,20 +61,6 @@ class TestProperties:
             p = project(v)
             w = random_feasible_y(rng, 6)
             assert float((v - p) @ (w - p)) <= 1e-9
-
-
-class TestBlocks:
-    def test_block_structure(self):
-        result = project_blocks(np.array([3.0, 1.0, 2.0, -1.0, 5.0]))
-        assert_allclose(result.output, [1.25, 1.25, 1.25, 1.25, 5.0])
-        assert result.blocks == [(0, 4, 1.25), (4, 5, 5.0)]
-
-    def test_blocks_cover_everything(self, rng):
-        result = project_blocks(rng.normal(size=8))
-        covered = [i for lo, hi, _ in result.blocks for i in range(lo, hi)]
-        assert covered == list(range(8))
-        for lo, hi, value in result.blocks:
-            assert np.all(result.output[lo:hi] == value)
 
 
 class TestValidation:

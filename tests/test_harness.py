@@ -54,14 +54,13 @@ class TestRunCatalog:
             == hashlib.sha256(texts[1]).hexdigest()
 
     def test_cell_result_does_not_depend_on_the_run(self, catalog_by_name,
-                                                    monkeypatch, capsys):
+                                                    capsys):
         # every cell draws from the seed's own stream, so logistic1b n=8
         # comes out the same in a larger run, alone, from the CLI and from
         # the library
         in_run = run_catalog(curves=["logistic1a", "logistic1b"],
                              knot_counts=(4, 8))[3]
         alone = run_catalog(curves=["logistic1b"], knot_counts=(8,))[0]
-        monkeypatch.delenv("KNOTOPT_SEED", raising=False)
         assert main(["solve", "--curves", "logistic1b", "--knots", "8"]) == 0
         cli = json.loads(capsys.readouterr().out)
         entry = catalog_by_name["logistic1b"]
@@ -246,19 +245,6 @@ class TestCli:
         assert code == 0
         assert out.exists()
 
-    def test_seed_env_override(self, monkeypatch):
-        from knotopt.cli import _default_seed
-        monkeypatch.delenv("KNOTOPT_SEED", raising=False)
-        assert _default_seed() == 42
-        monkeypatch.setenv("KNOTOPT_SEED", "7")
-        assert _default_seed() == 7
-
-    def test_bad_seed_env_exits_with_error(self, monkeypatch):
-        monkeypatch.setenv("KNOTOPT_SEED", "forty-two")
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--curves", "logistic1a"])
-        assert str(exc.value).startswith("error: KNOTOPT_SEED")
-
     @pytest.mark.parametrize("positions", ["0.5,2.5", "-0.1", "nan,0.5",
                                            "0.5,x"])
     def test_check_positions_outside_interval_exit_with_error(self, positions):
@@ -285,14 +271,9 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "solve"])
-    def test_negative_seed_exits_with_error(self, command, monkeypatch):
-        monkeypatch.delenv("KNOTOPT_SEED", raising=False)
+    def test_negative_seed_exits_with_error(self, command):
         with pytest.raises(SystemExit) as exc:
             main([command, "--curves", "logistic1a", "--seed", "-1"])
-        assert str(exc.value).startswith("error: rng_seed")
-        monkeypatch.setenv("KNOTOPT_SEED", "-1")
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--curves", "logistic1a"])
         assert str(exc.value).startswith("error: rng_seed")
 
     @pytest.mark.parametrize("text, line, reason", [
@@ -323,12 +304,3 @@ class TestCli:
                 main(argv + ["--catalog", str(catalog)])
             assert str(exc.value).startswith("error: ")
             assert str(catalog) in str(exc.value) and reason in str(exc.value)
-
-    def test_seed_flag_beats_env(self, monkeypatch):
-        import argparse
-        from knotopt.cli import _config
-        monkeypatch.setenv("KNOTOPT_SEED", "7")
-        args = argparse.Namespace(seed=11)
-        assert _config(args).rng_seed == 11
-        args = argparse.Namespace(seed=None)
-        assert _config(args).rng_seed == 7

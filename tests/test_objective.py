@@ -3,13 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from knotopt import (KnotVector, ObjectiveKind, YObjective, error_concave,
-                     from_y, grad_phi, phi, to_y)
+                     from_y, phi, to_y)
 from knotopt import objective as objective_module
 from knotopt.objective import Y_MAX, grad_x
 from knotopt.pl import window_gaps
 
 from helpers import LinearCurve, QuadraticCurve, fd_gradient, simpson_integral
 
+AREA = ObjectiveKind.CONCAVE_AREA
 GENERAL = ObjectiveKind.GENERAL_SQUARED
 INTERIOR = ObjectiveKind.INTERIOR_SQUARED
 
@@ -39,7 +40,7 @@ class TestGradPhi:
     def test_even_spacing_is_stationary_for_quadratic(self):
         curve = QuadraticCurve(-2.0, 1.0, 5.0)
         kv = KnotVector.equally_spaced(-1.0, 3.0, 5)
-        assert_allclose(grad_phi(curve, kv), 0.0, atol=1e-12)
+        assert_allclose(grad_x(curve, AREA, kv), 0.0, atol=1e-12)
 
     def test_matches_finite_differences(self, catalog_by_name):
         entry = catalog_by_name["logistic1a"]
@@ -49,12 +50,13 @@ class TestGradPhi:
             return phi(entry.curve, KnotVector(0.0, 2.0, np.sort(inner)))
 
         fd = fd_gradient(phi_at, kv.interior.copy(), 1e-6)
-        assert_allclose(grad_phi(entry.curve, kv), fd, rtol=1e-6, atol=1e-10)
+        assert_allclose(grad_x(entry.curve, AREA, kv), fd,
+                        rtol=1e-6, atol=1e-10)
 
     def test_symmetric_bump_midpoint(self):
         curve = QuadraticCurve(-1.0, 2.0, 1.0)  # peak at x = 1
         kv = KnotVector(0.0, 2.0, np.array([1.0]))
-        assert_allclose(grad_phi(curve, kv), 0.0, atol=1e-14)
+        assert_allclose(grad_x(curve, AREA, kv), 0.0, atol=1e-14)
 
 
 class TestPsi:
@@ -266,7 +268,7 @@ class TestArgminInvariance:
     def test_stationary_for_phi_iff_stationary_for_error(self, catalog_by_name):
         curve = QuadraticCurve(-1.0, 0.0, 4.0)
         even = KnotVector.equally_spaced(0.0, 2.0, 3)
-        assert_allclose(grad_phi(curve, even), 0.0, atol=1e-12)
+        assert_allclose(grad_x(curve, AREA, even), 0.0, atol=1e-12)
 
         def err_at(inner):
             return error_concave(curve, KnotVector(0.0, 2.0, np.sort(inner)))
@@ -276,7 +278,7 @@ class TestArgminInvariance:
 
         skewed = KnotVector(0.0, 2.0, np.array([0.2, 0.9, 1.1]))
         fd_err = fd_gradient(err_at, skewed.interior.copy(), 1e-6)
-        analytic = grad_phi(curve, skewed)
+        analytic = grad_x(curve, AREA, skewed)
         assert np.max(np.abs(analytic)) > 1e-3
         assert_allclose(fd_err, analytic, rtol=1e-5, atol=1e-8)
 
