@@ -7,8 +7,9 @@ Subcommands:
   plot-data  sample a curve and its interpolant to CSV for plotting
 
 The solver's one setting is its seed, --seed (default 42).  Bad input from
-outside the program (the seed, knot counts or positions, the catalog file)
-exits with an ``error: ...`` message instead of a traceback.
+outside the program (the seed, knot counts or positions, the catalog file,
+the --out path) exits from ``main`` with an ``error: ...`` message instead of
+a traceback.  Every --out file is written whole or not at all.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ import sys
 import numpy as np
 
 from .curves import default_catalog, load_catalog
-from .harness import (DEFAULT_KNOT_COUNTS, emit_plot_data, run_catalog,
-                      run_experiment, rows_to_csv, rows_to_json)
+from .harness import (DEFAULT_KNOT_COUNTS, FORMATS, emit_plot_data,
+                      run_catalog, run_experiment, write_text)
 from .kkt import kkt_check, prop1_test
 from .objective import ObjectiveKind
 from .pl import KnotVector
 from .spg import SpgConfig
-
-DEFAULT_SEED = 42
 
 MEASURE_NAMES = [kind.value for kind in ObjectiveKind]
 
@@ -46,49 +45,27 @@ def _knot_vector(entry, text: str) -> KnotVector:
         xs = np.sort(np.array([float(v) for v in text.split(",")]))
         return KnotVector(entry.a, entry.b, xs)
     except ValueError as exc:
-        raise SystemExit(f"error: bad knot positions {text!r} for "
+        raise ValueError(f"bad knot positions {text!r} for "
                          f"[{entry.a:g}, {entry.b:g}]: {exc}") from None
 
 
 def _entry(args):
     """The catalog entry named by --curves, from --catalog or the bundled one."""
-    try:
-        catalog = (default_catalog() if args.catalog is None
-                   else load_catalog(args.catalog))
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}") from None
+    catalog = default_catalog() if args.catalog is None else load_catalog(args.catalog)
     for entry in catalog:
         if entry.name == args.curves:
             return entry
-    raise SystemExit(f"error: curve {args.curves!r} not in catalog")
-
-
-def _config(args) -> SpgConfig:
-    try:
-        return SpgConfig(rng_seed=args.seed)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-
-
-def _solver_flags(parser):
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"RNG seed (default {DEFAULT_SEED})")
+    raise ValueError(f"curve {args.curves!r} not in catalog")
 
 
 def _cmd_run(args) -> int:
     curves = args.curves.split(",") if args.curves else None
-    try:
-        rows = run_catalog(catalog_path=args.catalog, curves=curves,
-                           knot_counts=args.knots, measure=args.measure,
-                           config=_config(args), out_path=args.out,
-                           fmt=args.format)
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from None
-    except (OSError, ValueError) as exc:   # an unreadable or malformed catalog
-        raise SystemExit(f"error: {exc}") from None
+    rows = run_catalog(catalog_path=args.catalog, curves=curves,
+                       knot_counts=args.knots, measure=args.measure,
+                       config=SpgConfig(args.seed), out_path=args.out,
+                       fmt=args.format)
     if args.out is None:
-        sys.stdout.write(rows_to_csv(rows) if args.format == "csv"
-                         else rows_to_json(rows))
+        sys.stdout.write(FORMATS[args.format](rows))
     else:
         print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -99,15 +76,14 @@ def _write_json(record: dict, out: str | None):
     record = json.loads(json.dumps(record), parse_constant=lambda _: None)
     text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        write_text(text, out)
     else:
         sys.stdout.write(text)
 
 
 def _cmd_solve(args) -> int:
     entry = _entry(args)
-    row = run_experiment(entry, args.knots, args.measure, _config(args))
+    row = run_experiment(entry, args.knots, args.measure, SpgConfig(args.seed))
     record = {
         "curve": entry.name, "a": entry.a, "b": entry.b, "n_knots": args.knots,
         "measure": row.measure,
@@ -140,7 +116,7 @@ def _cmd_plot_data(args) -> int:
     entry = _entry(args)
     spec = args.knots or str(DEFAULT_KNOT_COUNTS[0])
     if spec.strip().isdecimal():
-        row = run_experiment(entry, int(spec), args.measure, _config(args))
+        row = run_experiment(entry, int(spec), args.measure, SpgConfig(args.seed))
         if row.status != "ok":
             raise SystemExit(row.status)
         knots = KnotVector(entry.a, entry.b, row.final_knots[1:-1])
@@ -156,31 +132,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="knotopt",
         description="Optimal knot placement for piecewise-linear approximation")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags that several commands share, each defined once
+    catalog = argparse.ArgumentParser(add_help=False)
+    catalog.add_argument("--catalog", default=None, help="catalog CSV (default: bundled)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=SpgConfig().rng_seed,
+                      help="RNG seed (default %(default)s)")
 
-    run = sub.add_parser("run", help="run catalog experiments")
-    run.add_argument("--catalog", default=None, help="catalog CSV (default: bundled)")
+    run = sub.add_parser("run", parents=[catalog, seed], help="run catalog experiments")
     run.add_argument("--curves", default=None, help="comma-separated curve names")
     run.add_argument("--knots", default=DEFAULT_KNOT_COUNTS,
                      type=lambda text: tuple(map(_count, text.split(","))),
                      help="comma-separated knot counts")
     run.add_argument("--measure", choices=MEASURE_NAMES, default="auto")
     run.add_argument("--out", default=None, help="output file path")
-    run.add_argument("--format", choices=["csv", "json"], default="csv")
-    _solver_flags(run)
+    run.add_argument("--format", choices=FORMATS, default="csv")
     run.set_defaults(func=_cmd_run)
 
-    solve = sub.add_parser("solve", help="optimise knots for one curve")
-    solve.add_argument("--catalog", default=None)
+    solve = sub.add_parser("solve", parents=[catalog, seed],
+                           help="optimise knots for one curve")
     solve.add_argument("--curves", required=True, help="curve name")
     solve.add_argument("--knots", type=_count, default=DEFAULT_KNOT_COUNTS[0],
                        help="number of knots")
     solve.add_argument("--measure", choices=MEASURE_NAMES, default="auto")
     solve.add_argument("--out", default=None)
-    _solver_flags(solve)
     solve.set_defaults(func=_cmd_solve)
 
-    check = sub.add_parser("check", help="KKT diagnostic at given knots")
-    check.add_argument("--catalog", default=None)
+    check = sub.add_parser("check", parents=[catalog],
+                           help="KKT diagnostic at given knots")
     check.add_argument("--curves", required=True, help="curve name")
     check.add_argument("--knots", required=True,
                        help="comma-separated knot positions")
@@ -188,14 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--out", default=None)
     check.set_defaults(func=_cmd_check)
 
-    plot = sub.add_parser("plot-data", help="sample curve and interpolant to CSV")
-    plot.add_argument("--catalog", default=None)
+    plot = sub.add_parser("plot-data", parents=[catalog, seed],
+                          help="sample curve and interpolant to CSV")
     plot.add_argument("--curves", required=True, help="curve name")
     plot.add_argument("--knots", default=None,
                       help="knot count (optimised) or comma-separated positions")
     plot.add_argument("--measure", choices=MEASURE_NAMES, default="auto")
     plot.add_argument("--out", required=True)
-    _solver_flags(plot)
     plot.set_defaults(func=_cmd_plot_data)
 
     return parser
@@ -203,7 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except KeyError as exc:     # run_catalog names the curves it lacks
+        raise SystemExit(f"error: {exc.args[0]}") from None
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -149,6 +149,8 @@ class CurveCatalogEntry:
     b: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+            raise ValueError(f"catalog entry {self.name!r} needs finite a and b")
         if not self.a < self.b:
             raise ValueError(f"catalog entry {self.name!r} needs a < b")
 
@@ -165,8 +167,9 @@ def load_catalog(path: str | Path) -> list[CurveCatalogEntry]:
 
     Expected columns: name, type, v1, v2, s, d1, d2, concave, a, b.  The
     shape column accepts "-" (or blank) for families without one; the
-    concave column is Y/N.  Names must be unique.  A row that cannot be
-    read raises ValueError naming the file, the line and the row.
+    concave column is Y or N, in either case; a and b must be finite.  Names
+    must be unique.  A row that cannot be read raises ValueError naming the
+    file, the line and the row.
     """
     entries: list[CurveCatalogEntry] = []
     seen: set[str] = set()
@@ -181,6 +184,9 @@ def load_catalog(path: str | Path) -> list[CurveCatalogEntry]:
                 name = row["name"].strip()
                 if name in seen:
                     raise ValueError(f"duplicate catalog entry {name!r}")
+                concave = row["concave"].strip().upper()
+                if concave not in ("Y", "N"):
+                    raise ValueError(f"concave must be Y or N, got {row['concave']!r}")
                 curve = Curve(
                     family=CurveFamily(row["type"].strip().capitalize()),
                     v1=float(row["v1"]),
@@ -192,7 +198,7 @@ def load_catalog(path: str | Path) -> list[CurveCatalogEntry]:
                 entries.append(CurveCatalogEntry(
                     name=name,
                     curve=curve,
-                    concave=row["concave"].strip().upper() == "Y",
+                    concave=concave == "Y",
                     a=float(row["a"]),
                     b=float(row["b"]),
                 ))

@@ -155,18 +155,29 @@ def rows_to_json(rows: list[ResultRow]) -> str:
     return json.dumps([_row_record(row) for row in rows], indent=2) + "\n"
 
 
+#: the output formats by name, each with the function that renders rows
+FORMATS = {"csv": rows_to_csv, "json": rows_to_json}
+
+
 def _check_format(fmt: str):
-    if fmt not in ("csv", "json"):
-        raise ValueError("format must be csv or json")
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be {' or '.join(FORMATS)}")
+
+
+def write_text(text: str, path: str | Path):
+    """Write ``text`` to ``path`` whole or not at all, via ``path`` + ".tmp"."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_rows(rows: list[ResultRow], out_path: str | Path, fmt: str = "csv"):
     _check_format(fmt)
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
-    out_path = Path(out_path)
-    tmp = out_path.with_name(out_path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, out_path)
+    write_text(FORMATS[fmt](rows), out_path)
 
 
 PLOT_SAMPLES = 500
@@ -180,16 +191,12 @@ def emit_plot_data(curve: Curve, knots: KnotVector, out_path: str | Path):
     """
     pl = build_pl(curve, knots)
     xs = np.linspace(knots.a, knots.b, PLOT_SAMPLES)
-    out_path = Path(out_path)
-    tmp = out_path.with_name(out_path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("kind", "x", "f", "fhat"))
-        fv = np.asarray(curve.value(xs), dtype=float)
-        hv = np.asarray(pl(xs), dtype=float)
-        for x, f, h in zip(xs, fv, hv):
-            writer.writerow(("sample", f"{x:.12g}", f"{f:.12g}", f"{h:.12g}"))
-        for x in knots.full():
-            writer.writerow(("knot", f"{x:.12g}", f"{curve.value(x):.12g}",
-                             f"{pl(x):.12g}"))
-    os.replace(tmp, out_path)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("kind", "x", "f", "fhat"))
+    for x, f, h in zip(xs, curve.value(xs), pl(xs)):
+        writer.writerow(("sample", f"{x:.12g}", f"{f:.12g}", f"{h:.12g}"))
+    for x in knots.full():
+        writer.writerow(("knot", f"{x:.12g}", f"{curve.value(x):.12g}",
+                         f"{pl(x):.12g}"))
+    write_text(buffer.getvalue(), out_path)

@@ -31,7 +31,7 @@ from .quadrature import integrate_segments
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Endpoints a < b plus n nondecreasing interior knots in [a, b]."""
+    """Finite endpoints a < b plus n nondecreasing interior knots in [a, b]."""
 
     a: float
     b: float
@@ -40,8 +40,8 @@ class KnotVector:
     def __post_init__(self):
         # copy so later caller-side mutation cannot break the frozen invariant
         xs = np.array(self.interior, dtype=float).reshape(-1)
-        if not self.a < self.b:
-            raise ValueError("knot vector needs a < b")
+        if not -np.inf < self.a < self.b < np.inf:
+            raise ValueError("knot vector needs finite a < b")
         # both checks are written so that a NaN knot fails them
         if xs.size and not (self.a <= xs[0] and xs[-1] <= self.b):
             raise ValueError("interior knots must lie in [a, b]")

@@ -179,3 +179,24 @@ class TestCatalog:
         curve = Curve(CurveFamily.ARCTAN, 0.0, 1.0, None, 1.0, 0.0)
         with pytest.raises(ValueError):
             CurveCatalogEntry(name="bad", curve=curve, concave=False, a=1.0, b=1.0)
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0),
+                                      (-math.inf, math.inf), (math.nan, 1.0)])
+    def test_interval_must_be_finite(self, a, b):
+        curve = Curve(CurveFamily.ARCTAN, 0.0, 1.0, None, 1.0, 0.0)
+        with pytest.raises(ValueError, match="needs finite a and b"):
+            CurveCatalogEntry(name="bad", curve=curve, concave=False, a=a, b=b)
+
+    def test_concave_flag_is_y_or_n_in_either_case(self, tmp_path):
+        path = tmp_path / "flags.csv"
+        path.write_text(
+            "name,type,v1,v2,s,d1,d2,concave,a,b\n"
+            "p,Arctan,0.0,1.0,-,1.0,0.0,y,-1.0,1.0\n"
+            "q,Arctan,0.0,1.0,-,1.0,0.0, N ,-1.0,1.0\n")
+        assert [entry.concave for entry in load_catalog(path)] == [True, False]
+        for flag in ("maybe", "", "yes", "1"):
+            path.write_text(
+                "name,type,v1,v2,s,d1,d2,concave,a,b\n"
+                f"p,Arctan,0.0,1.0,-,1.0,0.0,{flag},-1.0,1.0\n")
+            with pytest.raises(ValueError, match="line 2: .*concave must be Y or N"):
+                load_catalog(path)

@@ -1,18 +1,21 @@
 import csv
 import hashlib
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import (KnotVector, ObjectiveKind, SpgConfig, emit_plot_data,
+from knotopt import (KnotVector, ObjectiveKind, SpgConfig, cli, emit_plot_data,
                      error_concave, error_general, harness, load_catalog,
                      run_catalog, run_experiment, solve)
 from knotopt.cli import main
 
 HEADER = "name,type,v1,v2,s,d1,d2,concave,a,b\n"
 OK_ROW = "ok,Logistic,0,1,1,-1,0,Y,0,2\n"
+# the Weibull formula takes (x - 1) ** 1.5, undefined below x = 1
+BADW_ROW = "badw,Weibull,0,1,1.5,1,-1,N,0,2\n"
 
 
 class TestRunCatalog:
@@ -288,7 +291,12 @@ class TestCli:
         (HEADER.replace("type,", "") + OK_ROW.replace("Logistic,", ""), 2,
          "no column 'type'"),
         (None, None, "No such file"),
-    ], ids=["family", "number", "interval", "short-row", "column", "missing-file"])
+        (HEADER + OK_ROW + "foo,Logistic,0,1,1,1,0,Y,0,inf\n", 3,
+         "needs finite a and b"),
+        (HEADER + OK_ROW + "foo,Logistic,0,1,1,1,0,maybe,0,1\n", 3,
+         "concave must be Y or N, got 'maybe'"),
+    ], ids=["family", "number", "interval", "short-row", "column", "missing-file",
+            "infinite-bound", "concave-flag"])
     def test_bad_catalog_exits_with_error(self, text, line, reason, tmp_path):
         catalog = tmp_path / "catalog.csv"
         if text is not None:
@@ -304,3 +312,39 @@ class TestCli:
                 main(argv + ["--catalog", str(catalog)])
             assert str(exc.value).startswith("error: ")
             assert str(catalog) in str(exc.value) and reason in str(exc.value)
+
+    @pytest.mark.parametrize("argv, out", [
+        (["check", "--curves", "badw", "--knots", "1.5"], None),
+        (["plot-data", "--curves", "badw", "--knots", "1.5"], "plot.csv"),
+        (["solve", "--curves", "ok", "--knots", "2"], "missing/out.json"),
+        (["check", "--curves", "ok", "--knots", "0.5"], "missing/out.json"),
+        (["plot-data", "--curves", "ok", "--knots", "0.5"], "missing/plot.csv"),
+        (["solve", "--curves", "ok", "--knots", "2"], "taken"),
+    ], ids=["check-undefined", "plot-data-undefined", "solve-no-dir",
+            "check-no-dir", "plot-data-no-dir", "solve-out-is-a-directory"])
+    def test_uncaught_errors_exit_with_error(self, argv, out, tmp_path):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text(HEADER + OK_ROW + BADW_ROW)
+        (tmp_path / "taken").mkdir()
+        if out is not None:
+            argv = argv + ["--out", str(tmp_path / out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--catalog", str(catalog)])
+        assert str(exc.value).startswith("error: ")
+        assert not list(tmp_path.rglob("*.tmp"))
+        if out is not None and out != "taken":
+            assert not (tmp_path / out).exists()
+
+    def test_seed_default_is_the_solver_default(self, monkeypatch, capsys):
+        @dataclass(frozen=True)
+        class SevenConfig(SpgConfig):
+            rng_seed: int = 7
+
+        monkeypatch.setattr(cli, "SpgConfig", SevenConfig)
+        parser = cli.build_parser()
+        for command in ("run", "solve", "plot-data"):
+            args = parser.parse_args([command, "--curves", "ok", "--out", "x"])
+            assert args.seed == 7
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            assert "RNG seed (default 7)" in capsys.readouterr().out

@@ -29,6 +29,12 @@ class TestKnotVector:
             with pytest.raises(ValueError):
                 KnotVector(0.0, 1.0, np.array(bad))
 
+    @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 1.0),
+                                      (-np.inf, np.inf), (np.nan, 1.0)])
+    def test_endpoints_must_be_finite(self, a, b):
+        with pytest.raises(ValueError, match="needs finite a < b"):
+            KnotVector(a, b, np.empty(0))
+
 
 class TestBuildPl:
     def test_quadratic_secants(self):
