@@ -24,6 +24,7 @@ seed produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import os
@@ -102,12 +103,17 @@ def run_catalog(catalog_path: str | Path | None = None,
     """Run every selected (curve, knot count) experiment, in catalog order.
 
     With an output path the table is written as CSV or JSON; the file only
-    appears once the whole run has finished.  Each cell's solve draws from
+    appears once the whole run has finished, and a path whose directory is
+    missing fails before the first cell.  Each cell's solve draws from
     ``config.rng_seed`` alone, so a row does not depend on which other
     curves and knot counts are selected, or on their order.
     """
-    ObjectiveKind(measure)   # a bad measure or format fails before any work
+    # a bad measure, format or output directory fails before any work
+    ObjectiveKind(measure)
     _check_format(fmt)
+    if out_path is not None and not Path(out_path).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                str(out_path))
     catalog = default_catalog() if catalog_path is None else load_catalog(catalog_path)
     selected = _select(catalog, curves)
     rows = [run_experiment(entry, n, measure, config)
@@ -165,12 +171,16 @@ def _check_format(fmt: str):
 
 
 def write_text(text: str, path: str | Path):
-    """Write ``text`` to ``path`` whole or not at all, via ``path`` + ".tmp"."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    """Write ``text`` to ``path`` whole or not at all, via ``path`` + ".tmp".
+
+    A failure keeps its ``OSError`` type and errno but names ``path``.
+    """
+    tmp = Path(f"{path}.tmp")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
     finally:
         tmp.unlink(missing_ok=True)
 

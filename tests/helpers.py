@@ -129,6 +129,28 @@ def brute_force_cone_projection(v: np.ndarray) -> np.ndarray:
     return brute_force_cone_projection_batch(np.asarray(v, dtype=float))[0]
 
 
+def sequential_pava_projection(v: np.ndarray) -> np.ndarray:
+    """Cone projection by one pool-adjacent-violators pass over every entry.
+
+    The plain stack loop that ``project`` shortens by starting at the first
+    descent; kept as its byte-for-byte reference.  No input checks.
+    """
+    v = np.asarray(v, dtype=float)
+    sums = np.empty(v.size)
+    counts = np.empty(v.size, dtype=np.intp)
+    top = -1
+    for x in v:
+        top += 1
+        sums[top] = x
+        counts[top] = 1
+        while top > 0 and sums[top - 1] * counts[top] > sums[top] * counts[top - 1]:
+            sums[top - 1] += sums[top]
+            counts[top - 1] += counts[top]
+            top -= 1
+    top += 1
+    return np.repeat(np.maximum(0.0, sums[:top] / counts[:top]), counts[:top])
+
+
 def random_feasible_y(rng: np.random.Generator, n: int, scale: float = 2.0) -> np.ndarray:
     """A random point of the cone with comfortably positive components."""
     return np.cumsum(rng.uniform(0.01, scale, size=n))

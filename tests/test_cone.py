@@ -1,10 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from knotopt import project
 
-from helpers import brute_force_cone_projection, random_feasible_y
+from helpers import (brute_force_cone_projection, random_feasible_y,
+                     sequential_pava_projection)
+
+# the same examples on every run, and no example database
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+# finite entries, -0.0 included
+ENTRY = st.floats(-1e6, 1e6)
+VECTORS = arrays(float, st.integers(1, 300), elements=ENTRY)
+NONDECREASING = VECTORS.map(np.sort)
+DROP = st.floats(1e-3, 1e3)
+
+
+def assert_matches_sequential_pava(v):
+    out = project(v)
+    assert out.tobytes() == sequential_pava_projection(v).tobytes()
+    assert not np.shares_memory(out, v)
 
 
 class TestAnchors:
@@ -34,6 +52,44 @@ class TestOracleEquivalence:
                 v = rng.uniform(-5.0, 5.0, size=n)
                 assert_allclose(project(v), brute_force_cone_projection(v),
                                 atol=1e-9)
+
+
+class TestMatchesSequentialPava:
+    @PROPERTY
+    @given(VECTORS)
+    def test_any_input(self, v):
+        assert_matches_sequential_pava(v)
+
+    @PROPERTY
+    @given(NONDECREASING)
+    def test_no_descent(self, v):
+        assert_matches_sequential_pava(v)
+
+    @PROPERTY
+    @given(VECTORS.map(lambda v: np.sort(np.abs(v))),
+           st.one_of(st.just(-0.0), st.floats(-1e6, -1e-300)))
+    def test_negative_or_negative_zero_head(self, v, head):
+        v[0] = head
+        assert_matches_sequential_pava(v)
+
+    @PROPERTY
+    @given(arrays(float, st.integers(1, 300),
+                  elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])))
+    def test_ties(self, v):
+        assert_matches_sequential_pava(v)
+
+    @PROPERTY
+    @given(arrays(float, st.integers(2, 300), elements=ENTRY).map(np.sort),
+           DROP, st.booleans())
+    def test_descent_at_index_one_or_the_last(self, v, drop, at_end):
+        i = v.size - 1 if at_end else 1
+        v[i] = v[i - 1] - drop
+        assert_matches_sequential_pava(v)
+
+    @PROPERTY
+    @given(arrays(float, 1, elements=ENTRY))
+    def test_single_entry(self, v):
+        assert_matches_sequential_pava(v)
 
 
 class TestProperties:

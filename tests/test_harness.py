@@ -127,6 +127,17 @@ class TestRunCatalog:
         assert len(calls) == 0
         assert not out.exists()
 
+    def test_missing_output_directory_fails_before_any_work(self, tmp_path,
+                                                            monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_experiment",
+                            lambda *args: calls.append(args))
+        out = tmp_path / "missing" / "rows.csv"
+        with pytest.raises(FileNotFoundError) as exc:
+            run_catalog(curves=["logistic1a"], knot_counts=(4,), out_path=out)
+        assert exc.value.filename == str(out)
+        assert len(calls) == 0
+
     def test_undefined_curve_fails_only_its_row(self, tmp_path):
         # the Weibull formula takes (x - 1) ** 1.5, undefined below x = 1
         catalog = tmp_path / "catalog.csv"
@@ -320,8 +331,10 @@ class TestCli:
         (["check", "--curves", "ok", "--knots", "0.5"], "missing/out.json"),
         (["plot-data", "--curves", "ok", "--knots", "0.5"], "missing/plot.csv"),
         (["solve", "--curves", "ok", "--knots", "2"], "taken"),
+        (["run", "--curves", "ok", "--knots", "4"], "missing/rows.csv"),
     ], ids=["check-undefined", "plot-data-undefined", "solve-no-dir",
-            "check-no-dir", "plot-data-no-dir", "solve-out-is-a-directory"])
+            "check-no-dir", "plot-data-no-dir", "solve-out-is-a-directory",
+            "run-no-dir"])
     def test_uncaught_errors_exit_with_error(self, argv, out, tmp_path):
         catalog = tmp_path / "catalog.csv"
         catalog.write_text(HEADER + OK_ROW + BADW_ROW)
@@ -332,6 +345,9 @@ class TestCli:
             main(argv + ["--catalog", str(catalog)])
         assert str(exc.value).startswith("error: ")
         assert not list(tmp_path.rglob("*.tmp"))
+        if out is not None and (out == "taken" or out.startswith("missing/")):
+            assert f"'{tmp_path / out}'" in str(exc.value)
+            assert ".tmp" not in str(exc.value)
         if out is not None and out != "taken":
             assert not (tmp_path / out).exists()
 
