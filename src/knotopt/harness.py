@@ -36,7 +36,7 @@ import numpy as np
 from .curves import Curve, CurveCatalogEntry, default_catalog, load_catalog
 from .objective import ObjectiveKind
 from .pl import KnotVector, build_pl
-from .spg import SpgConfig, initial_knots, solve
+from .spg import SpgConfig, solve
 
 DEFAULT_KNOT_COUNTS = (4, 8)
 
@@ -70,7 +70,7 @@ def run_experiment(entry: CurveCatalogEntry, n: int, measure: str,
         status = "ok"
     except Exception as exc:     # record per-row failures, keep the run going
         orig = spg_error = float("nan")
-        final = initial_knots(a, b, max(n, 0)).full()  # n < 1 fails too
+        final = KnotVector.equally_spaced(a, b, max(n, 0)).full()  # n < 1 fails too
         iterations, termination, status = 0, "Failed", f"error: {exc}"
 
     reduction = 0.0 if orig == 0.0 else (orig - spg_error) / orig * 100.0

@@ -135,7 +135,9 @@ def from_y(y: np.ndarray, a: float, b: float) -> KnotVector:
     """Inverse map x_i = b - (b - a) / (1 + y_i); clips y into [0, Y_MAX]."""
     y = np.clip(np.asarray(y, dtype=float), 0.0, Y_MAX)
     xs = b - (b - a) / (1.0 + y)
-    xs = np.maximum.accumulate(np.maximum(xs, a))  # repair 1-ulp rounding
+    # the floor absorbs b - (b - a) rounding below a; the running maximum
+    # orders only y from off the cone, such as finite-difference probes
+    xs = np.maximum.accumulate(np.maximum(xs, a))
     return KnotVector(a, b, xs)
 
 

@@ -1,17 +1,18 @@
 """Spectral projected gradient solver over the monotone nonnegative cone.
 
 Each iteration projects a Barzilai-Borwein-scaled gradient step onto the
-cone to obtain the search direction d_k, then runs a nonmonotone line search
-against the largest of the last HISTORY + 1 objective values:
+cone, p_k = P(y_k - alpha_bar g_k), takes the search direction
+d_k = p_k - y_k, then runs a nonmonotone line search against the largest of
+the last HISTORY + 1 objective values:
 
     accept alpha when  F(y_k + alpha d_k) <= f_b + NU * alpha * grad_k . d_k
 
 with alpha shrunk by uniform random redraws on (0, alpha) from a seeded
 generator (reproducible).  The step scale is the classical Barzilai-Borwein
-s.s / s.z.  Because y_k is feasible, the projection output is feasible, and
-alpha lies in (0, 1], the trial point is a convex combination of feasible
-points; the accepted iterate is re-projected only to scrub 1-ulp rounding so
-cone membership stays exact.
+s.s / s.z.  The first trial point is p_k and a backtracked one is
+(1 - alpha) y_k + alpha p_k: nonnegative multiples of ordered nonnegative
+vectors, summed with monotone IEEE rounding, so it is in the cone exactly and
+the accepted point, the last trial point, needs no second projection.
 
 Termination: the direction norm drops to ``EPS`` (stationary), the best
 objective stalls for ``STALL_ITERS`` consecutive iterations (not enough
@@ -42,7 +43,7 @@ class Termination(Enum):
 
 
 class SolverError(RuntimeError):
-    """Numeric failure inside a solve; carries the iterate for diagnosis."""
+    """Numeric failure inside a solve; carries the point that failed."""
 
     def __init__(self, message: str, iteration: int, y: np.ndarray):
         super().__init__(f"{message} at iteration {iteration}")
@@ -116,34 +117,27 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
     history = deque([f], maxlen=HISTORY + 1)
     alpha_bb = 1.0
     stall = 0
-    termination = Termination.MAX_ITER
-    iterations = MAX_ITER
 
     for k in range(MAX_ITER):
         alpha_bar = min(ALPHA_MAX, max(ALPHA_MIN, alpha_bb))
-        d = project(y - alpha_bar * g) - y
+        p = project(y - alpha_bar * g)
+        d = p - y
         if np.linalg.norm(d) <= EPS:
-            termination = Termination.STATIONARY
-            iterations = k
-            break
+            return MinimizeResult(best_y, best_f, k, Termination.STATIONARY)
 
         f_bound = max(history)
         g_dot_d = float(g @ d)
-        alpha = 1.0
-        f_new = float(checked(value_fn(y + alpha * d), k, y, "objective"))
-        underflow = False
+        alpha, y_new = 1.0, p
+        f_new = float(checked(value_fn(y_new), k, y_new, "objective"))
         while f_new > f_bound + NU * alpha * g_dot_d:
             alpha = backtrack_step(alpha, rng)
             if alpha < _ALPHA_FLOOR:
-                underflow = True
-                break
-            f_new = float(checked(value_fn(y + alpha * d), k, y, "objective"))
-        if underflow:
-            termination = Termination.NO_IMPROVEMENT
-            iterations = k
-            break
+                return MinimizeResult(best_y, best_f, k, Termination.NO_IMPROVEMENT)
+            # nonnegative multiples of ordered nonnegative vectors, summed with
+            # monotone rounding: in the cone exactly
+            y_new = (1.0 - alpha) * y + alpha * p
+            f_new = float(checked(value_fn(y_new), k, y_new, "objective"))
 
-        y_new = project(y + alpha * d)   # exact cone membership
         g_new = np.asarray(checked(grad_fn(y_new), k, y_new, "gradient"), dtype=float)
         s = y_new - y
         z = g_new - g
@@ -160,27 +154,12 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
         else:
             stall = 0
 
-        y, f, g = y_new, f_new, g_new
-        history.append(f)
+        y, g = y_new, g_new
+        history.append(f_new)
         if stall >= STALL_ITERS:
-            termination = Termination.NO_IMPROVEMENT
-            iterations = k + 1
-            break
+            return MinimizeResult(best_y, best_f, k + 1, Termination.NO_IMPROVEMENT)
 
-    return MinimizeResult(y=best_y, objective=best_f, iterations=iterations,
-                          termination=termination)
-
-
-def initial_knots(a: float, b: float, n: int,
-                  init: KnotVector | None = None) -> KnotVector:
-    """Default equally spaced knots, or a clamped copy of the given start."""
-    if init is None:
-        return KnotVector.equally_spaced(a, b, n)
-    if init.n != n:
-        raise ValueError(f"init has {init.n} knots, expected {n}")
-    delta = DELTA_SCALE * (b - a)
-    xs = np.clip(init.interior, a, b - delta)
-    return KnotVector(a, b, xs)
+    return MinimizeResult(best_y, best_f, MAX_ITER, Termination.MAX_ITER)
 
 
 def solve(curve, kind: ObjectiveKind, n: int,
@@ -200,11 +179,16 @@ def solve(curve, kind: ObjectiveKind, n: int,
         if (a is not None and a != init.a) or (b is not None and b != init.b):
             raise ValueError(f"a={a}, b={b} disagree with init's interval "
                              f"[{init.a}, {init.b}]")
+        if init.n != n:
+            raise ValueError(f"init has {init.n} knots, expected {n}")
         a, b = init.a, init.b
-    if a is None or b is None:
+        # clip into the guard band below b, where to_y is defined
+        start = KnotVector(a, b, np.clip(init.interior, a, b - DELTA_SCALE * (b - a)))
+    elif a is None or b is None:
         raise ValueError("provide either init or the interval bounds a and b")
+    else:
+        start = KnotVector.equally_spaced(a, b, n)
 
-    start = initial_knots(a, b, n, init)
     objective = YObjective(curve, a, b, kind)
     result = minimize_y(objective.value, objective.grad, to_y(start), config)
 

@@ -1,3 +1,6 @@
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -5,14 +8,23 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from knotopt import default_catalog
 
 
+_HOME = pytest.StashKey[str]()
+
+
 def pytest_configure(config):
-    """Put hypothesis's home directory inside pytest's cache directory.
+    """Give hypothesis a temporary home directory outside the checkout.
 
     Even with ``database=None``, hypothesis caches the literals it parses
     from local source files in its home directory, at collection time.
+    ``pytest_unconfigure`` removes the directory.
     """
-    if config.pluginmanager.has_plugin("cacheprovider"):
-        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
+    home = tempfile.mkdtemp(prefix="knotopt-hypothesis-")
+    config.stash[_HOME] = home
+    set_hypothesis_home_dir(home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[_HOME], ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ before = [(owner, key, value) for owner in owners
 tracer = spans.Tracer()
 tracer.instrument(knotopt)
 wrapped = [key for owner, key, value in before if vars(owner).get(key) is not value]
-assert "write_rows" in wrapped and "minimize_y" in wrapped, wrapped
+assert {"write_rows", "minimize_y", "project", "grad"} <= set(wrapped), wrapped
 tracer.restore()
 left = [key for owner, key, value in before if vars(owner).get(key) is not value]
 assert not left, f"restore() left wrappers on {left}"

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,26 +22,50 @@ def make_hook():
 def watched(monkeypatch):
     """Record what the solver asks of every ``YObjective``.
 
-    ``values`` holds each objective value taken and ``points`` each y at
-    which the gradient is asked for.  The solver asks for the gradient only
-    at its start and at each accepted iterate, so ``accepted`` (the value
-    taken last before each gradient call) is the sequence of accepted values.
+    ``values`` holds each objective value taken and ``valued`` the y it was
+    taken at; ``points`` holds each y at which the gradient is asked for and
+    ``last_valued`` the y of the value taken last before that call.  The
+    solver asks for the gradient only at its start and at each accepted
+    iterate, so ``accepted`` (the value taken last before each gradient call)
+    is the sequence of accepted values.
     """
-    log = SimpleNamespace(values=[], points=[], accepted=[])
+    log = SimpleNamespace(values=[], valued=[], points=[], last_valued=[],
+                          accepted=[])
     value, grad = YObjective.value, YObjective.grad
 
     def watched_value(self, y):
+        log.valued.append(np.array(y))
         log.values.append(value(self, y))
         return log.values[-1]
 
     def watched_grad(self, y):
         log.points.append(np.array(y))
+        log.last_valued.append(log.valued[-1])
         log.accepted.append(log.values[-1])
         return grad(self, y)
 
     monkeypatch.setattr(YObjective, "value", watched_value)
     monkeypatch.setattr(YObjective, "grad", watched_grad)
     return log
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count the solver's calls of ``project`` and ``backtrack_step``."""
+    calls = Counter()
+
+    def count(name):
+        fn = getattr(spg, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(spg, name, counting)
+
+    count("project")
+    count("backtrack_step")
+    return calls
 
 
 class TestQuadraticHook:
@@ -116,25 +141,44 @@ class TestLineSearchContract:
         for k in range(1, len(accepted)):
             assert accepted[k] < max(accepted[max(0, k - spg.HISTORY - 1):k]), k
 
-    def test_iterates_stay_in_cone_exactly(self, catalog_by_name, monkeypatch):
-        entry = catalog_by_name["logistic1a"]
-        from knotopt import YObjective
-        objective = YObjective(entry.curve, entry.a, entry.b,
-                               kind=ObjectiveKind.CONCAVE_AREA)
-        seen = []
-
-        def value(y):
-            seen.append(np.array(y))
-            return objective.value(y)
-
-        y0 = to_y(KnotVector(entry.a, entry.b, np.array([0.2, 0.3, 0.5, 1.9])))
+    def test_iterates_stay_in_cone_exactly(self, catalog_by_name, monkeypatch,
+                                           watched, counted):
+        # trial points are formed from cone points with monotone rounding, so
+        # every point the objective sees is in the cone with no tolerance
+        entry = catalog_by_name["gompertz2b"]   # backtracks under every kind
+        y0 = to_y(KnotVector.equally_spaced(entry.a, entry.b, 4))
         monkeypatch.setattr(spg, "MAX_ITER", 60)
-        minimize_y(value, objective.grad, y0, SpgConfig())
-        assert len(seen) > 10
-        for y in seen:
-            assert y[0] >= -1e-15
-            # trial points are convex combinations of exactly-feasible points
-            assert np.all(np.diff(y) >= -1e-12 * np.maximum(1.0, np.abs(y[1:])))
+        for kind in ObjectiveKind:
+            watched.valued.clear()
+            watched.points.clear()
+            counted.clear()
+            objective = YObjective(entry.curve, entry.a, entry.b, kind)
+            minimize_y(objective.value, objective.grad, y0, SpgConfig())
+            assert counted["backtrack_step"] > 0, kind
+            assert len(watched.valued) > 10, kind
+            for y in watched.valued + watched.points:
+                assert y[0] >= 0.0, kind
+                assert np.all(np.diff(y) >= 0.0), kind
+
+    def test_gradient_is_taken_where_the_value_was(self, catalog_by_name,
+                                                   watched):
+        entry = catalog_by_name["logistic1a"]
+        for kind in ObjectiveKind:
+            solve(entry.curve, kind, 4, a=entry.a, b=entry.b)
+        assert len(watched.points) > 10
+        for y, last in zip(watched.points, watched.last_valued, strict=True):
+            assert y.tobytes() == last.tobytes()
+
+    def test_one_projection_per_iteration(self, catalog_by_name, counted):
+        # one at the start and one per iteration, the last of which may stop
+        for name, kind in (("logistic1a", ObjectiveKind.CONCAVE_AREA),
+                           ("logistic2a", ObjectiveKind.GENERAL_SQUARED),
+                           ("gompertz1b", ObjectiveKind.INTERIOR_SQUARED)):
+            entry = catalog_by_name[name]
+            counted.clear()
+            report = solve(entry.curve, kind, 4, a=entry.a, b=entry.b)
+            assert report.iterations > 10, name
+            assert counted["project"] <= report.iterations + 2, name
 
 
 class TestTermination:
@@ -243,6 +287,17 @@ class TestValidation:
         grad = lambda y: np.zeros_like(y)
         with pytest.raises(SolverError):
             minimize_y(value, grad, np.array([1.0]), SpgConfig())
+
+    def test_solver_error_names_the_trial_point(self):
+        # the value is finite only at the start, so the first trial point,
+        # p = project(y0 - g) with the unit first step, is the one that fails
+        y0 = np.array([1.0, 3.0])
+        value = lambda y: 0.0 if np.array_equal(y, y0) else float("nan")
+        grad = lambda y: np.array([0.5, -1.0])
+        with pytest.raises(SolverError, match="at iteration 0") as caught:
+            minimize_y(value, grad, y0, SpgConfig())
+        assert caught.value.iteration == 0
+        assert np.array_equal(caught.value.y, [0.5, 4.0])
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
