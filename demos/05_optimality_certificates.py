@@ -4,8 +4,10 @@ A knot vector is first-order optimal for the area objective exactly when
 its gradient vanishes with all ordering multipliers at zero.  On top of
 that, a tridiagonal curvature test gives a sufficient condition for a
 strict local minimum.  Both checks are cheap, so they double as a safety
-net for solver output: the cone substitution can park iterates against the
-right endpoint where the transformed gradient is artificially tiny, and the
+net for solver output.  The Newton solver of the area objective stops on
+this same residual.  SPG, which runs the squared-gap objectives, works
+through a cone substitution that can park iterates against the right
+endpoint, where the transformed gradient is artificially tiny; the
 diagnostic residual exposes that immediately.
 """
 
@@ -37,13 +39,25 @@ arbitrary = KnotVector(entry.a, entry.b, np.array([0.1, 0.4, 0.6, 1.9]))
 print(f"\narbitrary knots residual: "
       f"{kkt_check(entry.curve, arbitrary).stationarity_residual:.3e}")
 
-# the known trap: knots crowded against b look stationary in y coordinates,
-# but the x-space residual gives them away
-trapped = solve(entry.curve, ObjectiveKind.CONCAVE_AREA, 3,
-                init=KnotVector(entry.a, entry.b, np.array([1.7, 1.8, 1.9])))
-residual = kkt_check(entry.curve, trapped.final_knots).stationarity_residual
-print(f"\nright-cluster start: termination {trapped.termination.value}, "
-      f"knots {np.array2string(trapped.final_knots.interior, precision=5)}, "
+# knots crowded against b: the area objective's Newton solver works in x
+# and converges from there
+cluster = KnotVector(entry.a, entry.b, np.array([1.9, 1.95, 1.99]))
+area = solve(entry.curve, ObjectiveKind.CONCAVE_AREA, 3, init=cluster)
+residual = kkt_check(entry.curve, area.final_knots).stationarity_residual
+print(f"\nright-cluster start, area objective: termination "
+      f"{area.termination.value}, knots "
+      f"{np.array2string(area.final_knots.interior, precision=5)}, "
+      f"residual {residual:.3e}")
+
+# the known trap of the cone substitution: from the same start, SPG on the
+# full squared-gap objective looks stationary in y, but the x-space
+# residual gives it away
+general = ObjectiveKind.GENERAL_SQUARED
+trapped = solve(entry.curve, general, 3, init=cluster)
+residual = kkt_check(entry.curve, trapped.final_knots, general).stationarity_residual
+print(f"right-cluster start, squared gaps: termination "
+      f"{trapped.termination.value}, knots "
+      f"{np.array2string(trapped.final_knots.interior, precision=5)}, "
       f"residual {residual:.3e}")
 if residual > 1e-6:
     print("-> not first-order optimal; restart from a different point")

@@ -2,8 +2,8 @@
 
 The package builds piecewise-linear interpolants of smooth increasing
 univariate curves, measures their approximation error, and relocates the
-interior knots with a spectral projected gradient method over the monotone
-nonnegative cone reached through the substitution y_i = (x_i - a)/(b - x_i).
+interior knots: by damped Newton in x for the area objective, and by spectral
+projected gradient over the cone reached through y_i = (x_i - a)/(b - x_i).
 """
 
 from .cone import project

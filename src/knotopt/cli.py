@@ -6,7 +6,8 @@ Subcommands:
   check      first-order optimality diagnostic at given knot positions
   plot-data  sample a curve and its interpolant to CSV for plotting
 
-The solver's one setting is its seed, --seed (default 42).  Bad input from
+The solvers' one setting is SPG's seed, --seed (default 42); the Newton
+solver of --measure concave draws no random numbers.  Bad input from
 outside the program (the seed, knot counts or positions, the catalog file,
 the --out path) exits from ``main`` with an ``error: ...`` message instead of
 a traceback.  Every --out file is written whole or not at all.

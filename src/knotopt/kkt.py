@@ -20,9 +20,10 @@ the harness's interior window included, can be certified.  ``hessian_phi``
 assembles the tridiagonal curvature matrix of the area
 objective's stationarity system: diagonal (x_{i-1} - x_{i+1}) f''(x_i),
 off-diagonal f'(x_{i+1}) - f'(x_i).  This equals twice the Hessian of phi
-(the scale does not affect definiteness).  ``prop1_test`` applies a
-sufficient local-minimum condition for tridiagonal matrices: positive
-diagonal entries plus, for i = 1..n-1,
+(the scale does not affect definiteness), built from the bands that
+``objective.area_hessian_bands`` gives and the Newton solver factors.
+``prop1_test`` applies a sufficient local-minimum condition for tridiagonal
+matrices: positive diagonal entries plus, for i = 1..n-1,
 
     [f'(x_{i+1}) - f'(x_i)]^2
         < (1/4)(x_{i-1} - x_{i+1})(x_i - x_{i+2}) f''(x_i) f''(x_{i+1})
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import ObjectiveKind, grad_x
+from .objective import ObjectiveKind, area_hessian_bands, grad_x
 from .pl import KnotVector
 
 #: a segment narrower than this counts as an active (tied) constraint
@@ -97,15 +98,10 @@ def kkt_check(curve, knots: KnotVector,
 def hessian_phi(curve, knots: KnotVector) -> np.ndarray:
     """Tridiagonal curvature matrix of the area objective (twice its Hessian)."""
     xs = knots.full()
-    n = knots.n
-    fpp = np.asarray(curve.deriv2(xs[1:-1]), dtype=float)
-    diag = (xs[:-2] - xs[2:]) * fpp
-    matrix = np.diag(diag)
-    if n > 1:
-        fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
-        off = fp[1:] - fp[:-1]
-        matrix += np.diag(off, 1) + np.diag(off, -1)
-    return matrix
+    inner = xs[1:-1]
+    diag, off = area_hessian_bands(xs, np.asarray(curve.deriv1(inner), dtype=float),
+                                   np.asarray(curve.deriv2(inner), dtype=float))
+    return 2.0 * (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def prop1_test(curve, knots: KnotVector,

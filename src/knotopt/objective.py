@@ -107,12 +107,28 @@ def grad_x(curve, kind: ObjectiveKind, knots: KnotVector,
     fv = np.asarray(curve.value(xs), dtype=float) if fv is None else fv
     fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
     if window is None:
-        return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:]))
+        return area_gradient(xs, fv, fp)
     h = np.diff(xs)
     df = fv[1:] - fv[:-1]
     # knot j borders segment j-1 from above and segment j from below
     return (gaps[:-1] * (df[:-1] - fp * h[:-1])
             + gaps[1:] * (df[1:] - fp * h[1:]))
+
+
+def area_gradient(xs: np.ndarray, fv: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """phi's gradient from the breakpoints ``xs``, f at them and f' inside."""
+    return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:]))
+
+
+def area_hessian_bands(xs: np.ndarray, fp: np.ndarray,
+                       fpp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of phi's Hessian in the interior knots.
+
+    The Hessian is tridiagonal: (1/2)(x_{i-1} - x_{i+1}) f''(x_i) on the
+    diagonal and (1/2)(f'(x_{i+1}) - f'(x_i)) beside it; ``fp`` and ``fpp``
+    are f' and f'' at the interior knots of the breakpoints ``xs``.
+    """
+    return 0.5 * (xs[:-2] - xs[2:]) * fpp, 0.5 * (fp[1:] - fp[:-1])
 
 
 # -- the cone substitution ------------------------------------------------

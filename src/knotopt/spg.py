@@ -1,25 +1,31 @@
-"""Spectral projected gradient solver over the monotone nonnegative cone.
+"""The solvers: damped Newton in x for the area kind, SPG in y for the others.
 
-Each iteration projects a Barzilai-Borwein-scaled gradient step onto the
-cone, p_k = P(y_k - alpha_bar g_k), takes the search direction
-d_k = p_k - y_k, then runs a nonmonotone line search against the largest of
-the last HISTORY + 1 objective values:
+``minimize_x`` works in the knots.  phi's Hessian is tridiagonal, so each
+model step solves (H + mu I) s = -g by an O(n) LDL^T sweep; the Levenberg
+damping mu grows fourfold until s is a descent direction, tending to the
+steepest-descent step.  Trial points follow the projected arc P(x + t s),
+t = 1, 1/2, ..., with P the exact projection onto the ordered knots in
+[a, b], until an Armijo test holds.  Newton draws no random numbers.
+
+``minimize_y`` is the spectral projected gradient (SPG) method over the
+monotone nonnegative cone that y_i = (x_i - a)/(b - x_i) maps the knots
+onto.  Each iteration projects a Barzilai-Borwein-scaled gradient step,
+p_k = P(y_k - alpha_bar g_k), takes d_k = p_k - y_k, then runs a
+nonmonotone line search against the largest of the last HISTORY + 1 values:
 
     accept alpha when  F(y_k + alpha d_k) <= f_b + NU * alpha * grad_k . d_k
 
 with alpha shrunk by uniform random redraws on (0, alpha) from a seeded
-generator (reproducible).  The step scale is the classical Barzilai-Borwein
-s.s / s.z.  The first trial point is p_k and a backtracked one is
-(1 - alpha) y_k + alpha p_k: nonnegative multiples of ordered nonnegative
-vectors, summed with monotone IEEE rounding, so it is in the cone exactly and
-the accepted point, the last trial point, needs no second projection.
+generator (reproducible).  The step scale is the classical s.s / s.z.  The
+first trial point is p_k and a backtracked one is (1 - alpha) y_k + alpha p_k:
+nonnegative multiples of ordered nonnegative vectors, summed with monotone
+IEEE rounding, so it is in the cone exactly and needs no second projection.
 
-Termination: the direction norm drops to ``EPS`` (stationary), the best
-objective stalls for ``STALL_ITERS`` consecutive iterations (not enough
-improvement), the line search underflows, or ``MAX_ITER`` is reached.  The
-best point seen is always returned, so the result never scores worse than
-the initial point.  The result is that point, its value, the iteration
-count and the reason to stop; no per-iteration record is kept.
+Each stops as stationary (``NEWTON_TOL`` on |P(x - g) - x|, ``EPS`` on
+|d_k|), with no improvement (the step underflows, or SPG's best value stalls
+for ``STALL_ITERS`` iterations) or at its iteration limit.  Each returns its
+best point (Newton's is its last, as it descends up to phi's rounding), the
+value there, the iteration count and the reason to stop.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from enum import Enum
 import numpy as np
 
 from .cone import project
-from .objective import DELTA_SCALE, ObjectiveKind, YObjective, from_y, to_y
+from .objective import (DELTA_SCALE, ObjectiveKind, YObjective, area_gradient,
+                        area_hessian_bands, from_y, phi, to_y)
 from .pl import KnotVector
 
 
@@ -45,13 +52,19 @@ class Termination(Enum):
 class SolverError(RuntimeError):
     """Numeric failure inside a solve; carries the point that failed."""
 
-    def __init__(self, message: str, iteration: int, y: np.ndarray):
+    def __init__(self, message: str, iteration: int, point: np.ndarray):
         super().__init__(f"{message} at iteration {iteration}")
         self.iteration = iteration
-        self.y = y
+        self.point = point
 
 
-# minimize_y reads these at call time; none is bound as a default argument
+def _checked(value, k: int, point: np.ndarray, what: str):
+    if not np.all(np.isfinite(value)):
+        raise SolverError(f"non-finite {what}", k, point)
+    return value
+
+
+# the minimisers read these at call time; none is bound as a default argument
 ALPHA_MIN = 1e-10           # bounds on the Barzilai-Borwein step scale
 ALPHA_MAX = 1e10
 HISTORY = 10                # nonmonotone line search: last HISTORY + 1 values
@@ -61,6 +74,9 @@ IMPROVEMENT_TOL = 1e-12     # relative stall threshold on the best value
 STALL_ITERS = 25            # consecutive stalled iterations allowed
 MAX_ITER = 1000
 _ALPHA_FLOOR = 1e-16
+NEWTON_TOL = 1e-13          # stationarity bound, relative to max(1, max |f|)
+PHI_ROUNDING = 8 * np.finfo(float).eps   # Armijo allowance, relative
+NEWTON_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -83,9 +99,11 @@ def backtrack_step(alpha: float, rng: np.random.Generator) -> float:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Raw outcome of a cone-constrained minimisation in y coordinates."""
+    """Raw outcome of a minimisation in the minimiser's own coordinates."""
 
-    y: np.ndarray                 # best point seen
+    # the best point in the minimiser's own coordinates: cone y from
+    # minimize_y, interior knots x from minimize_x
+    point: np.ndarray
     objective: float              # objective at the best point
     iterations: int
     termination: Termination
@@ -93,7 +111,7 @@ class MinimizeResult:
 
 @dataclass(frozen=True)
 class SolveReport(MinimizeResult):
-    """``minimize_y``'s result plus the knots and errors in the kind's measure."""
+    """The minimiser's result plus the knots and errors in the kind's measure."""
 
     final_knots: KnotVector
     initial_error: float
@@ -103,15 +121,9 @@ class SolveReport(MinimizeResult):
 def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> MinimizeResult:
     """Minimise a smooth objective over {0 <= y_1 <= ... <= y_n}."""
     rng = np.random.default_rng(config.rng_seed)   # the only generator
-
-    def checked(value, k, y, what):
-        if not np.all(np.isfinite(value)):
-            raise SolverError(f"non-finite {what}", k, y)
-        return value
-
     y = project(np.asarray(y0, dtype=float))
-    f = float(checked(value_fn(y), 0, y, "objective"))
-    g = np.asarray(checked(grad_fn(y), 0, y, "gradient"), dtype=float)
+    f = float(_checked(value_fn(y), 0, y, "objective"))
+    g = np.asarray(_checked(grad_fn(y), 0, y, "gradient"), dtype=float)
 
     best_y, best_f = y, f
     history = deque([f], maxlen=HISTORY + 1)
@@ -128,7 +140,7 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
         f_bound = max(history)
         g_dot_d = float(g @ d)
         alpha, y_new = 1.0, p
-        f_new = float(checked(value_fn(y_new), k, y_new, "objective"))
+        f_new = float(_checked(value_fn(y_new), k, y_new, "objective"))
         while f_new > f_bound + NU * alpha * g_dot_d:
             alpha = backtrack_step(alpha, rng)
             if alpha < _ALPHA_FLOOR:
@@ -136,9 +148,9 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
             # nonnegative multiples of ordered nonnegative vectors, summed with
             # monotone rounding: in the cone exactly
             y_new = (1.0 - alpha) * y + alpha * p
-            f_new = float(checked(value_fn(y_new), k, y_new, "objective"))
+            f_new = float(_checked(value_fn(y_new), k, y_new, "objective"))
 
-        g_new = np.asarray(checked(grad_fn(y_new), k, y_new, "gradient"), dtype=float)
+        g_new = np.asarray(_checked(grad_fn(y_new), k, y_new, "gradient"), dtype=float)
         s = y_new - y
         z = g_new - g
         s_dot_z = float(s @ z)
@@ -162,16 +174,92 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
     return MinimizeResult(best_y, best_f, MAX_ITER, Termination.MAX_ITER)
 
 
+def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray | None:
+    """Solve T s = rhs by an LDL^T sweep; None unless T is positive definite."""
+    diag, off, z = diag.tolist(), off.tolist(), rhs.tolist()
+    pivots, factors = [diag[0]], [0.0]
+    for i, o in enumerate(off):
+        if not pivots[i] > 0.0:
+            return None
+        factor = o / pivots[i]
+        factors.append(factor)
+        pivots.append(diag[i + 1] - factor * o)
+        z[i + 1] -= factor * z[i]
+    if not pivots[-1] > 0.0:
+        return None
+    z[-1] /= pivots[-1]
+    for i in range(len(z) - 2, -1, -1):
+        z[i] = z[i] / pivots[i] - factors[i + 1] * z[i + 1]
+    return np.array(z)
+
+
+def minimize_x(curve, start: KnotVector) -> MinimizeResult:
+    """Minimise the area objective over {a <= x_1 <= ... <= x_n <= b}."""
+    a, b = start.a, start.b
+
+    def onto_knots(v):
+        # exact projection onto the ordered knots in [a, b]; monotone rounding
+        # keeps the shifted cone point ordered and at least a
+        return np.minimum(project(v - a) + a, b)
+
+    def evaluate(knots, k):
+        fv = _checked(np.asarray(curve.value(knots.full()), dtype=float),
+                      k, knots.interior, "curve value")
+        return knots, fv, phi(curve, knots, fv)
+
+    knots, fv, f = evaluate(start, 0)
+    mu = 0.0
+    for k in range(NEWTON_MAX_ITER):
+        x, xs = knots.interior, knots.full()
+        fp = _checked(np.asarray(curve.deriv1(x), dtype=float), k, x, "derivative")
+        fpp = _checked(np.asarray(curve.deriv2(x), dtype=float), k, x, "curvature")
+        g = area_gradient(xs, fv, fp)
+        f_scale = float(np.max(np.abs(fv)))
+        if np.max(np.abs(onto_knots(x - g) - x)) <= NEWTON_TOL * max(1.0, f_scale):
+            return MinimizeResult(x, f, k, Termination.STATIONARY)
+
+        diag, off = area_hessian_bands(xs, fp, fpp)
+        h_scale = float(np.max(np.abs(diag))) or 1.0
+        while (s := _solve_tridiagonal(diag + mu, off, -g)) is None or g @ s >= 0.0:
+            mu = max(4.0 * mu, 1e-10 * h_scale)
+
+        # phi sums terms bounded by (b - a) max |f|; a rise within a few
+        # roundings of that is noise, which would stall Newton near the optimum
+        noise = PHI_ROUNDING * (b - a) * f_scale
+        t = 1.0
+        while True:
+            trial = onto_knots(x + t * s)
+            slope = float(g @ (trial - x))
+            if slope < 0.0:
+                new = evaluate(KnotVector(a, b, trial), k)
+                if new[2] <= f + NU * slope + noise:
+                    break
+            t *= 0.5
+            if t < _ALPHA_FLOOR:
+                return MinimizeResult(x, f, k, Termination.NO_IMPROVEMENT)
+        knots, fv, f = new
+        if t < 1.0:
+            mu = max(4.0 * mu, 1e-6 * h_scale)
+        elif (mu := mu / 4.0) < 1e-10 * h_scale:
+            mu = 0.0
+
+    return MinimizeResult(knots.interior, f, NEWTON_MAX_ITER, Termination.MAX_ITER)
+
+
 def solve(curve, kind: ObjectiveKind, n: int,
           config: SpgConfig = SpgConfig(),
           init: KnotVector | None = None,
           a: float | None = None, b: float | None = None) -> SolveReport:
     """Place n knots minimising the chosen objective over [a, b].
 
-    The interval comes from ``init`` when given, otherwise from ``a``/``b``;
-    bounds given with ``init`` must equal its own.  Reported errors use ``kind``'s own error measure; the incumbent guard
-    ensures the reported final error never exceeds the initial one, so
-    ``final_knots`` is the start when it rejects the minimiser's ``y``.
+    The area kind runs ``minimize_x``, which ignores ``config``; the squared
+    kinds run ``minimize_y``, which draws from its seed.  The interval comes
+    from ``init`` when given, otherwise from ``a``/``b``; bounds given with
+    ``init`` must equal its own.  Reported errors use ``kind``'s own error
+    measure; the incumbent guard ensures the reported final error never
+    exceeds the initial one, so ``final_knots`` is the start when it
+    rejects the minimiser's point.
     """
     if n < 1:
         raise ValueError("need at least one knot")
@@ -181,18 +269,22 @@ def solve(curve, kind: ObjectiveKind, n: int,
                              f"[{init.a}, {init.b}]")
         if init.n != n:
             raise ValueError(f"init has {init.n} knots, expected {n}")
-        a, b = init.a, init.b
-        # clip into the guard band below b, where to_y is defined
-        start = KnotVector(a, b, np.clip(init.interior, a, b - DELTA_SCALE * (b - a)))
+        a, b, start = init.a, init.b, init
     elif a is None or b is None:
         raise ValueError("provide either init or the interval bounds a and b")
     else:
         start = KnotVector.equally_spaced(a, b, n)
 
-    objective = YObjective(curve, a, b, kind)
-    result = minimize_y(objective.value, objective.grad, to_y(start), config)
+    if kind is ObjectiveKind.CONCAVE_AREA:
+        result = minimize_x(curve, start)
+        final = KnotVector(a, b, result.point)
+    else:
+        # clip into the guard band below b, where to_y is defined
+        start = KnotVector(a, b, np.clip(start.interior, a, b - DELTA_SCALE * (b - a)))
+        objective = YObjective(curve, a, b, kind)
+        result = minimize_y(objective.value, objective.grad, to_y(start), config)
+        final = from_y(result.point, a, b)
 
-    final = from_y(result.y, a, b)
     initial_error = kind.error(curve, start)
     final_error = kind.error(curve, final)
     if final_error > initial_error:   # incumbent guard on the reported measure

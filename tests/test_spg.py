@@ -4,18 +4,28 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from knotopt import (KnotVector, MinimizeResult, ObjectiveKind, SolverError,
                      SpgConfig, Termination, YObjective, backtrack_step,
-                     from_y, minimize_y, solve, to_y)
+                     default_catalog, error_concave, from_y, kkt_check,
+                     minimize_y, phi, solve, to_y)
 from knotopt import spg
 
 from helpers import QuadraticCurve
 
+AREA = ObjectiveKind.CONCAVE_AREA
+
 
 def make_hook():
     return QuadraticCurve(-1.0, 0.0, 4.0)  # -x^2 + 4, optimum is even spacing
+
+
+def spg_on_area(curve, knots: KnotVector):
+    """SPG on the area objective, which ``solve`` hands to Newton instead."""
+    objective = YObjective(curve, knots.a, knots.b, AREA)
+    return minimize_y(objective.value, objective.grad, to_y(knots), SpgConfig())
 
 
 @pytest.fixture
@@ -88,18 +98,88 @@ class TestQuadraticHook:
         assert report.termination is Termination.STATIONARY
         assert np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) < 1e-6
 
-    def test_near_endpoint_cluster_is_a_known_trap(self):
-        # knots crowded against b map to huge cone coordinates where the
-        # substitution's chain factor crushes the gradient, so the solver can
-        # stop at a point that is stationary in y but not in x; the
-        # first-order diagnostic exposes such points
-        from knotopt import kkt_check
+    def test_converges_from_right_cluster(self):
+        # the Newton solver works in x, so knots crowded against b are no trap
         init = KnotVector(0.0, 2.0, np.array([1.7, 1.8, 1.9]))
-        report = solve(make_hook(), ObjectiveKind.CONCAVE_AREA, 3, init=init)
+        report = solve(make_hook(), AREA, 3, init=init)
+        assert report.termination is Termination.STATIONARY
+        assert np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) < 1e-12
+
+    def test_near_endpoint_cluster_is_a_known_trap(self):
+        # for SPG's kinds, knots crowded against b map to huge cone
+        # coordinates where the substitution's chain factor crushes the
+        # gradient, so the solver can stop at a point that is stationary in y
+        # but not in x; the first-order diagnostic exposes such points
+        kind = ObjectiveKind.GENERAL_SQUARED   # even spacing is its optimum too
+        init = KnotVector(0.0, 2.0, np.array([1.7, 1.8, 1.9]))
+        report = solve(make_hook(), kind, 3, init=init)
         assert report.final_error <= report.initial_error + 1e-12
         if np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) > 1e-6:
-            residual = kkt_check(make_hook(), report.final_knots).stationarity_residual
+            residual = kkt_check(make_hook(), report.final_knots,
+                                 kind).stationarity_residual
             assert residual > 1e-3
+
+
+CONCAVE_ROWS = [entry for entry in default_catalog() if entry.concave]
+
+
+class TestNewton:
+    @pytest.mark.parametrize("start", [[0.1, 0.2, 0.3], [0.5, 0.5, 0.5],
+                                       [0.0, 1.0, 2.0], [1.2, 1.5, 1.7],
+                                       [1.99, 1.995, 1.999]],
+                             ids=["skewed", "tied", "on-bounds", "near-b",
+                                  "at-b"])
+    def test_hook_reaches_even_spacing(self, start):
+        init = KnotVector(0.0, 2.0, np.array(start))
+        report = solve(make_hook(), AREA, 3, init=init)
+        assert report.termination is Termination.STATIONARY
+        assert report.iterations <= 10
+        assert np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) < 1e-12
+
+    def test_stationary_passes_kkt_at_the_stop_tolerance(self):
+        for entry in CONCAVE_ROWS:
+            for n in (4, 8, 16, 32):
+                report = solve(entry.curve, AREA, n, a=entry.a, b=entry.b)
+                assert report.termination is Termination.STATIONARY, (entry.name, n)
+                knots = KnotVector(entry.a, entry.b, report.point)
+                fv = entry.curve.value(knots.full())
+                tol = spg.NEWTON_TOL * max(1.0, np.max(np.abs(fv)))
+                residual = kkt_check(entry.curve, knots).stationarity_residual
+                assert residual <= tol, (entry.name, n)
+
+    def test_nan_value_names_the_point(self):
+        class Holed(QuadraticCurve):
+            def value(self, x):
+                inside = (np.asarray(x) > 0.9) & (np.asarray(x) < 1.1)
+                return np.where(inside, np.nan, super().value(x))
+
+        init = KnotVector(0.0, 2.0, np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(SolverError, match="non-finite curve value") as caught:
+            solve(Holed(-1.0, 0.0, 4.0), AREA, 3, init=init)
+        point = caught.value.point
+        assert np.any((point > 0.9) & (point < 1.1))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.sampled_from(CONCAVE_ROWS),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_random_starts_never_end_worse(self, entry, unit):
+        # scored by phi, which differs from the area error by the constant
+        # integral of f, so the solver is judged without the gap quadrature
+        a, b = entry.a, entry.b
+        start = KnotVector(a, b, np.clip(a + (b - a) * np.sort(unit), a, b))
+        result = spg.minimize_x(entry.curve, start)
+        reached = KnotVector(a, b, result.point)   # ordered in [a, b]
+        assert result.objective == phi(entry.curve, reached)
+        assert result.objective <= phi(entry.curve, start) + 1e-12
+
+    def test_no_worse_than_spg(self):
+        for entry in CONCAVE_ROWS:
+            for n in (4, 8):
+                start = KnotVector.equally_spaced(entry.a, entry.b, n)
+                newton = solve(entry.curve, AREA, n, init=start).final_error
+                reached = from_y(spg_on_area(entry.curve, start).point,
+                                 entry.a, entry.b)
+                assert newton <= error_concave(entry.curve, reached), (entry.name, n)
 
 
 class TestBacktrackStep:
@@ -123,7 +203,7 @@ class TestDeterminism:
             watched.values.clear()
             report = solve(entry.curve, ObjectiveKind.GENERAL_SQUARED, 4,
                            a=entry.a, b=entry.b, config=SpgConfig(rng_seed=7))
-            runs.append((report.y.tobytes(), report.iterations,
+            runs.append((report.point.tobytes(), report.iterations,
                          report.termination, list(watched.values)))
         assert runs[0] == runs[1]
 
@@ -171,12 +251,16 @@ class TestLineSearchContract:
 
     def test_one_projection_per_iteration(self, catalog_by_name, counted):
         # one at the start and one per iteration, the last of which may stop
-        for name, kind in (("logistic1a", ObjectiveKind.CONCAVE_AREA),
+        for name, kind in (("logistic1a", AREA),
                            ("logistic2a", ObjectiveKind.GENERAL_SQUARED),
                            ("gompertz1b", ObjectiveKind.INTERIOR_SQUARED)):
             entry = catalog_by_name[name]
+            start = KnotVector.equally_spaced(entry.a, entry.b, 4)
             counted.clear()
-            report = solve(entry.curve, kind, 4, a=entry.a, b=entry.b)
+            if kind is AREA:
+                report = spg_on_area(entry.curve, start)
+            else:
+                report = solve(entry.curve, kind, 4, init=start)
             assert report.iterations > 10, name
             assert counted["project"] <= report.iterations + 2, name
 
@@ -195,8 +279,8 @@ class TestTermination:
         monkeypatch.setattr(spg, "IMPROVEMENT_TOL", 1e30)
         monkeypatch.setattr(spg, "STALL_ITERS", 5)
         monkeypatch.setattr(spg, "MAX_ITER", 100)
-        report = solve(entry.curve, ObjectiveKind.CONCAVE_AREA, 4,
-                       a=entry.a, b=entry.b)
+        report = spg_on_area(entry.curve,
+                             KnotVector.equally_spaced(entry.a, entry.b, 4))
         assert report.termination is Termination.NO_IMPROVEMENT
         assert report.iterations == 5
 
@@ -206,7 +290,7 @@ class TestTermination:
         grad = lambda y: -np.ones_like(y)
         result = minimize_y(value, grad, np.array([1.0, 2.0]), SpgConfig())
         assert result.termination is Termination.NO_IMPROVEMENT
-        assert_allclose(result.y, [1.0, 2.0])
+        assert_allclose(result.point, [1.0, 2.0])
 
     def test_stationary_norm_bound(self, watched, monkeypatch):
         # the last projection is the stationary iterate's step, taken from
@@ -218,8 +302,8 @@ class TestTermination:
             return projections[-1]
 
         monkeypatch.setattr(spg, "project", watched_project)
-        report = solve(make_hook(), ObjectiveKind.CONCAVE_AREA, 3, a=0.0, b=2.0,
-                       init=KnotVector(0.0, 2.0, np.array([0.4, 1.0, 1.6])))
+        report = spg_on_area(make_hook(),
+                             KnotVector(0.0, 2.0, np.array([0.4, 1.0, 1.6])))
         assert report.termination is Termination.STATIONARY
         assert np.linalg.norm(projections[-1] - watched.points[-1]) <= spg.EPS
 
@@ -244,7 +328,6 @@ class TestReports:
     def test_concave_solution_matches_derivative_free_oracle(self, catalog_by_name):
         from scipy.optimize import minimize as scipy_minimize
         entry = catalog_by_name["logistic1a"]
-        from knotopt import phi
 
         def objective(inner):
             return phi(entry.curve, KnotVector(entry.a, entry.b, np.sort(inner)))
@@ -269,14 +352,13 @@ class TestReports:
             assert report.objective == min(watched.accepted), name
             assert report.final_error < report.initial_error, name
             assert np.array_equal(report.final_knots.interior,
-                                  from_y(report.y, entry.a, entry.b).interior)
+                                  from_y(report.point, entry.a, entry.b).interior)
 
     def test_objective_trace_starts_at_initial_point(self, catalog_by_name,
                                                      watched):
         entry = catalog_by_name["logistic1a"]
-        solve(entry.curve, ObjectiveKind.CONCAVE_AREA, 4, a=entry.a, b=entry.b)
-        from knotopt import phi
         start = KnotVector.equally_spaced(entry.a, entry.b, 4)
+        spg_on_area(entry.curve, start)
         assert watched.values[0] == pytest.approx(
             phi(entry.curve, start), rel=1e-13)
 
@@ -297,7 +379,7 @@ class TestValidation:
         with pytest.raises(SolverError, match="at iteration 0") as caught:
             minimize_y(value, grad, y0, SpgConfig())
         assert caught.value.iteration == 0
-        assert np.array_equal(caught.value.y, [0.5, 4.0])
+        assert np.array_equal(caught.value.point, [0.5, 4.0])
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
