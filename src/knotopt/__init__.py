@@ -11,9 +11,9 @@ from .curves import (Curve, CurveCatalogEntry, CurveDomainError, CurveFamily,
                      default_catalog, load_catalog)
 from .harness import ResultRow, emit_plot_data, run_catalog, run_experiment
 from .kkt import KktReport, hessian_phi, kkt_check, prop1_test
-from .objective import ObjectiveKind, YObjective, from_y, phi, to_y
-from .pl import (KnotVector, PLApprox, build_pl, error_concave, error_general,
-                 error_interior_squared, segment_gaps)
+from .objective import YObjective, from_y, phi, to_y
+from .pl import (KnotVector, ObjectiveKind, PLApprox, build_pl, error_concave,
+                 error_general, error_interior_squared, segment_gaps)
 from .quadrature import QuadratureError
 from .spg import (MinimizeResult, SolveReport, SolverError, SpgConfig,
                   Termination, backtrack_step, minimize_y, solve)

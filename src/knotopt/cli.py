@@ -21,12 +21,10 @@ import sys
 
 import numpy as np
 
-from .curves import default_catalog, load_catalog
 from .harness import (DEFAULT_KNOT_COUNTS, FORMATS, emit_plot_data,
-                      run_catalog, run_experiment, write_text)
+                      run_catalog, run_experiment, select, write_text)
 from .kkt import kkt_check, prop1_test
-from .objective import ObjectiveKind
-from .pl import KnotVector
+from .pl import KnotVector, ObjectiveKind
 from .spg import SpgConfig
 
 MEASURE_NAMES = [kind.value for kind in ObjectiveKind]
@@ -48,15 +46,6 @@ def _knot_vector(entry, text: str) -> KnotVector:
     except ValueError as exc:
         raise ValueError(f"bad knot positions {text!r} for "
                          f"[{entry.a:g}, {entry.b:g}]: {exc}") from None
-
-
-def _entry(args):
-    """The catalog entry named by --curves, from --catalog or the bundled one."""
-    catalog = default_catalog() if args.catalog is None else load_catalog(args.catalog)
-    for entry in catalog:
-        if entry.name == args.curves:
-            return entry
-    raise ValueError(f"curve {args.curves!r} not in catalog")
 
 
 def _cmd_run(args) -> int:
@@ -83,7 +72,7 @@ def _write_json(record: dict, out: str | None):
 
 
 def _cmd_solve(args) -> int:
-    entry = _entry(args)
+    [entry] = select(args.catalog, [args.curves])
     row = run_experiment(entry, args.knots, args.measure, SpgConfig(args.seed))
     record = {
         "curve": entry.name, "a": entry.a, "b": entry.b, "n_knots": args.knots,
@@ -98,7 +87,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    entry = _entry(args)
+    [entry] = select(args.catalog, [args.curves])
     knots = _knot_vector(entry, args.knots)
     kind = ObjectiveKind(args.measure)
     report = kkt_check(entry.curve, knots, kind)
@@ -114,7 +103,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    entry = _entry(args)
+    [entry] = select(args.catalog, [args.curves])
     spec = args.knots or str(DEFAULT_KNOT_COUNTS[0])
     if spec.strip().isdecimal():
         row = run_experiment(entry, int(spec), args.measure, SpgConfig(args.seed))
@@ -184,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:     # run_catalog names the curves it lacks
+    except KeyError as exc:     # harness.select names the curves it lacks
         raise SystemExit(f"error: {exc.args[0]}") from None
     except (OSError, ValueError) as exc:
         raise SystemExit(f"error: {exc}") from None

@@ -34,8 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import Curve, CurveCatalogEntry, default_catalog, load_catalog
-from .objective import ObjectiveKind
-from .pl import KnotVector, build_pl
+from .pl import KnotVector, ObjectiveKind, build_pl
 from .spg import SpgConfig, solve
 
 DEFAULT_KNOT_COUNTS = (4, 8)
@@ -82,8 +81,10 @@ def run_experiment(entry: CurveCatalogEntry, n: int, measure: str,
     )
 
 
-def _select(catalog: list[CurveCatalogEntry],
-            names: list[str] | None) -> list[CurveCatalogEntry]:
+def select(catalog_path: str | Path | None,
+           names: list[str] | None) -> list[CurveCatalogEntry]:
+    """Entries ``names`` (all if None) of the catalog file (bundled if None)."""
+    catalog = default_catalog() if catalog_path is None else load_catalog(catalog_path)
     if names is None:
         return catalog
     by_name = {entry.name: entry for entry in catalog}
@@ -114,10 +115,8 @@ def run_catalog(catalog_path: str | Path | None = None,
     if out_path is not None and not Path(out_path).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
                                 str(out_path))
-    catalog = default_catalog() if catalog_path is None else load_catalog(catalog_path)
-    selected = _select(catalog, curves)
     rows = [run_experiment(entry, n, measure, config)
-            for entry in selected for n in knot_counts]
+            for entry in select(catalog_path, curves) for n in knot_counts]
 
     if out_path is not None:
         write_rows(rows, out_path, fmt)

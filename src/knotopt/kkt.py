@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import ObjectiveKind, area_hessian_bands, grad_x
-from .pl import KnotVector
+from .objective import area_hessian_bands, grad_x
+from .pl import KnotVector, ObjectiveKind
 
 #: a segment narrower than this counts as an active (tied) constraint
 COMPLEMENTARITY_TOL = 1e-8

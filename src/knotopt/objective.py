@@ -1,8 +1,8 @@
 """Smooth knot-placement objectives, their gradients, and the y-space map.
 
-Three objective kinds are defined over a knot vector x with fixed endpoints
-x_0 = a, x_{n+1} = b.  Each kind's value is the name of the error measure it
-minimises:
+Three objective kinds (``pl.ObjectiveKind``) are defined over a knot vector
+x with fixed endpoints x_0 = a, x_{n+1} = b.  Each kind's value is the name
+of the error measure it minimises:
 
 * ``CONCAVE_AREA`` ("concave"): phi(x) = -(1/2) * sum_i (x_{i+1} - x_i)
   (f(x_{i+1}) + f(x_i)), the negated trapezoid area.  Because the integral
@@ -13,10 +13,10 @@ minimises:
 * ``INTERIOR_SQUARED`` ("auto"): the same sum over the segments between
   consecutive interior knots only, the harness default.
 
-The squared kinds' values are ``pl.squared_gap_sum``'s sum over their window,
-as their error measures are, so each equals its measure exactly.  Writing a
-gap as I - T, with I the segment integral and T the trapezoid, the partials
-of its square are
+The squared kinds' values are ``pl.squared_gap_sum`` of the gaps in the
+kind's window, the same call their error measures make, so each equals its
+measure by construction.  Writing a gap as I - T, with I the segment
+integral and T the trapezoid, the partials of its square are
 
     d (I - T)^2 / d x_lo = (I - T) * [f(x_hi) - f(x_lo) - f'(x_lo)(x_hi - x_lo)]
     d (I - T)^2 / d x_hi = (I - T) * [f(x_hi) - f(x_lo) - f'(x_hi)(x_hi - x_lo)]
@@ -35,48 +35,15 @@ kind, times the chain-rule factor dx_i/dy_i = (b - a) / (1 + y_i)^2.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
-from . import pl
-from .pl import KnotVector, window_gaps
+from .pl import KnotVector, ObjectiveKind, squared_gap_sum, window_gaps
 
 #: relative width of the guard band below b in which knots may not start
 DELTA_SCALE = 1e-12
 
 #: largest representable y component, image of x = b - DELTA_SCALE * (b - a)
 Y_MAX = 1.0 / DELTA_SCALE - 1.0
-
-
-class ObjectiveKind(Enum):
-    """Which error measure a solve minimises; the value is its measure name.
-
-    Each kind owns the window of segments whose squared gaps it sums (None
-    for the closed-form area objective) and the error measure it reports.
-    """
-
-    CONCAVE_AREA = "concave"
-    GENERAL_SQUARED = "general"
-    INTERIOR_SQUARED = "auto"
-
-    def window(self, n: int) -> tuple[int, int] | None:
-        """Indices lo..hi of the segments scored for n interior knots."""
-        if self is ObjectiveKind.CONCAVE_AREA:
-            return None
-        if self is ObjectiveKind.GENERAL_SQUARED:
-            return 0, n
-        return 1, n - 1
-
-    def error(self, curve, knots: KnotVector) -> float:
-        """This kind's error measure at the given knots."""
-        # looked up by name at call time, so wrappers installed on the pl
-        # functions (such as a tracer's) see every call
-        if self is ObjectiveKind.CONCAVE_AREA:
-            return pl.error_concave(curve, knots)
-        if self is ObjectiveKind.GENERAL_SQUARED:
-            return pl.error_general(curve, knots)
-        return pl.error_interior_squared(curve, knots)
 
 
 # -- x-space objectives ---------------------------------------------------
@@ -186,8 +153,7 @@ class YObjective:
 
     def value(self, y: np.ndarray) -> float:
         _, knots, gaps, fv = self._at(y)
-        # pl.squared_gap_sum's arithmetic: bitwise the kind's error measure
-        return phi(self.curve, knots, fv) if gaps is None else float(np.sum(gaps ** 2))
+        return phi(self.curve, knots, fv) if gaps is None else squared_gap_sum(gaps)
 
     def grad(self, y: np.ndarray) -> np.ndarray:
         y, knots, gaps, fv = self._at(y)

@@ -7,22 +7,24 @@ measure and is skipped during evaluation.
 
 Every error measure sums the signed area gaps that ``window_gaps`` computes
 for a window of segments, from the curve's second derivative in the Peano
-form of the trapezoid error; the objectives in ``knotopt.objective`` use the
-same routine, so a measure and its objective agree to the last bit.
-Three error measures are provided.  ``error_concave`` is the signed area
-between the curve and the interpolant (exact L1 error when the curve is
-concave, where the interpolant under-approximates everywhere).
-``error_general`` squares each segment's signed area gap before summing, so
-it is meaningful without a concavity assumption.  ``error_interior_squared``
-is the squared-gap sum restricted to the segments joining consecutive
-interior knots; this is the quantity reported by the experiment harness (see
-``knotopt.harness``), matching the known reference values for the
-bundled catalog.
+form of the trapezoid error.  Three measures are provided, one per
+``ObjectiveKind``, which also owns the squared kinds' windows.
+``error_concave`` is the signed area between the curve and the interpolant
+(exact L1 error when the curve is concave, where the interpolant
+under-approximates everywhere).  ``error_general`` squares each segment's
+signed area gap before summing, so it is meaningful without a concavity
+assumption.  ``error_interior_squared`` is the squared-gap sum restricted
+to the segments joining consecutive interior knots; this is the quantity
+reported by the experiment harness, matching the known reference values
+for the bundled catalog.  The squared measures and the objectives in
+``knotopt.objective`` share ``squared_gap_sum``, so a measure and its
+objective agree to the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
@@ -64,6 +66,36 @@ class KnotVector:
         return np.concatenate(([self.a], self.interior, [self.b]))
 
 
+class ObjectiveKind(Enum):
+    """Which error measure a solve minimises; the value is its measure name.
+
+    Each kind owns the window of segments whose squared gaps it sums (None
+    for the closed-form area objective) and the error measure it reports.
+    """
+
+    CONCAVE_AREA = "concave"
+    GENERAL_SQUARED = "general"
+    INTERIOR_SQUARED = "auto"
+
+    def window(self, n: int) -> tuple[int, int] | None:
+        """Indices lo..hi of the segments scored for n interior knots."""
+        if self is ObjectiveKind.CONCAVE_AREA:
+            return None
+        if self is ObjectiveKind.GENERAL_SQUARED:
+            return 0, n
+        return 1, n - 1
+
+    def error(self, curve, knots: KnotVector) -> float:
+        """This kind's error measure at the given knots."""
+        # looked up in the module globals at call time, so wrappers
+        # installed on the measures (such as a tracer's) see every call
+        if self is ObjectiveKind.CONCAVE_AREA:
+            return error_concave(curve, knots)
+        if self is ObjectiveKind.GENERAL_SQUARED:
+            return error_general(curve, knots)
+        return error_interior_squared(curve, knots)
+
+
 @dataclass(frozen=True)
 class PLApprox:
     """Piecewise-linear interpolant; callable on scalars or arrays."""
@@ -100,9 +132,9 @@ def window_gaps(curve, xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return gaps
 
 
-def squared_gap_sum(curve, knots: KnotVector, lo: int, hi: int) -> float:
-    """Sum of the squared gaps of segments lo..hi."""
-    return float(np.sum(window_gaps(curve, knots.full(), lo, hi) ** 2))
+def squared_gap_sum(gaps: np.ndarray) -> float:
+    """Sum of the squared gaps: a squared kind's measure and objective value."""
+    return float(np.sum(gaps ** 2))
 
 
 def segment_gaps(curve, knots: KnotVector) -> np.ndarray:
@@ -121,7 +153,8 @@ def error_concave(curve, knots: KnotVector) -> float:
 
 def error_general(curve, knots: KnotVector) -> float:
     """Sum of squared per-segment area gaps over all n + 1 segments."""
-    return squared_gap_sum(curve, knots, 0, knots.n)
+    window = ObjectiveKind.GENERAL_SQUARED.window(knots.n)
+    return squared_gap_sum(window_gaps(curve, knots.full(), *window))
 
 
 def error_interior_squared(curve, knots: KnotVector) -> float:
@@ -131,4 +164,5 @@ def error_interior_squared(curve, knots: KnotVector) -> float:
     interior knots and excludes the two boundary segments touching a and b.
     Zero when n < 2.  This is the error the experiment harness reports.
     """
-    return squared_gap_sum(curve, knots, 1, knots.n - 1)
+    window = ObjectiveKind.INTERIOR_SQUARED.window(knots.n)
+    return squared_gap_sum(window_gaps(curve, knots.full(), *window))

@@ -38,9 +38,9 @@ from enum import Enum
 import numpy as np
 
 from .cone import project
-from .objective import (DELTA_SCALE, ObjectiveKind, YObjective, area_gradient,
+from .objective import (DELTA_SCALE, YObjective, area_gradient,
                         area_hessian_bands, from_y, phi, to_y)
-from .pl import KnotVector
+from .pl import KnotVector, ObjectiveKind
 
 
 class Termination(Enum):
