@@ -117,12 +117,17 @@ class Curve:
         x = np.asarray(x, dtype=float)
         v2, s, d1, d2 = self.v2, self.s, self.d1, self.d2
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # expm1(u) = e - 1 without cancellation at the inflection u = 0
             if self.family is CurveFamily.LOGISTIC:
-                e = np.exp(d1 * x + d2)
-                out = -v2 * d1 * d1 * e * (1.0 - e) * (1.0 + s * e) ** (-1.0 / s - 2.0)
+                u = d1 * x + d2
+                e = np.exp(u)
+                out = v2 * d1 * d1 * e * np.expm1(u) * (1.0 + s * e) ** (-1.0 / s - 2.0)
             elif self.family is CurveFamily.GOMPERTZ:
-                e = np.exp(d1 * x + d2)
-                out = v2 * s * d1 * d1 * e * np.exp(s * e) * (1.0 + s * e)
+                u = d1 * x + d2
+                e = np.exp(u)
+                # 1 + s e vanishes at u = -log(-s); only s = -1 has it at u = 0
+                factor = -np.expm1(u) if s == -1.0 else 1.0 + s * e
+                out = v2 * s * d1 * d1 * e * np.exp(s * e) * factor
             elif self.family is CurveFamily.WEIBULL:
                 w = d1 * x + d2
                 out = (-v2 * s * d1 * d1 * np.exp(-(w ** s)) * w ** (s - 2.0)

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
+import mpmath as mp
 import numpy as np
+
+from knotopt import CurveFamily
 
 
 class QuadraticCurve:
@@ -154,3 +159,42 @@ def sequential_pava_projection(v: np.ndarray) -> np.ndarray:
 def random_feasible_y(rng: np.random.Generator, n: int, scale: float = 2.0) -> np.ndarray:
     """A random point of the cone with comfortably positive components."""
     return np.cumsum(rng.uniform(0.01, scale, size=n))
+
+
+def mp_value(curve, x):
+    """The family formula of ``knotopt.curves`` in mpmath arithmetic."""
+    v1, v2, d1, d2 = (mp.mpf(p) for p in (curve.v1, curve.v2, curve.d1, curve.d2))
+    s = None if curve.s is None else mp.mpf(curve.s)
+    u = d1 * x + d2
+    if curve.family is CurveFamily.LOGISTIC:
+        return v1 + v2 * (1 + s * mp.exp(u)) ** (-1 / s)
+    if curve.family is CurveFamily.GOMPERTZ:
+        return v1 + v2 * mp.exp(s * mp.exp(u))
+    if curve.family is CurveFamily.WEIBULL:
+        return v1 + v2 * mp.exp(-(u ** s))
+    if curve.family is CurveFamily.ARCTAN:
+        return v1 + v2 * mp.atan(u)
+    return v1 + v2 * (d1 * x ** s + d2) ** (1 / s)
+
+
+def f2_zeros(entry) -> list[float]:
+    """The zeros of f'' in [a, b] of a catalog row, from its family's formula.
+
+    With u = d1 x + d2: Logistic and Arctan vanish at u = 0, Gompertz
+    (s < 0) at u = -log(-s), Weibull (s > 1) where s u^s = s - 1 and, for
+    s > 2, at u = 0; Algebraic, for s > 2, at x = 0.
+    """
+    c = entry.curve
+    if c.family is CurveFamily.ALGEBRAIC:
+        xs = [0.0] if c.s > 2 else []
+    else:
+        if c.family in (CurveFamily.LOGISTIC, CurveFamily.ARCTAN):
+            us = [0.0]
+        elif c.family is CurveFamily.GOMPERTZ:
+            us = [-math.log(-c.s)] if c.s < 0 else []
+        else:
+            w = ((c.s - 1.0) / c.s) ** (1.0 / c.s) if c.s > 1 else None
+            us = [] if w is None else [w, -w] if c.s % 2 == 0 else [w]
+            us += [0.0] if c.s > 2 else []
+        xs = [(u - c.d2) / c.d1 for u in us]
+    return sorted(x for x in set(xs) if entry.a <= x <= entry.b)

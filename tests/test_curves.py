@@ -1,14 +1,27 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from knotopt import (Curve, CurveCatalogEntry, CurveDomainError, CurveFamily,
-                     load_catalog)
+                     default_catalog, load_catalog)
 from knotopt.quadrature import integrate_segments
 
-from helpers import central_diff, simpson_integral
+from helpers import central_diff, f2_zeros, mp_value, simpson_integral
+
+EPS = np.finfo(float).eps
+
+#: every (row, zero of f'' in [a, b]) of the bundled catalog
+F2_ZEROS = [(entry, z) for entry in default_catalog() for z in f2_zeros(entry)]
+
+
+def mp_deriv2(curve, x: float) -> float:
+    """f'' at the exact binary value of x, to 60 digits."""
+    with mp.workdps(60):
+        return float(mp.diff(lambda t: mp_value(curve, t), mp.mpf(x), 2))
 
 
 class TestValues:
@@ -57,6 +70,34 @@ class TestDerivatives:
             fd = (entry.curve.deriv1(xs + h) - entry.curve.deriv1(xs - h)) / (2 * h)
             assert_allclose(entry.curve.deriv2(xs), fd, rtol=1e-6, atol=1e-9,
                             err_msg=f"deriv2 mismatch for {entry.name}")
+
+
+class TestNearInflections:
+    """f'' next to its zeros, against an mpmath oracle."""
+
+    @pytest.mark.parametrize("offset", [1e-5, 1e-7, 1e-9])
+    @pytest.mark.parametrize("name", ["logistic1a", "logistic2a", "logistic1b",
+                                      "logistic2b", "gompertz1a", "gompertz1b"])
+    def test_factor_vanishing_at_u_zero_is_exact(self, catalog_by_name, name,
+                                                 offset):
+        # 1 - e and 1 - e^u at u ~ 0 lost all but -log10(offset) digits
+        curve = catalog_by_name[name].curve
+        for x in (offset, -offset):
+            want = mp_deriv2(curve, x)
+            assert abs(curve.deriv2(x) - want) <= 1e-15 * abs(want), x
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.sampled_from(F2_ZEROS), st.floats(-12.0, -3.0), st.booleans())
+    def test_deriv2_matches_oracle_near_every_zero(self, row_zero, exponent,
+                                                   right):
+        entry, z = row_zero
+        d = 10.0 ** exponent * (entry.b - entry.a)
+        x = z + d if (right or z - d < entry.a) and z + d <= entry.b else z - d
+        scale = np.max(np.abs(entry.curve.deriv2(np.linspace(entry.a, entry.b, 401))))
+        want = mp_deriv2(entry.curve, x)
+        # x itself is rounded, so near a zero that no float hits exactly f''
+        # is known only to a few ulps of its scale on the interval
+        assert abs(entry.curve.deriv2(x) - want) <= 1e-14 * abs(want) + 2 * EPS * scale
 
 
 def gap(curve, lo: float, hi: float) -> float:

@@ -13,24 +13,16 @@ from knotopt import (Curve, CurveCatalogEntry, CurveFamily, KnotVector,
 from knotopt.pl import segment_gaps
 from knotopt.quadrature import integrate_segments
 
+from helpers import f2_zeros, mp_value
+
 ORACLE_DPS = 80
 GAP_RTOL = 1e-12
 
-
-def mp_value(curve, x):
-    """The family formula of ``knotopt.curves`` in mpmath arithmetic."""
-    v1, v2, d1, d2 = (mp.mpf(p) for p in (curve.v1, curve.v2, curve.d1, curve.d2))
-    s = None if curve.s is None else mp.mpf(curve.s)
-    u = d1 * x + d2
-    if curve.family is CurveFamily.LOGISTIC:
-        return v1 + v2 * (1 + s * mp.exp(u)) ** (-1 / s)
-    if curve.family is CurveFamily.GOMPERTZ:
-        return v1 + v2 * mp.exp(s * mp.exp(u))
-    if curve.family is CurveFamily.WEIBULL:
-        return v1 + v2 * mp.exp(-(u ** s))
-    if curve.family is CurveFamily.ARCTAN:
-        return v1 + v2 * mp.atan(u)
-    return v1 + v2 * (d1 * x ** s + d2) ** (1 / s)
+#: knots at these offsets from the zero of f'' (at u = 0) of these rows
+NEAR_INFLECTION = ([(name, [d]) for name in ("logistic1a", "logistic2a", "gompertz1a")
+                    for d in (1e-5, 1e-7, 1e-9)]
+                   + [(name, [-1e-7, 1e-7])
+                      for name in ("logistic1b", "logistic2b", "gompertz1b")])
 
 
 def oracle_gaps(curve, xs: np.ndarray) -> np.ndarray:
@@ -100,6 +92,17 @@ class TestOracle:
         for entry in catalog:
             inner = np.sort(rng.uniform(entry.a, entry.b, n))
             assert_matches_oracle(entry.curve, KnotVector(entry.a, entry.b, inner))
+
+    @pytest.mark.parametrize("name, offsets", NEAR_INFLECTION,
+                             ids=[f"{name}@{','.join(f'{d:+g}' for d in offsets)}"
+                                  for name, offsets in NEAR_INFLECTION])
+    def test_knots_next_to_an_inflection(self, catalog_by_name, name, offsets):
+        # f'' of these rows vanishes at u = 0; computed as 1 - e its noise
+        # there kept the short segment's panels from converging
+        entry = catalog_by_name[name]
+        [z] = f2_zeros(entry)
+        assert_matches_oracle(entry.curve,
+                              KnotVector(entry.a, entry.b, z + np.array(offsets)))
 
 
 class TestRule:
