@@ -46,6 +46,9 @@ from .pl import KnotVector, ObjectiveKind
 #: a segment narrower than this counts as an active (tied) constraint
 COMPLEMENTARITY_TOL = 1e-8
 
+#: largest stationarity residual at which ``prop1_test`` gives a verdict
+KKT_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class KktReport:
@@ -104,20 +107,19 @@ def hessian_phi(curve, knots: KnotVector) -> np.ndarray:
     return 2.0 * (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
-def prop1_test(curve, knots: KnotVector,
-               kkt_tol: float = 1e-6) -> tuple[bool, np.ndarray]:
+def prop1_test(curve, knots: KnotVector) -> tuple[bool, np.ndarray]:
     """Sufficient second-order test at a KKT point of the area objective.
 
     Returns (holds, margins) where margins[i] is the slack of the strict
     inequality for index i + 1 (empty when n == 1, in which case the verdict
     is positivity of the single diagonal entry).  Raises if the point fails
-    the first-order check at tolerance ``kkt_tol``.
+    the first-order check at tolerance ``KKT_TOL``.
     """
     report = kkt_check(curve, knots, ObjectiveKind.CONCAVE_AREA)
-    if report.stationarity_residual > kkt_tol:
+    if report.stationarity_residual > KKT_TOL:
         raise ValueError(
             f"not a KKT point: stationarity residual "
-            f"{report.stationarity_residual:.3e} exceeds {kkt_tol:.1e}")
+            f"{report.stationarity_residual:.3e} exceeds {KKT_TOL:.1e}")
 
     n = knots.n
     diag = np.diag(report.hessian)

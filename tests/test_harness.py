@@ -210,8 +210,21 @@ class TestCli:
 
     def test_run_unknown_curve_exits_with_error(self, tmp_path):
         out = tmp_path / "table.csv"
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["run", "--curves", "missing", "--out", str(out)])
+        assert str(exc.value) == "error: curves not in catalog: missing"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--knots", "4"], ["check", "--knots", "0.5"],
+        ["plot-data", "--knots", "4"],
+    ], ids=["solve", "check", "plot-data"])
+    def test_unknown_curve_error_is_the_same_for_every_command(self, argv,
+                                                               tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--curves", "nope", "--out", str(out)])
+        assert str(exc.value) == "error: curves not in catalog: nope"
         assert not out.exists()
 
     def test_solve_prints_json(self, capsys):
