@@ -125,7 +125,8 @@ class Curve:
             elif self.family is CurveFamily.GOMPERTZ:
                 u = d1 * x + d2
                 e = np.exp(u)
-                # 1 + s e vanishes at u = -log(-s); only s = -1 has it at u = 0
+                # 1 + s e vanishes at u = -log(-s), which is u = 0 only for
+                # s = -1; -expm1(u + log(-s)) measured less accurate elsewhere
                 factor = -np.expm1(u) if s == -1.0 else 1.0 + s * e
                 out = v2 * s * d1 * d1 * e * np.exp(s * e) * factor
             elif self.family is CurveFamily.WEIBULL:
