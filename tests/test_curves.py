@@ -80,7 +80,7 @@ class TestNearInflections:
                                       "logistic2b", "gompertz1a", "gompertz1b"])
     def test_factor_vanishing_at_u_zero_is_exact(self, catalog_by_name, name,
                                                  offset):
-        # 1 - e and 1 - e^u at u ~ 0 lost all but -log10(offset) digits
+        # computed as 1 - e, the factor lost -log10(offset) of its 16 digits
         curve = catalog_by_name[name].curve
         for x in (offset, -offset):
             want = mp_deriv2(curve, x)
@@ -92,10 +92,12 @@ class TestNearInflections:
                                                    right):
         entry, z = row_zero
         d = 10.0 ** exponent * (entry.b - entry.a)
-        x = z + d if (right or z - d < entry.a) and z + d <= entry.b else z - d
+        x = z + d if right else z - d
+        if not entry.a <= x <= entry.b:     # a zero at an end of the interval
+            x = 2 * z - x
         scale = np.max(np.abs(entry.curve.deriv2(np.linspace(entry.a, entry.b, 401))))
         want = mp_deriv2(entry.curve, x)
-        # x itself is rounded, so near a zero that no float hits exactly f''
+        # u = d1 x + d2 is rounded, so next to a zero away from u = 0, f''
         # is known only to a few ulps of its scale on the interval
         assert abs(entry.curve.deriv2(x) - want) <= 1e-14 * abs(want) + 2 * EPS * scale
 
