@@ -85,6 +85,19 @@ class TestQuadraticHook:
         assert report.iterations <= 2
         assert_allclose(report.final_knots.interior, [0.5, 1.0, 1.5], atol=1e-8)
 
+    def test_converges_from_skewed_start(self):
+        init = KnotVector(0.0, 2.0, np.array([0.1, 0.2, 0.3]))
+        report = solve(make_hook(), ObjectiveKind.CONCAVE_AREA, 3, init=init)
+        assert report.termination is Termination.STATIONARY
+        assert report.iterations < 200
+        assert np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) < 1e-6
+
+    def test_converges_from_start_near_b(self):
+        init = KnotVector(0.0, 2.0, np.array([1.2, 1.5, 1.7]))
+        report = solve(make_hook(), ObjectiveKind.CONCAVE_AREA, 3, init=init)
+        assert report.termination is Termination.STATIONARY
+        assert np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) < 1e-6
+
     def test_near_endpoint_cluster_is_a_known_trap(self):
         # for SPG's kinds, knots crowded against b map to huge cone
         # coordinates where the substitution's chain factor crushes the
