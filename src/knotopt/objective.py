@@ -39,11 +39,8 @@ import numpy as np
 
 from .pl import KnotVector, ObjectiveKind, squared_gap_sum, window_gaps
 
-#: relative width of the guard band below b in which knots may not start
+#: relative width of the guard band below b that ``to_y`` moves knots out of
 DELTA_SCALE = 1e-12
-
-#: largest representable y component, image of x = b - DELTA_SCALE * (b - a)
-Y_MAX = 1.0 / DELTA_SCALE - 1.0
 
 
 # -- x-space objectives ---------------------------------------------------
@@ -104,20 +101,17 @@ def area_hessian_bands(xs: np.ndarray, fp: np.ndarray,
 def to_y(knots: KnotVector) -> np.ndarray:
     """Map interior knots to cone coordinates y_i = (x_i - a) / (b - x_i).
 
-    Raises ValueError if any knot exceeds b - delta with
-    delta = DELTA_SCALE * (b - a); the map blows up at x = b.
+    The map blows up at x = b, so knots above b - DELTA_SCALE * (b - a) are
+    moved down to that bound first.
     """
-    a, b, xs = knots.a, knots.b, knots.interior
-    delta = DELTA_SCALE * (b - a)
-    if np.any(xs > b - delta):
-        raise ValueError(f"knots must not exceed b - {delta:.3e}")
+    a, b = knots.a, knots.b
+    xs = np.minimum(knots.interior, b - DELTA_SCALE * (b - a))
     return (xs - a) / (b - xs)
 
 
 def from_y(y: np.ndarray, a: float, b: float) -> KnotVector:
-    """Inverse map x_i = b - (b - a) / (1 + y_i); clips y into [0, Y_MAX]."""
-    y = np.clip(np.asarray(y, dtype=float), 0.0, Y_MAX)
-    xs = b - (b - a) / (1.0 + y)
+    """Inverse map x_i = b - (b - a) / (1 + y_i); clips y below at 0."""
+    xs = b - (b - a) / (1.0 + np.maximum(np.asarray(y, dtype=float), 0.0))
     # the floor absorbs b - (b - a) rounding below a; the running maximum
     # orders only y from off the cone, such as finite-difference probes
     xs = np.maximum.accumulate(np.maximum(xs, a))
@@ -137,11 +131,11 @@ class YObjective:
         self.a = float(a)
         self.b = float(b)
         self.kind = kind
-        self._state = None   # (clipped y, knots, gaps, f at knots) of the last y
+        self._state = None   # (y, knots, gaps, f at knots) of the last y
 
     def _at(self, y: np.ndarray):
-        y = np.clip(np.asarray(y, dtype=float), 0.0, Y_MAX)
         if self._state is None or not np.array_equal(self._state[0], y):
+            y = np.array(y, dtype=float)   # a copy: the caller may reuse its array
             knots = from_y(y, self.a, self.b)
             window = self.kind.window(knots.n)
             if window is None:

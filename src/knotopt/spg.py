@@ -38,8 +38,8 @@ from enum import Enum
 import numpy as np
 
 from .cone import project
-from .objective import (DELTA_SCALE, YObjective, area_gradient,
-                        area_hessian_bands, from_y, phi, to_y)
+from .objective import (YObjective, area_gradient, area_hessian_bands,
+                        from_y, phi, to_y)
 from .pl import KnotVector, ObjectiveKind
 
 
@@ -257,7 +257,7 @@ def solve(curve, kind: ObjectiveKind, n: int,
     kinds run ``minimize_y``, which draws from its seed.  The interval comes
     from ``init`` when given, otherwise from ``a``/``b``; bounds given with
     ``init`` must equal its own.  Reported errors use ``kind``'s own error
-    measure; the incumbent guard ensures the reported final error never
+    measure, the initial one at the start as given; the incumbent guard ensures the reported final error never
     exceeds the initial one, so ``final_knots`` is the start when it
     rejects the minimiser's point.
     """
@@ -279,8 +279,6 @@ def solve(curve, kind: ObjectiveKind, n: int,
         result = minimize_x(curve, start)
         final = KnotVector(a, b, result.point)
     else:
-        # clip into the guard band below b, where to_y is defined
-        start = KnotVector(a, b, np.clip(start.interior, a, b - DELTA_SCALE * (b - a)))
         objective = YObjective(curve, a, b, kind)
         result = minimize_y(objective.value, objective.grad, to_y(start), config)
         final = from_y(result.point, a, b)

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from knotopt import (KnotVector, ObjectiveKind, YObjective, error_concave,
                      from_y, phi, to_y)
 from knotopt import objective as objective_module
-from knotopt.objective import Y_MAX, grad_x
+from knotopt.objective import DELTA_SCALE, grad_x
 from knotopt.pl import window_gaps
 
 from helpers import LinearCurve, QuadraticCurve, fd_gradient, simpson_integral
@@ -207,18 +207,34 @@ class TestYTransform:
         assert np.all(np.diff(y) >= 0.0)
 
     def test_domain_guard(self):
-        kv = KnotVector(0.0, 2.0, np.array([2.0]))
-        with pytest.raises(ValueError):
-            to_y(kv)
+        # knots in the guard band below b, b itself included, move to its edge
+        delta = DELTA_SCALE * 2.0
+        edge = to_y(KnotVector(0.0, 2.0, np.array([2.0 - delta])))
+        for x in (2.0 - 0.5 * delta, 2.0):
+            y = to_y(KnotVector(0.0, 2.0, np.array([0.5, x])))
+            assert y[0] == 1.0 / 3.0
+            assert y[1] == edge[0]
 
     def test_cap_round_trips(self):
         # b - x cancels catastrophically at the guard band, so the mapped
         # value only carries a few significant digits at the cap scale
-        delta = 1e-12 * 2.0
+        delta = DELTA_SCALE * 2.0
         kv = KnotVector(0.0, 2.0, np.array([2.0 - delta]))
         y = to_y(kv)
-        assert y[0] == pytest.approx(Y_MAX, rel=1e-3)
+        assert y[0] == pytest.approx(1.0 / DELTA_SCALE - 1.0, rel=1e-3)
         assert from_y(y, 0.0, 2.0).interior[0] <= 2.0 - 0.5 * delta
+
+    def test_value_follows_y_past_the_guard_band(self, catalog_by_name):
+        # y beyond 1 / DELTA_SCALE maps into the guard band below b; the
+        # value still moves there, the way its gradient says
+        entry = catalog_by_name["logistic1b"]
+        y = to_y(KnotVector(entry.a, entry.b, np.array([-1.2, -0.4, 0.4, 1.0])))
+        objective = YObjective(entry.curve, entry.a, entry.b,
+                               ObjectiveKind.GENERAL_SQUARED)
+        near, far = (np.append(y[:3], y_last) for y_last in (2e12, 4e12))
+        rise = objective.value(far) - objective.value(near)
+        assert rise != 0.0
+        assert np.sign(rise) == np.sign(objective.grad(near)[3])
 
     def test_from_y_clips_negative(self):
         kv = from_y(np.array([-0.5, 1.0]), 0.0, 2.0)

@@ -348,6 +348,16 @@ class TestReports:
             assert np.array_equal(report.final_knots.interior,
                                   from_y(report.point, entry.a, entry.b).interior)
 
+    @pytest.mark.parametrize("kind", [ObjectiveKind.GENERAL_SQUARED,
+                                      ObjectiveKind.INTERIOR_SQUARED])
+    def test_initial_error_is_measured_at_the_start_as_given(self, catalog_by_name,
+                                                             kind):
+        # to_y moves the knot at b below it; the reported baseline does not
+        entry = catalog_by_name["logistic1b"]
+        init = KnotVector(entry.a, entry.b, np.array([-1.2, -0.4, 0.4, entry.b]))
+        report = solve(entry.curve, kind, 4, init=init)
+        assert report.initial_error == kind.error(entry.curve, init)
+
     def test_objective_trace_starts_at_initial_point(self, catalog_by_name,
                                                      watched):
         entry = catalog_by_name["logistic1a"]
