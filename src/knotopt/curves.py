@@ -45,7 +45,8 @@ def _finite_or_raise(values, family: CurveFamily, x):
     flat = np.atleast_1d(values)
     if not np.isfinite(flat).all():
         bad = np.atleast_1d(x)[~np.isfinite(flat)]
-        raise CurveDomainError(f"{family.value} formula undefined at x={bad}")
+        raise CurveDomainError(f"{family.value} formula undefined at x={float(bad[0])!r} "
+                               f"({bad.size} of {flat.size} points)")
     return values
 
 
@@ -61,6 +62,10 @@ class Curve:
     d2: float
 
     def __post_init__(self):
+        for name in ("v1", "v2", "s", "d1", "d2"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"parameter {name} must be finite, got {value}")
         if self.family is CurveFamily.ARCTAN:
             if self.s is not None:
                 raise ValueError("Arctan curves take no shape parameter s")
@@ -173,7 +178,7 @@ def load_catalog(path: str | Path) -> list[CurveCatalogEntry]:
 
     Expected columns: name, type, v1, v2, s, d1, d2, concave, a, b.  The
     shape column accepts "-" (or blank) for families without one; the
-    concave column is Y or N, in either case; a and b must be finite.  Names
+    concave column is Y or N, in either case; every number must be finite.  Names
     must be unique.  A row that cannot be read raises ValueError naming the
     file, the line and the row.
     """

@@ -10,10 +10,13 @@ with g the gradient of the chosen objective, together with complementarity
 has all multipliers zero and strictly ordered knots, so when the knots are
 strictly separated the report simply sets lambda = 0 and the stationarity
 residual equals the max-norm of the gradient.  When ties are present the
-multipliers are recovered by a forward substitution sweep through the
-stationarity rows (tied constraints take the value forced by their row,
-separated ones take zero, negatives are clamped) and the residuals report
-how far the rows remain from holding.
+multipliers are recovered by substitution through the stationarity rows
+(tied constraints take the value forced by their row, separated ones take
+zero, negatives are clamped) and the residuals report how far the rows
+remain from holding.  A tied run that starts at a is swept from the
+separated gap after it, leftwards, so that lambda_0 holds a knot pressed
+against a just as lambda_n holds one pressed against b; every other tied
+run is swept rightwards from the separated gap before it.
 
 The gradient comes from ``objective.grad_x``, so every kind,
 the harness's interior window included, can be certified.  ``hessian_phi``
@@ -78,8 +81,17 @@ def kkt_check(curve, knots: KnotVector,
     active = gaps <= COMPLEMENTARITY_TOL
     lam = np.zeros(n + 1)
     if np.any(active):
-        # forward substitution through g_i + lam_i - lam_{i-1} = 0
-        for i in range(1, n + 1):
+        # substitution through g_i + lam_i - lam_{i-1} = 0: leftwards from
+        # the first separated gap through the run tied to a, then rightwards
+        every_gap_tied = bool(np.all(active))
+        lead = n if every_gap_tied else int(np.argmin(active))
+        for i in range(lead, 0, -1):
+            lam[i - 1] = g[i - 1] + lam[i]
+        if every_gap_tied:
+            # no separated gap pins lam_n: shift every multiplier by the
+            # least amount that leaves them all nonnegative
+            lam -= min(0.0, float(lam.min()))
+        for i in range(lead + 1, n + 1):
             if active[i]:
                 lam[i] = lam[i - 1] - g[i - 1]
         np.maximum(lam, 0.0, out=lam)

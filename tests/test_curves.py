@@ -18,10 +18,29 @@ EPS = np.finfo(float).eps
 F2_ZEROS = [(entry, z) for entry in default_catalog() for z in f2_zeros(entry)]
 
 
-def mp_deriv2(curve, x: float) -> float:
-    """f'' at the exact binary value of x, to 60 digits."""
+def mp_deriv(curve, x: float, order: int) -> float:
+    """f (order 0), f' or f'' at the exact binary value of x, to 60 digits."""
     with mp.workdps(60):
-        return float(mp.diff(lambda t: mp_value(curve, t), mp.mpf(x), 2))
+        return float(mp.diff(lambda t: mp_value(curve, t), mp.mpf(x), order))
+
+
+def near_zero(row_zero, exponent: float, right: bool):
+    """A catalog row and a point 10**exponent of its interval from a zero of f''."""
+    entry, z = row_zero
+    d = 10.0 ** exponent * (entry.b - entry.a)
+    x = z + d if right else z - d
+    if not entry.a <= x <= entry.b:     # a zero at an end of the interval
+        x = 2 * z - x
+    return entry, x
+
+
+def assert_matches_oracle(entry, x: float, order: int):
+    method = getattr(entry.curve, ("value", "deriv1", "deriv2")[order])
+    scale = np.max(np.abs(method(np.linspace(entry.a, entry.b, 401))))
+    want = mp_deriv(entry.curve, x, order)
+    # u = d1 x + d2 is rounded, so next to a zero of f'' away from u = 0 the
+    # result is known only to a few ulps of its scale on the interval
+    assert abs(method(x) - want) <= 1e-14 * abs(want) + 2 * EPS * scale
 
 
 class TestValues:
@@ -83,23 +102,21 @@ class TestNearInflections:
         # computed as 1 - e, the factor lost -log10(offset) of its 16 digits
         curve = catalog_by_name[name].curve
         for x in (offset, -offset):
-            want = mp_deriv2(curve, x)
+            want = mp_deriv(curve, x, 2)
             assert abs(curve.deriv2(x) - want) <= 1e-15 * abs(want), x
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(st.sampled_from(F2_ZEROS), st.floats(-12.0, -3.0), st.booleans())
     def test_deriv2_matches_oracle_near_every_zero(self, row_zero, exponent,
                                                    right):
-        entry, z = row_zero
-        d = 10.0 ** exponent * (entry.b - entry.a)
-        x = z + d if right else z - d
-        if not entry.a <= x <= entry.b:     # a zero at an end of the interval
-            x = 2 * z - x
-        scale = np.max(np.abs(entry.curve.deriv2(np.linspace(entry.a, entry.b, 401))))
-        want = mp_deriv2(entry.curve, x)
-        # u = d1 x + d2 is rounded, so next to a zero away from u = 0, f''
-        # is known only to a few ulps of its scale on the interval
-        assert abs(entry.curve.deriv2(x) - want) <= 1e-14 * abs(want) + 2 * EPS * scale
+        assert_matches_oracle(*near_zero(row_zero, exponent, right), 2)
+
+    @pytest.mark.parametrize("order", [0, 1], ids=["value", "deriv1"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.sampled_from(F2_ZEROS), st.floats(-12.0, -3.0), st.booleans())
+    def test_value_and_deriv1_match_oracle_near_every_zero(self, order, row_zero,
+                                                          exponent, right):
+        assert_matches_oracle(*near_zero(row_zero, exponent, right), order)
 
 
 def gap(curve, lo: float, hi: float) -> float:

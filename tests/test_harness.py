@@ -156,6 +156,21 @@ class TestRunCatalog:
         assert good["status"] == "ok"
         assert float(good["spg_error"]) < float(good["orig_error"])
 
+    def test_undefined_curve_error_is_one_line(self, tmp_path):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text(HEADER + OK_ROW + BADW_ROW)
+        out = tmp_path / "rows.csv"
+        assert main(["run", "--catalog", str(catalog), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 2 * 2      # header, 2 rows x n in {4, 8}
+        with open(out, newline="") as fh:
+            statuses = [row["status"] for row in csv.DictReader(fh)
+                        if row["curve_name"] == "badw"]
+        assert len(statuses) == 2
+        for status in statuses:
+            assert status.startswith("error: Weibull formula undefined at x=")
+            assert status.endswith(" points)")
+
 
 class TestEmitPlotData:
     def read_rows(self, path):
@@ -319,8 +334,12 @@ class TestCli:
          "needs finite a and b"),
         (HEADER + OK_ROW + "foo,Logistic,0,1,1,1,0,maybe,0,1\n", 3,
          "concave must be Y or N, got 'maybe'"),
+        (HEADER + OK_ROW + "infv2,Logistic,0,inf,1,-1,0,Y,0,2\n", 3,
+         "parameter v2 must be finite, got inf"),
+        (HEADER + OK_ROW + "nans,Logistic,0,1,nan,-1,0,Y,0,2\n", 3,
+         "parameter s must be finite, got nan"),
     ], ids=["family", "number", "interval", "short-row", "column", "missing-file",
-            "infinite-bound", "concave-flag"])
+            "infinite-bound", "concave-flag", "infinite-parameter", "nan-shape"])
     def test_bad_catalog_exits_with_error(self, text, line, reason, tmp_path):
         catalog = tmp_path / "catalog.csv"
         if text is not None:

@@ -13,6 +13,22 @@ from helpers import QuadraticCurve
 AREA = ObjectiveKind.CONCAVE_AREA
 
 
+class Mirrored:
+    """The curve x -> f(-x), on the mirrored interval."""
+
+    def __init__(self, curve):
+        self.curve = curve
+
+    def value(self, x):
+        return self.curve.value(-np.asarray(x, dtype=float))
+
+    def deriv1(self, x):
+        return -self.curve.deriv1(-np.asarray(x, dtype=float))
+
+    def deriv2(self, x):
+        return self.curve.deriv2(-np.asarray(x, dtype=float))
+
+
 @pytest.fixture(scope="module")
 def logistic1a_solution(catalog_by_name_module):
     entry = catalog_by_name_module["logistic1a"]
@@ -70,6 +86,37 @@ class TestKktCheck:
             report = kkt_check(entry.curve, result.final_knots)
             assert report.stationarity_residual <= 10.0 * eps, name
             assert_allclose(report.lam, 0.0)
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_knot_pressed_against_a_is_held_like_its_twin_at_b(
+            self, catalog_by_name_module, kind):
+        # x -> -x maps weibull1a's knots pressed against b onto knots
+        # pressed against a, with every gradient component negated
+        entry = catalog_by_name_module["weibull1a"]
+        at_b = KnotVector(entry.a, entry.b, np.array([-1.75, -1.5, -1.0, entry.b]))
+        at_a = KnotVector(-entry.b, -entry.a, -at_b.interior[::-1])
+        rows = {}
+        for side, curve, kv in (("b", entry.curve, at_b),
+                                ("a", Mirrored(entry.curve), at_a)):
+            report = kkt_check(curve, kv, kind)
+            g = grad_x(curve, kind, kv)
+            rows[side] = g + report.lam[1:] - report.lam[:-1]
+            assert report.complementarity_residual == 0.0, side
+        g_b = grad_x(entry.curve, kind, at_b)
+        assert g_b[-1] < 0.0          # pushes x_n above b
+        assert rows["b"][-1] == 0.0
+        assert rows["a"][0] == 0.0
+        assert_allclose(rows["a"][1:], -rows["b"][-2::-1], rtol=1e-12)
+
+    def test_every_gap_tied_absorbs_the_gradient(self):
+        # on so short an interval every gap counts as tied; x^2 pushes x_1
+        # below a and x_2 above b, and the multipliers at both ends hold them
+        curve = QuadraticCurve(1e18, 0.0, 0.0)
+        kv = KnotVector(0.0, 1e-9, np.array([0.0, 1e-9]))
+        report = kkt_check(curve, kv)
+        assert_allclose(grad_x(curve, AREA, kv), [0.5, -0.5])
+        assert_allclose(report.lam, [0.5, 0.0, 0.5])
+        assert report.stationarity_residual <= 1e-15
 
     def test_general_kind_uses_squared_gap_gradient(self, catalog_by_name_module):
         entry = catalog_by_name_module["logistic1b"]
