@@ -45,8 +45,8 @@ def _finite_or_raise(values, family: CurveFamily, x):
     flat = np.atleast_1d(values)
     if not np.isfinite(flat).all():
         bad = np.atleast_1d(x)[~np.isfinite(flat)]
-        raise CurveDomainError(f"{family.value} formula undefined at x={float(bad[0])!r} "
-                               f"({bad.size} of {flat.size} points)")
+        raise CurveDomainError(f"{family.value} formula undefined at "
+                               f"x={float(bad[0])!r} ({bad.size} of {flat.size} points)")
     return values
 
 
@@ -178,9 +178,9 @@ def load_catalog(path: str | Path) -> list[CurveCatalogEntry]:
 
     Expected columns: name, type, v1, v2, s, d1, d2, concave, a, b.  The
     shape column accepts "-" (or blank) for families without one; the
-    concave column is Y or N, in either case; every number must be finite.  Names
-    must be unique.  A row that cannot be read raises ValueError naming the
-    file, the line and the row.
+    concave column is Y or N, in either case; every number must be finite.
+    Names must be unique.  A row that cannot be read raises ValueError naming
+    the file, the line and the row.
     """
     entries: list[CurveCatalogEntry] = []
     seen: set[str] = set()

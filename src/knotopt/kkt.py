@@ -13,10 +13,8 @@ residual equals the max-norm of the gradient.  When ties are present the
 multipliers are recovered by substitution through the stationarity rows
 (tied constraints take the value forced by their row, separated ones take
 zero, negatives are clamped) and the residuals report how far the rows
-remain from holding.  A tied run that starts at a is swept from the
-separated gap after it, leftwards, so that lambda_0 holds a knot pressed
-against a just as lambda_n holds one pressed against b; every other tied
-run is swept rightwards from the separated gap before it.
+remain from holding.  A run tied to a is swept leftwards from the separated
+gap after it, so lambda_0 holds x_1 at a as lambda_n holds x_n at b.
 
 The gradient comes from ``objective.grad_x``, so every kind,
 the harness's interior window included, can be certified.  ``hessian_phi``

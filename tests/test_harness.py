@@ -148,28 +148,15 @@ class TestRunCatalog:
         code = main(["run", "--catalog", str(catalog), "--knots", "4",
                      "--out", str(out)])
         assert code == 0
+        assert len(out.read_text().splitlines()) == 3    # the error is one line
         with open(out, newline="") as fh:
             bad, good = csv.DictReader(fh)
-        assert bad["status"].startswith("error: ")
+        assert bad["status"].startswith("error: Weibull formula undefined at x=")
+        assert bad["status"].endswith(" of 360 points)")
         assert bad["termination"] == "Failed"
         assert bad["orig_error"] == bad["spg_error"] == "NAN"
         assert good["status"] == "ok"
         assert float(good["spg_error"]) < float(good["orig_error"])
-
-    def test_undefined_curve_error_is_one_line(self, tmp_path):
-        catalog = tmp_path / "catalog.csv"
-        catalog.write_text(HEADER + OK_ROW + BADW_ROW)
-        out = tmp_path / "rows.csv"
-        assert main(["run", "--catalog", str(catalog), "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 1 + 2 * 2      # header, 2 rows x n in {4, 8}
-        with open(out, newline="") as fh:
-            statuses = [row["status"] for row in csv.DictReader(fh)
-                        if row["curve_name"] == "badw"]
-        assert len(statuses) == 2
-        for status in statuses:
-            assert status.startswith("error: Weibull formula undefined at x=")
-            assert status.endswith(" points)")
 
 
 class TestEmitPlotData:
