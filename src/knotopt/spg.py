@@ -257,9 +257,9 @@ def solve(curve, kind: ObjectiveKind, n: int,
     kinds run ``minimize_y``, which draws from its seed.  The interval comes
     from ``init`` when given, otherwise from ``a``/``b``; bounds given with
     ``init`` must equal its own.  Reported errors use ``kind``'s own error
-    measure, the initial one at the start as given; the incumbent guard ensures the reported final error never
-    exceeds the initial one, so ``final_knots`` is the start when it
-    rejects the minimiser's point.
+    measure, the initial one at the start as given; the incumbent guard
+    ensures the reported final error never exceeds the initial one, so
+    ``final_knots`` is the start when it rejects the minimiser's point.
     """
     if n < 1:
         raise ValueError("need at least one knot")
