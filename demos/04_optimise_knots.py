@@ -1,14 +1,11 @@
-"""Relocating knots with the two solvers.
+"""Relocating knots with the damped Newton solver.
 
-The area objective has a tridiagonal Hessian in the knots, so `solve` runs
-a damped Newton method on it directly in x: each step is one banded solve,
-and a projected arc keeps the knots ordered in [a, b].  It converges in a
-handful of steps and draws no random numbers.  The squared-gap objectives
-go through the substitution y_i = (x_i - a)/(b - x_i), which turns the
-ordering constraints into the monotone nonnegative cone, where projection
-is cheap and exact; the spectral projected gradient solver takes
-Barzilai-Borwein steps there, projects them, and guards acceptance with a
-nonmonotone line search.
+Every objective has a tridiagonal model in the knots: the area objective's
+Hessian, and for the squared-gap objectives the Gauss-Newton matrix of the
+gaps, since each gap depends only on its two end knots.  So `solve` runs a
+damped Newton method directly in x: each step is one banded solve, and a
+projected arc keeps the knots ordered in [a, b].  It converges in a
+handful of steps and draws no random numbers.
 """
 
 from pathlib import Path
@@ -46,9 +43,9 @@ print(f"  knots -> {np.array2string(report.final_knots.interior, precision=7)}"
       f"  ({report.termination.value} after {report.iterations} iterations)")
 
 # catalog experiments score knot vectors with the interior squared-gap
-# metric and optimise that same functional with SPG; SpgConfig's seed (42 by
-# default) is the only source of randomness, so a cell's result is the same
-# here, in `knotopt run` and in `knotopt solve`
+# metric and optimise that same functional with Gauss-Newton steps, which
+# stop once the projected gradient is 1e-10 of its value at the start; a
+# cell's result is the same here, in `knotopt run` and in `knotopt solve`
 entry = catalog["gompertz1a"]
 for n in (4, 8):
     row = run_experiment(entry, n, "auto", SpgConfig(rng_seed=42))
@@ -56,8 +53,8 @@ for n in (4, 8):
           f"optimised {row.spg_error:.3e} ({row.reduction_pct:.1f}% lower, "
           f"{row.iterations} iterations)")
 
-# the area objective on a catalog curve: Newton needs no seed, and it
-# moves knots only slightly because equal spacing is already good for it
+# the area objective on a catalog curve: Newton moves knots only slightly
+# because equal spacing is already good for it
 report = solve(entry.curve, ObjectiveKind.CONCAVE_AREA, 4,
                a=entry.a, b=entry.b)
 print(f"gompertz1a area measure: {report.initial_error:.4e} -> "

@@ -22,7 +22,9 @@ integral and T the trapezoid, the partials of its square are
     d (I - T)^2 / d x_hi = (I - T) * [f(x_hi) - f(x_lo) - f'(x_hi)(x_hi - x_lo)]
 
 Both factors vanish when x_lo = x_hi, so degenerate segments are smooth
-zeros of the objective.
+zeros of the objective.  Halved, the brackets are the partials of the gap
+itself, the two entries per row of the gaps' Jacobian J, from which
+``gauss_newton_bands`` forms the squared kinds' tridiagonal model 2 J^T J.
 
 The substitution y_i = (x_i - a) / (b - x_i), with inverse
 x_i = b - (b - a) / (1 + y_i), maps ordered knots in [a, b) onto the monotone
@@ -57,10 +59,12 @@ def phi(curve, knots: KnotVector, fv: np.ndarray | None = None) -> float:
 
 
 def grad_x(curve, kind: ObjectiveKind, knots: KnotVector,
-           gaps: np.ndarray | None = None,
-           fv: np.ndarray | None = None) -> np.ndarray:
-    """The kind's gradient in the interior knots; uses ``gaps``/``fv`` when given.
+           gaps: np.ndarray | None = None, fv: np.ndarray | None = None,
+           fp: np.ndarray | None = None) -> np.ndarray:
+    """The kind's gradient in the interior knots.
 
+    ``gaps`` (the kind's window gaps), ``fv`` (f at ``knots.full()``) and
+    ``fp`` (f' at the interior knots) spare their evaluation when given.
     For the area kind (phi) component i is
     (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1} - x_{i+1})].
     """
@@ -69,14 +73,40 @@ def grad_x(curve, kind: ObjectiveKind, knots: KnotVector,
     if window is not None and gaps is None:
         gaps = window_gaps(curve, xs, *window)
     fv = np.asarray(curve.value(xs), dtype=float) if fv is None else fv
-    fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
+    fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float) if fp is None else fp
     if window is None:
         return area_gradient(xs, fv, fp)
+    upper, lower = gap_brackets(xs, fv, fp)
+    return gaps[:-1] * upper + gaps[1:] * lower
+
+
+def gap_brackets(xs: np.ndarray, fv: np.ndarray,
+                 fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Twice the partials of the gaps next to each interior knot.
+
+    Interior knot j (breakpoint j + 1 of ``xs``) ends segment j and starts
+    segment j + 1; ``upper[j]`` is twice d gap_j / d x and ``lower[j]`` twice
+    d gap_{j+1} / d x, the bracket factors of the module docstring.
+    """
     h = np.diff(xs)
     df = fv[1:] - fv[:-1]
-    # knot j borders segment j-1 from above and segment j from below
-    return (gaps[:-1] * (df[:-1] - fp * h[:-1])
-            + gaps[1:] * (df[1:] - fp * h[1:]))
+    return df[:-1] - fp * h[:-1], df[1:] - fp * h[1:]
+
+
+def gauss_newton_bands(xs: np.ndarray, fv: np.ndarray, fp: np.ndarray,
+                       window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of 2 J^T J for a squared kind's window.
+
+    J is the Jacobian of the window's gaps in the interior knots.  Each gap
+    depends only on its segment's two end knots, so J has two entries per
+    row, ``gap_brackets`` halved, and 2 J^T J is tridiagonal: the
+    Gauss-Newton model of the squared-gap sum.
+    """
+    upper, lower = gap_brackets(xs, fv, fp)
+    scored = np.zeros(xs.size - 1)
+    scored[window[0]:window[1] + 1] = 1.0
+    return (0.5 * (scored[:-1] * upper ** 2 + scored[1:] * lower ** 2),
+            0.5 * scored[1:-1] * lower[:-1] * upper[1:])
 
 
 def area_gradient(xs: np.ndarray, fv: np.ndarray, fp: np.ndarray) -> np.ndarray:

@@ -60,7 +60,19 @@ _START_WEIGHT = _START_LEFT * ((1.0 - _START_MID)[:, None] - _NODES / _START_PAN
 
 
 class QuadratureError(RuntimeError):
-    """Raised when panel refinement stalls before reaching the error budget."""
+    """Raised at a non-finite integrand value, or when panel refinement
+    stalls before reaching the error budget."""
+
+
+def _sampled(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """func at the nodes x; QuadratureError names the first non-finite sample."""
+    fx = np.asarray(func(x), dtype=float)
+    bad = ~np.isfinite(fx)
+    if bad.any():
+        first = float(x[np.argmax(bad)])
+        raise QuadratureError(f"non-finite integrand at x={first!r} "
+                              f"({np.count_nonzero(bad)} of {x.size} points)")
+    return fx
 
 
 def _panel_sums(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,8 +87,9 @@ def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
 
     With ``func`` = f'' this is the gap of segment j: the integral of f over
     it minus its trapezoid.  Zero-width segments give 0.  Requires 1-d
-    arrays with lo <= hi.  Raises QuadratureError after _MAX_LEVELS levels
-    or when the live panels would pass _MAX_PANELS_PER_SEGMENT per segment.
+    arrays with lo <= hi.  Raises QuadratureError at a non-finite value of
+    ``func``, after _MAX_LEVELS levels, or when the live panels would pass
+    _MAX_PANELS_PER_SEGMENT per segment.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -90,7 +103,7 @@ def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
     # a zero-width segment needs no special case: its h^3 factor is 0
     h = 0.5 * width
     x = lo[:, None] + h[:, None] * _START_LEFT.ravel()
-    g = (np.asarray(func(x.ravel()), dtype=float).reshape(m, _START_PANELS, _NODES.size)
+    g = (_sampled(func, x.ravel()).reshape(m, _START_PANELS, _NODES.size)
          * _START_WEIGHT).reshape(-1, _NODES.size)
     half = 1.0 / _START_PANELS
     est, err, size = _panel_sums(g)
@@ -119,7 +132,7 @@ def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
         left = (1.0 + mid)[:, None] + offset
         x = lo[seg][:, None] + h[seg][:, None] * left
         weight = left * ((1.0 - mid)[:, None] - offset)
-        g = np.asarray(func(x.ravel()), dtype=float).reshape(left.shape) * weight
+        g = _sampled(func, x.ravel()).reshape(left.shape) * weight
         est, err, size = _panel_sums(g)
         done = err <= np.maximum(RTOL * size, floor[seg] / half)
         acc += np.bincount(seg[done], weights=half * est[done], minlength=m)

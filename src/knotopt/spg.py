@@ -1,15 +1,19 @@
-"""The solvers: damped Newton in x for the area kind, SPG in y for the others.
+"""The solvers: damped Newton in x behind ``solve``, and SPG in y.
 
-``minimize_x`` works in the knots.  phi's Hessian is tridiagonal, so each
-model step solves (H + mu I) s = -g by an O(n) LDL^T sweep; the Levenberg
-damping mu grows fourfold until s is a descent direction, tending to the
-steepest-descent step.  Trial points follow the projected arc P(x + t s),
-t = 1, 1/2, ..., with P the exact projection onto the ordered knots in
-[a, b], until an Armijo test holds.  Newton draws no random numbers.
+``minimize_x`` works in the knots, for every kind.  Its model is
+tridiagonal: phi's Hessian for the area kind, and for a squared kind the
+Gauss-Newton matrix 2 J^T J of its window's gaps, as each gap depends only
+on its segment's two end knots.  Each model step solves (H + mu I) s = -g
+by an O(n) LDL^T sweep; the Levenberg damping mu grows fourfold until s is
+a descent direction, tending to the steepest-descent step.  Trial points
+follow the projected arc P(x + t s), t = 1, 1/2, ..., with P the exact
+projection onto the ordered knots in [a, b], until an Armijo test holds.
+Newton draws no random numbers.  ``solve`` runs it for every kind.
 
 ``minimize_y`` is the spectral projected gradient (SPG) method over the
 monotone nonnegative cone that y_i = (x_i - a)/(b - x_i) maps the knots
-onto.  Each iteration projects a Barzilai-Borwein-scaled gradient step,
+onto, for callers that pass it an objective in y such as ``YObjective``.
+Each iteration projects a Barzilai-Borwein-scaled gradient step,
 p_k = P(y_k - alpha_bar g_k), takes d_k = p_k - y_k, then runs a
 nonmonotone line search against the largest of the last HISTORY + 1 values:
 
@@ -21,11 +25,13 @@ first trial point is p_k and a backtracked one is (1 - alpha) y_k + alpha p_k:
 nonnegative multiples of ordered nonnegative vectors, summed with monotone
 IEEE rounding, so it is in the cone exactly and needs no second projection.
 
-Each stops as stationary (``NEWTON_TOL`` on |P(x - g) - x|, ``EPS`` on
-|d_k|), with no improvement (the step underflows, or SPG's best value stalls
-for ``STALL_ITERS`` iterations) or at its iteration limit.  Each returns its
-best point (Newton's is its last, as it descends up to phi's rounding), the
-value there, the iteration count and the reason to stop.
+Each stops as stationary (on |P(x - g) - x|: ``NEWTON_TOL`` times
+max(1, max |f|) for the area kind, ``SQUARED_RTOL`` times its value at the
+start for a squared kind; ``EPS`` on |d_k| for SPG), with no improvement
+(the step underflows, or SPG's best value stalls for ``STALL_ITERS``
+iterations) or at its iteration limit.  Each returns its best point
+(Newton's is its last, as it descends up to phi's rounding), the value
+there, the iteration count and the reason to stop.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ from enum import Enum
 import numpy as np
 
 from .cone import project
-from .objective import (YObjective, area_gradient, area_hessian_bands,
-                        from_y, phi, to_y)
-from .pl import KnotVector, ObjectiveKind
+from .objective import (area_gradient, area_hessian_bands, gauss_newton_bands,
+                        grad_x, phi)
+from .pl import KnotVector, ObjectiveKind, squared_gap_sum, window_gaps
 
 
 class Termination(Enum):
@@ -75,6 +81,7 @@ STALL_ITERS = 25            # consecutive stalled iterations allowed
 MAX_ITER = 1000
 _ALPHA_FLOOR = 1e-16
 NEWTON_TOL = 1e-13          # stationarity bound, relative to max(1, max |f|)
+SQUARED_RTOL = 1e-10        # squared kinds: bound relative to the start's residual
 PHI_ROUNDING = 8 * np.finfo(float).eps   # Armijo allowance, relative
 NEWTON_MAX_ITER = 200
 
@@ -194,9 +201,11 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
     return np.array(z)
 
 
-def minimize_x(curve, start: KnotVector) -> MinimizeResult:
-    """Minimise the area objective over {a <= x_1 <= ... <= x_n <= b}."""
+def minimize_x(curve, start: KnotVector,
+               kind: ObjectiveKind = ObjectiveKind.CONCAVE_AREA) -> MinimizeResult:
+    """Minimise the kind's objective over {a <= x_1 <= ... <= x_n <= b}."""
     a, b = start.a, start.b
+    window = kind.window(start.n)
 
     def onto_knots(v):
         # exact projection onto the ordered knots in [a, b]; monotone rounding
@@ -204,41 +213,58 @@ def minimize_x(curve, start: KnotVector) -> MinimizeResult:
         return np.minimum(project(v - a) + a, b)
 
     def evaluate(knots, k):
-        fv = _checked(np.asarray(curve.value(knots.full()), dtype=float),
+        xs = knots.full()
+        gaps = None if window is None else window_gaps(curve, xs, *window)
+        fv = _checked(np.asarray(curve.value(xs), dtype=float),
                       k, knots.interior, "curve value")
-        return knots, fv, phi(curve, knots, fv)
+        if gaps is None:
+            return knots, fv, None, phi(curve, knots, fv)
+        f = _checked(squared_gap_sum(gaps), k, knots.interior, "objective")
+        return knots, fv, gaps, f
 
-    knots, fv, f = evaluate(start, 0)
-    mu = 0.0
+    knots, fv, gaps, f = evaluate(start, 0)
+    mu, tol, noise = 0.0, None, 0.0
     for k in range(NEWTON_MAX_ITER):
         x, xs = knots.interior, knots.full()
         fp = _checked(np.asarray(curve.deriv1(x), dtype=float), k, x, "derivative")
-        fpp = _checked(np.asarray(curve.deriv2(x), dtype=float), k, x, "curvature")
-        g = area_gradient(xs, fv, fp)
-        f_scale = float(np.max(np.abs(fv)))
-        if np.max(np.abs(onto_knots(x - g) - x)) <= NEWTON_TOL * max(1.0, f_scale):
+        # grad_x's area branch, called directly to spare its lookups per step
+        g = (area_gradient(xs, fv, fp) if window is None
+             else grad_x(curve, kind, knots, gaps, fv, fp))
+        residual = np.max(np.abs(onto_knots(x - g) - x))
+        if window is None:
+            f_scale = float(np.max(np.abs(fv)))
+            tol = NEWTON_TOL * max(1.0, f_scale)
+            # phi sums terms bounded by (b - a) max |f|; a rise within a few
+            # roundings of that is noise, which would stall Newton near the optimum
+            noise = PHI_ROUNDING * (b - a) * f_scale
+        elif tol is None:
+            # a squared kind's scale is its start's: `auto` has infimum 0,
+            # which an absolute bound would chase by collapsing the knots
+            tol = SQUARED_RTOL * residual
+        if residual <= tol:
             return MinimizeResult(x, f, k, Termination.STATIONARY)
 
-        diag, off = area_hessian_bands(xs, fp, fpp)
+        if window is None:
+            fpp = _checked(np.asarray(curve.deriv2(x), dtype=float), k, x, "curvature")
+            diag, off = area_hessian_bands(xs, fp, fpp)
+        else:
+            diag, off = gauss_newton_bands(xs, fv, fp, window)
         h_scale = float(np.max(np.abs(diag))) or 1.0
         while (s := _solve_tridiagonal(diag + mu, off, -g)) is None or g @ s >= 0.0:
             mu = max(4.0 * mu, 1e-10 * h_scale)
 
-        # phi sums terms bounded by (b - a) max |f|; a rise within a few
-        # roundings of that is noise, which would stall Newton near the optimum
-        noise = PHI_ROUNDING * (b - a) * f_scale
         t = 1.0
         while True:
             trial = onto_knots(x + t * s)
             slope = float(g @ (trial - x))
             if slope < 0.0:
                 new = evaluate(KnotVector(a, b, trial), k)
-                if new[2] <= f + NU * slope + noise:
+                if new[3] <= f + NU * slope + noise:
                     break
             t *= 0.5
             if t < _ALPHA_FLOOR:
                 return MinimizeResult(x, f, k, Termination.NO_IMPROVEMENT)
-        knots, fv, f = new
+        knots, fv, gaps, f = new
         if t < 1.0:
             mu = max(4.0 * mu, 1e-6 * h_scale)
         elif (mu := mu / 4.0) < 1e-10 * h_scale:
@@ -253,8 +279,8 @@ def solve(curve, kind: ObjectiveKind, n: int,
           a: float | None = None, b: float | None = None) -> SolveReport:
     """Place n knots minimising the chosen objective over [a, b].
 
-    The area kind runs ``minimize_x``, which ignores ``config``; the squared
-    kinds run ``minimize_y``, which draws from its seed.  The interval comes
+    Every kind runs ``minimize_x``, which draws no random numbers, so
+    ``config`` (SPG's seed) has no effect here.  The interval comes
     from ``init`` when given, otherwise from ``a``/``b``; bounds given with
     ``init`` must equal its own.  Reported errors use ``kind``'s own error
     measure, the initial one at the start as given; the incumbent guard
@@ -275,14 +301,8 @@ def solve(curve, kind: ObjectiveKind, n: int,
     else:
         start = KnotVector.equally_spaced(a, b, n)
 
-    if kind is ObjectiveKind.CONCAVE_AREA:
-        result = minimize_x(curve, start)
-        final = KnotVector(a, b, result.point)
-    else:
-        objective = YObjective(curve, a, b, kind)
-        result = minimize_y(objective.value, objective.grad, to_y(start), config)
-        final = from_y(result.point, a, b)
-
+    result = minimize_x(curve, start, kind)
+    final = KnotVector(a, b, result.point)
     initial_error = kind.error(curve, start)
     final_error = kind.error(curve, final)
     if final_error > initial_error:   # incumbent guard on the reported measure

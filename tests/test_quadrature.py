@@ -9,11 +9,12 @@ from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from knotopt import (Curve, CurveCatalogEntry, CurveFamily, KnotVector,
-                     QuadratureError, harness, quadrature, run_catalog)
+                     QuadratureError, error_general, harness, quadrature,
+                     run_catalog)
 from knotopt.pl import segment_gaps
 from knotopt.quadrature import integrate_segments
 
-from helpers import f2_zeros, mp_value
+from helpers import QuadraticCurve, f2_zeros, mp_value
 
 ORACLE_DPS = 80
 GAP_RTOL = 1e-12
@@ -171,3 +172,28 @@ class TestBoundedBisection:
         assert np.isnan(bad_row.orig_error)
         assert good_row.status == "ok"
         assert good_row.spg_error < good_row.orig_error
+
+
+class HoledCurve(QuadraticCurve):
+    """-x^2 + 4 whose f'' is ``bad`` above x = 1.2."""
+
+    def __init__(self, bad: float):
+        super().__init__(-1.0, 0.0, 4.0)
+        self.bad = bad
+
+    def deriv2(self, x):
+        return np.where(np.asarray(x) > 1.2, self.bad, super().deriv2(x))
+
+
+class TestNonFiniteIntegrand:
+    # NaN used to bisect up to the panel cap and inf to warn in the panel sums
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_the_first_non_finite_x(self, bad):
+        knots = KnotVector.equally_spaced(0.0, 2.0, 3)
+        with pytest.raises(QuadratureError, match="non-finite integrand") as caught:
+            error_general(HoledCurve(bad), knots)
+        message = str(caught.value)
+        first = float(message.split("x=")[1].split()[0])
+        nodes = np.linspace(0.0, 2.0, 5)
+        assert 1.2 < first < 1.2 + (nodes[1] - nodes[0]) / quadrature._START_PANELS
+        assert message.endswith(" of 480 points)")

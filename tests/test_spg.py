@@ -12,20 +12,29 @@ from knotopt import (KnotVector, MinimizeResult, ObjectiveKind, SolverError,
                      default_catalog, error_concave, from_y, kkt_check,
                      minimize_y, phi, solve, to_y)
 from knotopt import spg
+from knotopt.objective import gauss_newton_bands, grad_x
+from knotopt.pl import window_gaps
 
 from helpers import QuadraticCurve
 
 AREA = ObjectiveKind.CONCAVE_AREA
+GENERAL = ObjectiveKind.GENERAL_SQUARED
+SQUARED = [GENERAL, ObjectiveKind.INTERIOR_SQUARED]
 
 
 def make_hook():
     return QuadraticCurve(-1.0, 0.0, 4.0)  # -x^2 + 4, optimum is even spacing
 
 
-def spg_on_area(curve, knots: KnotVector):
-    """SPG on the area objective, which ``solve`` hands to Newton instead."""
-    objective = YObjective(curve, knots.a, knots.b, AREA)
-    return minimize_y(objective.value, objective.grad, to_y(knots), SpgConfig())
+def spg_in_y(curve, knots: KnotVector, kind: ObjectiveKind = AREA,
+             config: SpgConfig = SpgConfig()):
+    """SPG on the kind's objective in y; ``solve`` runs Newton in x instead."""
+    objective = YObjective(curve, knots.a, knots.b, kind)
+    return minimize_y(objective.value, objective.grad, to_y(knots), config)
+
+
+def equal_start(entry, n: int = 4) -> KnotVector:
+    return KnotVector.equally_spaced(entry.a, entry.b, n)
 
 
 @pytest.fixture
@@ -99,17 +108,17 @@ class TestQuadraticHook:
         assert np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) < 1e-6
 
     def test_near_endpoint_cluster_is_a_known_trap(self):
-        # for SPG's kinds, knots crowded against b map to huge cone
+        # for SPG in y, knots crowded against b map to huge cone
         # coordinates where the substitution's chain factor crushes the
         # gradient, so the solver can stop at a point that is stationary in y
         # but not in x; the first-order diagnostic exposes such points
-        kind = ObjectiveKind.GENERAL_SQUARED   # even spacing is its optimum too
+        kind = GENERAL   # even spacing is its optimum too
         init = KnotVector(0.0, 2.0, np.array([1.7, 1.8, 1.9]))
-        report = solve(make_hook(), kind, 3, init=init)
-        assert report.final_error <= report.initial_error + 1e-12
-        if np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) > 1e-6:
-            residual = kkt_check(make_hook(), report.final_knots,
-                                 kind).stationarity_residual
+        reached = from_y(spg_in_y(make_hook(), init, kind).point, 0.0, 2.0)
+        assert kind.error(make_hook(), reached) \
+            <= kind.error(make_hook(), init) + 1e-12
+        if np.max(np.abs(reached.interior - [0.5, 1.0, 1.5])) > 1e-6:
+            residual = kkt_check(make_hook(), reached, kind).stationarity_residual
             assert residual > 1e-3
 
 
@@ -171,9 +180,93 @@ class TestNewton:
             for n in (4, 8):
                 start = KnotVector.equally_spaced(entry.a, entry.b, n)
                 newton = solve(entry.curve, AREA, n, init=start).final_error
-                reached = from_y(spg_on_area(entry.curve, start).point,
+                reached = from_y(spg_in_y(entry.curve, start).point,
                                  entry.a, entry.b)
                 assert newton <= error_concave(entry.curve, reached), (entry.name, n)
+
+
+class TestGaussNewton:
+    """The squared kinds in x: Gauss-Newton on the gaps of the kind's window."""
+
+    @pytest.mark.parametrize("kind", SQUARED, ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("name", ["logistic1a", "gompertz2b", "weibull2b",
+                                      "arctan3b"])
+    def test_bands_are_two_jtj_of_the_gap_jacobian(self, catalog_by_name,
+                                                   name, kind):
+        entry, n = catalog_by_name[name], 5
+        width = (entry.b - entry.a) / (n + 1)
+        xs = equal_start(entry, n).full()
+        xs[1:-1] += np.random.default_rng(3).uniform(-0.3, 0.3, n) * width
+        window = kind.window(n)
+        diag, off = gauss_newton_bands(xs, entry.curve.value(xs),
+                                       entry.curve.deriv1(xs[1:-1]), window)
+
+        step = 1e-6 * width
+        jac = np.empty((n + 1, n))
+        for i in range(n):
+            up, down = xs.copy(), xs.copy()
+            up[i + 1] += step
+            down[i + 1] -= step
+            jac[:, i] = (window_gaps(entry.curve, up, *window)
+                         - window_gaps(entry.curve, down, *window)) / (2 * step)
+        want = 2.0 * jac.T @ jac
+        bands = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert_allclose(bands, want, rtol=0, atol=1e-6 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("kind", SQUARED, ids=lambda kind: kind.value)
+    def test_gradient_is_grad_x_bit_for_bit(self, catalog_by_name, monkeypatch,
+                                            kind):
+        # the loop hands grad_x the gaps, f and f' it already has; each must
+        # be the one at the knots it asks about
+        entry, seen = catalog_by_name["gompertz1b"], []
+
+        def recording(curve, kind, knots, *cached):
+            seen.append((knots, grad_x(curve, kind, knots, *cached)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(spg, "grad_x", recording)
+        report = solve(entry.curve, kind, 4, a=entry.a, b=entry.b)
+        assert len(seen) == report.iterations + 1
+        for knots, g in seen:
+            assert g.tobytes() == grad_x(entry.curve, kind, knots).tobytes()
+
+    def test_catalog_auto_cells_end_stationary(self, catalog):
+        for entry in catalog:
+            for n in (4, 8):
+                report = solve(entry.curve, ObjectiveKind.INTERIOR_SQUARED, n,
+                               a=entry.a, b=entry.b)
+                assert report.termination is Termination.STATIONARY, (entry.name, n)
+                assert report.final_error <= report.initial_error, (entry.name, n)
+                assert report.objective == report.final_error, (entry.name, n)
+
+    @pytest.mark.parametrize("kind", SQUARED, ids=lambda kind: kind.value)
+    def test_two_solves_are_byte_identical(self, catalog_by_name, kind):
+        entry = catalog_by_name["weibull2b"]
+        runs = [solve(entry.curve, kind, 8, a=entry.a, b=entry.b) for _ in range(2)]
+        keys = [(r.point.tobytes(), r.objective, r.iterations, r.termination,
+                 r.final_error) for r in runs]
+        assert keys[0] == keys[1]
+
+    def test_degenerate_cases_stop_at_once(self, catalog):
+        # the hook's midpoint is stationary for the general kind by symmetry
+        report = solve(make_hook(), GENERAL, 1, a=0.0, b=2.0)
+        assert report.termination is Termination.STATIONARY
+        assert report.iterations == 0
+        for entry in catalog:
+            # one knot leaves `auto` no interior segment, so no error
+            report = solve(entry.curve, ObjectiveKind.INTERIOR_SQUARED, 1,
+                           a=entry.a, b=entry.b)
+            assert report.termination is Termination.STATIONARY, entry.name
+            assert (report.iterations, report.final_error) == (0, 0.0), entry.name
+            report = solve(entry.curve, GENERAL, 1, a=entry.a, b=entry.b)
+            assert report.final_error <= report.initial_error, entry.name
+
+    def test_right_cluster_is_no_trap_in_x(self):
+        # the start that traps SPG in y (TestQuadraticHook)
+        init = KnotVector(0.0, 2.0, np.array([1.7, 1.8, 1.9]))
+        report = solve(make_hook(), GENERAL, 3, init=init)
+        assert report.termination is Termination.STATIONARY
+        assert np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) < 1e-6
 
 
 class TestBacktrackStep:
@@ -195,10 +288,10 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             watched.values.clear()
-            report = solve(entry.curve, ObjectiveKind.GENERAL_SQUARED, 4,
-                           a=entry.a, b=entry.b, config=SpgConfig(rng_seed=7))
-            runs.append((report.point.tobytes(), report.iterations,
-                         report.termination, list(watched.values)))
+            result = spg_in_y(entry.curve, equal_start(entry), GENERAL,
+                              SpgConfig(rng_seed=7))
+            runs.append((result.point.tobytes(), result.iterations,
+                         result.termination, list(watched.values)))
         assert runs[0] == runs[1]
 
 
@@ -208,8 +301,7 @@ class TestLineSearchContract:
         # nonmonotone Armijo along a descent direction: every accepted value
         # is strictly below the largest of the HISTORY + 1 accepted before it
         entry = catalog_by_name["logistic2a"]
-        solve(entry.curve, ObjectiveKind.GENERAL_SQUARED, 4,
-              a=entry.a, b=entry.b)
+        spg_in_y(entry.curve, equal_start(entry), GENERAL)
         accepted = watched.accepted
         assert len(accepted) > 10
         for k in range(1, len(accepted)):
@@ -238,7 +330,7 @@ class TestLineSearchContract:
                                                    watched):
         entry = catalog_by_name["logistic1a"]
         for kind in ObjectiveKind:
-            solve(entry.curve, kind, 4, a=entry.a, b=entry.b)
+            spg_in_y(entry.curve, equal_start(entry), kind)
         assert len(watched.points) > 10
         for y, last in zip(watched.points, watched.last_valued, strict=True):
             assert y.tobytes() == last.tobytes()
@@ -246,15 +338,11 @@ class TestLineSearchContract:
     def test_one_projection_per_iteration(self, catalog_by_name, counted):
         # one at the start and one per iteration, the last of which may stop
         for name, kind in (("logistic1a", AREA),
-                           ("logistic2a", ObjectiveKind.GENERAL_SQUARED),
+                           ("logistic2a", GENERAL),
                            ("gompertz1b", ObjectiveKind.INTERIOR_SQUARED)):
             entry = catalog_by_name[name]
-            start = KnotVector.equally_spaced(entry.a, entry.b, 4)
             counted.clear()
-            if kind is AREA:
-                report = spg_on_area(entry.curve, start)
-            else:
-                report = solve(entry.curve, kind, 4, init=start)
+            report = spg_in_y(entry.curve, equal_start(entry), kind)
             assert report.iterations > 10, name
             assert counted["project"] <= report.iterations + 2, name
 
@@ -263,8 +351,7 @@ class TestTermination:
     def test_max_iter(self, catalog_by_name, monkeypatch):
         entry = catalog_by_name["gompertz1b"]
         monkeypatch.setattr(spg, "MAX_ITER", 3)
-        report = solve(entry.curve, ObjectiveKind.GENERAL_SQUARED, 4,
-                       a=entry.a, b=entry.b)
+        report = spg_in_y(entry.curve, equal_start(entry), GENERAL)
         assert report.termination is Termination.MAX_ITER
         assert report.iterations == 3
 
@@ -273,8 +360,7 @@ class TestTermination:
         monkeypatch.setattr(spg, "IMPROVEMENT_TOL", 1e30)
         monkeypatch.setattr(spg, "STALL_ITERS", 5)
         monkeypatch.setattr(spg, "MAX_ITER", 100)
-        report = spg_on_area(entry.curve,
-                             KnotVector.equally_spaced(entry.a, entry.b, 4))
+        report = spg_in_y(entry.curve, equal_start(entry))
         assert report.termination is Termination.NO_IMPROVEMENT
         assert report.iterations == 5
 
@@ -296,19 +382,23 @@ class TestTermination:
             return projections[-1]
 
         monkeypatch.setattr(spg, "project", watched_project)
-        report = spg_on_area(make_hook(),
-                             KnotVector(0.0, 2.0, np.array([0.4, 1.0, 1.6])))
+        report = spg_in_y(make_hook(),
+                          KnotVector(0.0, 2.0, np.array([0.4, 1.0, 1.6])))
         assert report.termination is Termination.STATIONARY
         assert np.linalg.norm(projections[-1] - watched.points[-1]) <= spg.EPS
 
 
 class TestReports:
     def test_incumbent_guard(self, catalog, monkeypatch):
+        # SPG returns its best point, so a cut-short run is no worse than
+        # its start in the measure, up to the round trip through y
         monkeypatch.setattr(spg, "MAX_ITER", 40)
         for entry in catalog[:6]:
-            report = solve(entry.curve, ObjectiveKind.GENERAL_SQUARED, 4,
-                           a=entry.a, b=entry.b)
-            assert report.final_error <= report.initial_error + 1e-12
+            start = equal_start(entry)
+            result = spg_in_y(entry.curve, start, GENERAL)
+            final_error = GENERAL.error(entry.curve,
+                                        from_y(result.point, entry.a, entry.b))
+            assert final_error <= GENERAL.error(entry.curve, start) + 1e-12
 
     def test_final_knots_sorted_and_strictly_increasing(self, catalog_by_name):
         # strictly concave rows: interior optima keep all knots separated
@@ -339,20 +429,24 @@ class TestReports:
         # logistic1a's last accepted value is not its best: nonmonotone steps
         for name in ("logistic2a", "logistic1a"):
             entry = catalog_by_name[name]
+            start = equal_start(entry)
             watched.accepted.clear()
-            report = solve(entry.curve, ObjectiveKind.GENERAL_SQUARED, 4,
-                           a=entry.a, b=entry.b)
+            result = spg_in_y(entry.curve, start, GENERAL)
+            assert isinstance(result, MinimizeResult)
+            assert result.objective == min(watched.accepted), name
+            reached = from_y(result.point, entry.a, entry.b)
+            assert GENERAL.error(entry.curve, reached) \
+                < GENERAL.error(entry.curve, start), name
+            report = solve(entry.curve, GENERAL, 4, init=start)
             assert isinstance(report, MinimizeResult)
-            assert report.objective == min(watched.accepted), name
             assert report.final_error < report.initial_error, name
-            assert np.array_equal(report.final_knots.interior,
-                                  from_y(report.point, entry.a, entry.b).interior)
+            assert np.array_equal(report.final_knots.interior, report.point)
 
     @pytest.mark.parametrize("kind", [ObjectiveKind.GENERAL_SQUARED,
                                       ObjectiveKind.INTERIOR_SQUARED])
     def test_initial_error_is_measured_at_the_start_as_given(self, catalog_by_name,
                                                              kind):
-        # to_y moves the knot at b below it; the reported baseline does not
+        # the start keeps its knot at b: the reported baseline is its error
         entry = catalog_by_name["logistic1b"]
         init = KnotVector(entry.a, entry.b, np.array([-1.2, -0.4, 0.4, entry.b]))
         report = solve(entry.curve, kind, 4, init=init)
@@ -361,8 +455,8 @@ class TestReports:
     def test_objective_trace_starts_at_initial_point(self, catalog_by_name,
                                                      watched):
         entry = catalog_by_name["logistic1a"]
-        start = KnotVector.equally_spaced(entry.a, entry.b, 4)
-        spg_on_area(entry.curve, start)
+        start = equal_start(entry)
+        spg_in_y(entry.curve, start)
         assert watched.values[0] == pytest.approx(
             phi(entry.curve, start), rel=1e-13)
 
