@@ -2,8 +2,9 @@
 
 The package builds piecewise-linear interpolants of smooth increasing
 univariate curves, measures their approximation error, and relocates the
-interior knots: by damped Newton in x for the area objective, and by spectral
-projected gradient over the cone reached through y_i = (x_i - a)/(b - x_i).
+interior knots by damped Newton in x.  The spectral projected gradient
+method over the cone reached through y_i = (x_i - a)/(b - x_i) is kept
+beside it as ``minimize_y``.
 """
 
 from .cone import project

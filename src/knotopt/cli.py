@@ -6,8 +6,9 @@ Subcommands:
   check      first-order optimality diagnostic at given knot positions
   plot-data  sample a curve and its interpolant to CSV for plotting
 
-The solvers' one setting is SPG's seed, --seed (default 42); the Newton
-solver of --measure concave draws no random numbers.  Bad input from
+--seed (default 42) is SPG's seed.  Every measure is solved by damped
+Newton in x, which draws no random numbers, so it does not change the
+output; it is still checked like any other input.  Bad input from
 outside the program (the seed, knot counts or positions, the catalog file,
 the --out path) exits from ``main`` with an ``error: ...`` message instead of
 a traceback.  Every --out file is written whole or not at all.

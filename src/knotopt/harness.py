@@ -15,10 +15,10 @@ squared-gap objectives.  A cell that fails (for example because the curve is
 undefined on its interval) gives a row with NaN errors and an ``error: ...``
 status, and the run goes on.
 
-Each cell's solve draws from the config's seed alone, so a row is the same
-whatever else the run holds.  Rows are assembled in catalog order and all
-floating-point output is formatted explicitly, so two runs with the same
-seed produce byte-identical files.
+Each cell's solve is damped Newton in x, which draws no random numbers and
+reads nothing from the config, so a row is the same whatever else the run
+holds.  Rows are assembled in catalog order and all floating-point output
+is formatted explicitly, so two runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -105,9 +105,10 @@ def run_catalog(catalog_path: str | Path | None = None,
 
     With an output path the table is written as CSV or JSON; the file only
     appears once the whole run has finished, and a path whose directory is
-    missing fails before the first cell.  Each cell's solve draws from
-    ``config.rng_seed`` alone, so a row does not depend on which other
-    curves and knot counts are selected, or on their order.
+    missing fails before the first cell.  A cell's solve draws no random
+    numbers, so a row does not depend on which other curves and knot
+    counts are selected, or on their order; ``config`` (SPG's seed) is
+    passed on to ``solve``, which does not read it.
     """
     # a bad measure, format or output directory fails before any work
     ObjectiveKind(measure)

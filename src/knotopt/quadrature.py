@@ -60,8 +60,7 @@ _START_WEIGHT = _START_LEFT * ((1.0 - _START_MID)[:, None] - _NODES / _START_PAN
 
 
 class QuadratureError(RuntimeError):
-    """Raised at a non-finite integrand value, or when panel refinement
-    stalls before reaching the error budget."""
+    """Raised at a non-finite integrand value or a stalled panel refinement."""
 
 
 def _sampled(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
