@@ -75,7 +75,7 @@ def grad_x(curve, kind: ObjectiveKind, knots: KnotVector,
     fv = np.asarray(curve.value(xs), dtype=float) if fv is None else fv
     fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float) if fp is None else fp
     if window is None:
-        return area_gradient(xs, fv, fp)
+        return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:]))
     upper, lower = gap_brackets(xs, fv, fp)
     return gaps[:-1] * upper + gaps[1:] * lower
 
@@ -107,11 +107,6 @@ def gauss_newton_bands(xs: np.ndarray, fv: np.ndarray, fp: np.ndarray,
     scored[window[0]:window[1] + 1] = 1.0
     return (0.5 * (scored[:-1] * upper ** 2 + scored[1:] * lower ** 2),
             0.5 * scored[1:-1] * lower[:-1] * upper[1:])
-
-
-def area_gradient(xs: np.ndarray, fv: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """phi's gradient from the breakpoints ``xs``, f at them and f' inside."""
-    return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:]))
 
 
 def area_hessian_bands(xs: np.ndarray, fp: np.ndarray,

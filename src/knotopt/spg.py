@@ -8,7 +8,12 @@ by an O(n) LDL^T sweep; the Levenberg damping mu grows fourfold until s is
 a descent direction, tending to the steepest-descent step.  Trial points
 follow the projected arc P(x + t s), t = 1, 1/2, ..., with P the exact
 projection onto the ordered knots in [a, b], until an Armijo test holds.
-Newton draws no random numbers.  ``solve`` runs it for every kind.
+For a squared kind the model is projected Newton's (Bertsekas, SIAM J.
+Control Optim. 20, 1982): the knots that a short steepest-descent step
+keeps tied, or at a or b, move as one run or stay put, so P never pools a
+model step that pushes tied knots across each other into an ascent along
+the whole arc.  Newton draws no random numbers.  ``solve`` runs it for
+every kind.
 
 ``minimize_y`` is the spectral projected gradient (SPG) method over the
 monotone nonnegative cone that y_i = (x_i - a)/(b - x_i) maps the knots
@@ -27,11 +32,12 @@ IEEE rounding, so it is in the cone exactly and needs no second projection.
 
 Each stops as stationary (on |P(x - g) - x|: ``NEWTON_TOL`` times
 max(1, max |f|) for the area kind, ``SQUARED_RTOL`` times its value at the
-start for a squared kind; ``EPS`` on |d_k| for SPG), with no improvement
-(the step underflows, or SPG's best value stalls for ``STALL_ITERS``
-iterations) or at its iteration limit.  Each returns its best point
-(Newton's is its last, as it descends up to phi's rounding), the value
-there, the iteration count and the reason to stop.
+start for a squared kind, which also stops when no run is free to descend;
+``EPS`` on |d_k| for SPG), with no improvement (the step underflows, or
+SPG's best value stalls for ``STALL_ITERS`` iterations) or at its
+iteration limit.  Each returns its best point (Newton's is its last, as it
+descends up to the objective's rounding), the value there, the iteration
+count and the reason to stop.
 """
 
 from __future__ import annotations
@@ -44,8 +50,7 @@ from enum import Enum
 import numpy as np
 
 from .cone import project
-from .objective import (area_gradient, area_hessian_bands, gauss_newton_bands,
-                        grad_x, phi)
+from .objective import area_hessian_bands, gauss_newton_bands, grad_x, phi
 from .pl import KnotVector, ObjectiveKind, squared_gap_sum, window_gaps
 
 
@@ -201,6 +206,27 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
     return np.array(z)
 
 
+def _held_model(probe: np.ndarray, a: float, b: float, diag: np.ndarray,
+                off: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The tridiagonal model and gradient over the runs of equal ``probe`` knots.
+
+    Each run moves as one and the knots at a or b stay put: P^T H P and
+    P^T g for the 0/1 matrix P that copies a run's step to its knots.  The
+    last value, each knot's run (-1 at a or b), maps a step s in the runs
+    to ``append(s, 0)[runs]`` in the knots.
+    """
+    lo = int(np.count_nonzero(probe <= a))
+    hi = probe.size - int(np.count_nonzero(probe >= b))
+    runs = np.full(probe.size, -1)
+    runs[lo:hi] = np.cumsum(np.diff(probe[lo:hi], prepend=probe[lo:lo + 1]) > 0.0)
+    m, free = int(runs.max()) + 1, runs >= 0
+    tied = free[:-1] & (runs[:-1] == runs[1:])
+    diag = (np.bincount(runs[free], diag[free], m)
+            + 2.0 * np.bincount(runs[:-1][tied], off[tied], m))
+    off = off[free[:-1] & (runs[1:] == runs[:-1] + 1)]
+    return diag, off, np.bincount(runs[free], g[free], m), runs
+
+
 def minimize_x(curve, start: KnotVector,
                kind: ObjectiveKind = ObjectiveKind.CONCAVE_AREA) -> MinimizeResult:
     """Minimise the kind's objective over {a <= x_1 <= ... <= x_n <= b}."""
@@ -223,35 +249,51 @@ def minimize_x(curve, start: KnotVector,
         return knots, fv, gaps, f
 
     knots, fv, gaps, f = evaluate(start, 0)
-    mu, tol, noise = 0.0, None, 0.0
+    mu, tol = 0.0, None
     for k in range(NEWTON_MAX_ITER):
         x, xs = knots.interior, knots.full()
         fp = _checked(np.asarray(curve.deriv1(x), dtype=float), k, x, "derivative")
-        # grad_x's area branch, called directly to spare its lookups per step
-        g = (area_gradient(xs, fv, fp) if window is None
-             else grad_x(curve, kind, knots, gaps, fv, fp))
+        g = grad_x(curve, kind, knots, gaps, fv, fp)
         residual = np.max(np.abs(onto_knots(x - g) - x))
+        # a rise within a few roundings of the objective's terms is noise,
+        # which would stall Newton near the optimum: phi sums terms bounded
+        # by (b - a) max |f|, the squared-gap sum nonnegative ones
         if window is None:
             f_scale = float(np.max(np.abs(fv)))
             tol = NEWTON_TOL * max(1.0, f_scale)
-            # phi sums terms bounded by (b - a) max |f|; a rise within a few
-            # roundings of that is noise, which would stall Newton near the optimum
             noise = PHI_ROUNDING * (b - a) * f_scale
-        elif tol is None:
-            # a squared kind's scale is its start's: `auto` has infimum 0,
-            # which an absolute bound would chase by collapsing the knots
-            tol = SQUARED_RTOL * residual
+        else:
+            noise = PHI_ROUNDING * f
+            if tol is None:
+                # a squared kind's scale is its start's: `auto` has infimum 0,
+                # which an absolute bound would chase by collapsing the knots
+                tol = SQUARED_RTOL * residual
         if residual <= tol:
             return MinimizeResult(x, f, k, Termination.STATIONARY)
 
+        runs, g_model = None, g
         if window is None:
             fpp = _checked(np.asarray(curve.deriv2(x), dtype=float), k, x, "curvature")
             diag, off = area_hessian_bands(xs, fp, fpp)
         else:
             diag, off = gauss_newton_bands(xs, fv, fp, window)
+            h = np.diff(xs)
+            if not np.all(h > 0.0):
+                # projected Newton: the knots that a short steepest-descent
+                # step keeps tied, or at a or b, move as one run or stay put;
+                # it moves no knot a quarter of the narrowest segment, so no
+                # two runs meet
+                tau = 0.25 * np.min(h[h > 0.0]) / np.max(np.abs(g))
+                probe = onto_knots(x - tau * g)
+                diag, off, g_model, runs = _held_model(probe, a, b, diag, off, g)
+                if not np.any(g_model):   # stationary on the held face
+                    return MinimizeResult(x, f, k, Termination.STATIONARY)
         h_scale = float(np.max(np.abs(diag))) or 1.0
-        while (s := _solve_tridiagonal(diag + mu, off, -g)) is None or g @ s >= 0.0:
+        while ((s := _solve_tridiagonal(diag + mu, off, -g_model)) is None
+               or g_model @ s >= 0.0):
             mu = max(4.0 * mu, 1e-10 * h_scale)
+        if runs is not None:
+            s = np.append(s, 0.0)[runs]
 
         t = 1.0
         while True:

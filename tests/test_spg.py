@@ -268,6 +268,47 @@ class TestGaussNewton:
         assert report.termination is Termination.STATIONARY
         assert np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) < 1e-6
 
+    def test_held_model_is_the_model_on_the_runs(self):
+        probe = np.array([0.0, 0.3, 0.3, 0.5, 0.7, 0.7, 0.7, 1.0])
+        rng = np.random.default_rng(5)
+        diag, off = rng.uniform(1, 2, 8), rng.uniform(-0.4, 0.4, 7)
+        g = rng.normal(size=8)
+        held_diag, held_off, held_g, runs = spg._held_model(probe, 0.0, 1.0,
+                                                            diag, off, g)
+        assert runs.tolist() == [-1, 0, 0, 1, 2, 2, 2, -1]
+        hessian = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        copy = np.zeros((8, 3))   # P: a run's step to its knots
+        copy[runs >= 0, runs[runs >= 0]] = 1.0
+        held = np.diag(held_diag) + np.diag(held_off, 1) + np.diag(held_off, -1)
+        assert_allclose(held, copy.T @ hessian @ copy, rtol=1e-15)
+        assert_allclose(held_g, copy.T @ g, rtol=1e-15)
+        step = rng.normal(size=3)
+        assert np.append(step, 0.0)[runs].tolist() == (copy @ step).tolist()
+        # every knot at a or b: an empty model, which the loop reads as stationary
+        empty = spg._held_model(np.array([0.0, 0.0, 1.0]), 0.0, 1.0,
+                                diag[:3], off[:2], g[:3])
+        assert [part.size for part in empty[:3]] == [0, 0, 0]
+        assert empty[3].tolist() == [-1, -1, -1]
+
+    def test_general_cells_end_stationary(self, catalog):
+        for entry in catalog:
+            for n in (4, 8):
+                report = solve(entry.curve, GENERAL, n, a=entry.a, b=entry.b)
+                assert report.termination is Termination.STATIONARY, (entry.name, n)
+                assert report.final_error <= report.initial_error, (entry.name, n)
+
+    @pytest.mark.parametrize("name, n", [("gompertz2b", 4), ("gompertz1b", 8),
+                                         ("gompertz3b", 8), ("weibull1b", 8)])
+    def test_tied_knots_no_worse_than_spg(self, catalog_by_name, name, n):
+        # cells whose unheld model step pooled tied knots into an ascent, so
+        # that Newton stopped above SPG's error
+        entry = catalog_by_name[name]
+        start = equal_start(entry, n)
+        newton = solve(entry.curve, GENERAL, n, init=start).final_error
+        reached = from_y(spg_in_y(entry.curve, start, GENERAL).point,
+                         entry.a, entry.b)
+        assert newton <= GENERAL.error(entry.curve, reached)
+
 
 class TestBacktrackStep:
     def test_random_draw_in_range(self, rng):
