@@ -17,7 +17,9 @@ an already-feasible vector returns it unchanged.
 PAVA pools only strict violations, so it never merges inside a nondecreasing
 prefix.  The Python stack loop therefore starts at the first descent (an
 index i with v[i] < v[i-1]), and an input with no descent costs numpy calls
-only: its projection is the clamp alone.
+only: its projection is the clamp alone.  The stack holds Python floats and
+ints, which are cheaper to push, pop and compare than numpy scalars and
+round the same way.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ def project(v: np.ndarray) -> np.ndarray:
 
     An input with no descent is only clamped, by numpy alone.  Otherwise the
     prefix before the first descent j goes onto the block stack as
-    singletons in one slice copy, and the Python loop pushes v[j:] alone,
+    singletons in one list copy, and the Python loop pushes v[j:] alone,
     one step per element and per merge, each merge removing a block.  The
     clamped block means are then written out in one vectorised repeat.
     Rejects empty or non-finite input.
@@ -53,18 +55,14 @@ def project(v: np.ndarray) -> np.ndarray:
     # only strict violations are pooled: merging tied blocks would change
     # nothing mathematically but recomputing their mean can drift one ulp,
     # which would break exact idempotence
-    sums = np.empty(v.size)
-    counts = np.ones(v.size, dtype=np.intp)
-    sums[:j] = v[:j]
-    top = j - 1
-    for x in v[j:]:
-        top += 1
-        sums[top] = x
-        counts[top] = 1
-        while top > 0 and sums[top - 1] * counts[top] > sums[top] * counts[top - 1]:
-            sums[top - 1] += sums[top]
-            counts[top - 1] += counts[top]
-            top -= 1
+    sums = v[:j].tolist()
+    counts = [1] * j
+    for total in v[j:].tolist():
+        count = 1
+        while sums and sums[-1] * count > total * counts[-1]:
+            total += sums.pop()
+            count += counts.pop()
+        sums.append(total)
+        counts.append(count)
 
-    top += 1
-    return np.repeat(np.maximum(0.0, sums[:top] / counts[:top]), counts[:top])
+    return np.repeat(np.maximum(0.0, np.array(sums) / counts), counts)

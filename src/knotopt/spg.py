@@ -8,7 +8,7 @@ by an O(n) LDL^T sweep; the Levenberg damping mu grows fourfold until s is
 a descent direction, tending to the steepest-descent step.  Trial points
 follow the projected arc P(x + t s), t = 1, 1/2, ..., with P the exact
 projection onto the ordered knots in [a, b], until an Armijo test holds.
-For a squared kind the model is projected Newton's (Bertsekas, SIAM J.
+For every kind the model is projected Newton's (Bertsekas, SIAM J.
 Control Optim. 20, 1982): the knots that a short steepest-descent step
 keeps tied, or at a or b, move as one run or stay put, so P never pools a
 model step that pushes tied knots across each other into an ascent along
@@ -32,7 +32,7 @@ IEEE rounding, so it is in the cone exactly and needs no second projection.
 
 Each stops as stationary (on |P(x - g) - x|: ``NEWTON_TOL`` times
 max(1, max |f|) for the area kind, ``SQUARED_RTOL`` times its value at the
-start for a squared kind, which also stops when no run is free to descend;
+start for a squared kind; Newton also stops when no run is free to descend;
 ``EPS`` on |d_k| for SPG), with no improvement (the step underflows, or
 SPG's best value stalls for ``STALL_ITERS`` iterations) or at its
 iteration limit.  Each returns its best point (Newton's is its last, as it
@@ -189,21 +189,21 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
                        rhs: np.ndarray) -> np.ndarray | None:
     """Solve T s = rhs by an LDL^T sweep; None unless T is positive definite."""
-    diag, off, z = diag.tolist(), off.tolist(), rhs.tolist()
-    pivots, factors = [diag[0]], [0.0]
-    for i, o in enumerate(off):
-        if not pivots[i] > 0.0:
+    diag, z = diag.tolist(), rhs.tolist()
+    pivot, zi, steps = diag[0], z[0], []
+    for o, d, r in zip(off.tolist(), diag[1:], z[1:]):
+        if not pivot > 0.0:
             return None
-        factor = o / pivots[i]
-        factors.append(factor)
-        pivots.append(diag[i + 1] - factor * o)
-        z[i + 1] -= factor * z[i]
-    if not pivots[-1] > 0.0:
+        factor = o / pivot
+        steps.append((pivot, factor, zi))
+        pivot, zi = d - factor * o, r - factor * zi
+    if not pivot > 0.0:
         return None
-    z[-1] /= pivots[-1]
-    for i in range(len(z) - 2, -1, -1):
-        z[i] = z[i] / pivots[i] - factors[i + 1] * z[i + 1]
-    return np.array(z)
+    s = [zi / pivot]
+    for pivot, factor, zi in reversed(steps):
+        s.append(zi / pivot - factor * s[-1])
+    s.reverse()
+    return np.array(s)
 
 
 def _held_model(probe: np.ndarray, a: float, b: float, diag: np.ndarray,
@@ -271,23 +271,21 @@ def minimize_x(curve, start: KnotVector,
         if residual <= tol:
             return MinimizeResult(x, f, k, Termination.STATIONARY)
 
-        runs, g_model = None, g
         if window is None:
             fpp = _checked(np.asarray(curve.deriv2(x), dtype=float), k, x, "curvature")
             diag, off = area_hessian_bands(xs, fp, fpp)
         else:
             diag, off = gauss_newton_bands(xs, fv, fp, window)
-            h = np.diff(xs)
-            if not np.all(h > 0.0):
-                # projected Newton: the knots that a short steepest-descent
-                # step keeps tied, or at a or b, move as one run or stay put;
-                # it moves no knot a quarter of the narrowest segment, so no
-                # two runs meet
-                tau = 0.25 * np.min(h[h > 0.0]) / np.max(np.abs(g))
-                probe = onto_knots(x - tau * g)
-                diag, off, g_model, runs = _held_model(probe, a, b, diag, off, g)
-                if not np.any(g_model):   # stationary on the held face
-                    return MinimizeResult(x, f, k, Termination.STATIONARY)
+        runs, g_model, h = None, g, np.diff(xs)
+        if not np.all(h > 0.0):
+            # projected Newton: the knots that a short steepest-descent step
+            # keeps tied, or at a or b, move as one run or stay put; it moves
+            # no knot a quarter of the narrowest segment, so no two runs meet
+            tau = 0.25 * np.min(h[h > 0.0]) / np.max(np.abs(g))
+            probe = onto_knots(x - tau * g)
+            diag, off, g_model, runs = _held_model(probe, a, b, diag, off, g)
+            if not np.any(g_model):   # stationary on the held face
+                return MinimizeResult(x, f, k, Termination.STATIONARY)
         h_scale = float(np.max(np.abs(diag))) or 1.0
         while ((s := _solve_tridiagonal(diag + mu, off, -g_model)) is None
                or g_model @ s >= 0.0):
