@@ -276,8 +276,8 @@ def minimize_x(curve, start: KnotVector,
             diag, off = area_hessian_bands(xs, fp, fpp)
         else:
             diag, off = gauss_newton_bands(xs, fv, fp, window)
-        runs, g_model, h = None, g, np.diff(xs)
-        if not np.all(h > 0.0):
+        runs, g_model, h = None, g, xs[1:] - xs[:-1]
+        if h.min() <= 0.0:
             # projected Newton: the knots that a short steepest-descent step
             # keeps tied, or at a or b, move as one run or stay put; it moves
             # no knot a quarter of the narrowest segment, so no two runs meet
