@@ -156,6 +156,31 @@ def sequential_pava_projection(v: np.ndarray) -> np.ndarray:
     return np.repeat(np.maximum(0.0, sums[:top] / counts[:top]), counts[:top])
 
 
+def sequential_ldlt_solve(diag: np.ndarray, off: np.ndarray,
+                          rhs: np.ndarray) -> np.ndarray | None:
+    """Solve T s = rhs by an indexed LDL^T sweep; None unless T is positive definite.
+
+    The plain loop over pivot, factor and right-hand-side lists that
+    ``spg._solve_tridiagonal`` carries in locals; kept as its byte-for-byte
+    reference.
+    """
+    diag, off, z = diag.tolist(), off.tolist(), rhs.tolist()
+    pivots, factors = [diag[0]], [0.0]
+    for i, o in enumerate(off):
+        if not pivots[i] > 0.0:
+            return None
+        factor = o / pivots[i]
+        factors.append(factor)
+        pivots.append(diag[i + 1] - factor * o)
+        z[i + 1] -= factor * z[i]
+    if not pivots[-1] > 0.0:
+        return None
+    z[-1] /= pivots[-1]
+    for i in range(len(z) - 2, -1, -1):
+        z[i] = z[i] / pivots[i] - factors[i + 1] * z[i + 1]
+    return np.array(z)
+
+
 def random_feasible_y(rng: np.random.Generator, n: int, scale: float = 2.0) -> np.ndarray:
     """A random point of the cone with comfortably positive components."""
     return np.cumsum(rng.uniform(0.01, scale, size=n))

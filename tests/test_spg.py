@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from knotopt import (KnotVector, MinimizeResult, ObjectiveKind, SolverError,
@@ -15,7 +16,7 @@ from knotopt import spg
 from knotopt.objective import gauss_newton_bands, grad_x
 from knotopt.pl import window_gaps
 
-from helpers import QuadraticCurve
+from helpers import QuadraticCurve, sequential_ldlt_solve
 
 AREA = ObjectiveKind.CONCAVE_AREA
 GENERAL = ObjectiveKind.GENERAL_SQUARED
@@ -308,6 +309,66 @@ class TestGaussNewton:
         reached = from_y(spg_in_y(entry.curve, start, GENERAL).point,
                          entry.a, entry.b)
         assert newton <= GENERAL.error(entry.curve, reached)
+
+
+@st.composite
+def tridiagonal_systems(draw):
+    """Bands and a right-hand side: positive definite, indefinite or singular."""
+    n = draw(st.integers(1, 300))
+    entries = st.floats(-10.0, 10.0)
+    off = draw(arrays(float, n - 1, elements=entries))
+    shape = draw(st.sampled_from(["definite", "indefinite", "singular"]))
+    if shape == "definite":   # strictly diagonally dominant
+        margin = draw(arrays(float, n, elements=st.floats(1e-3, 10.0)))
+        diag = margin + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+    elif shape == "indefinite":
+        diag = draw(arrays(float, n, elements=entries))
+    else:   # a path graph's Laplacian: every row sums to zero
+        diag = np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+        off = -np.abs(off)
+    return diag, off, draw(arrays(float, n, elements=st.floats(-1e3, 1e3)))
+
+
+class TestTridiagonalSweep:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(tridiagonal_systems())
+    def test_matches_the_indexed_sweep(self, system):
+        got, want = spg._solve_tridiagonal(*system), sequential_ldlt_solve(*system)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+
+    def test_singular_and_indefinite_bands_have_no_solve(self):
+        rhs = np.ones(3)
+        laplacian = (np.array([1.0, 2.0, 1.0]), np.array([-1.0, -1.0]))
+        assert spg._solve_tridiagonal(*laplacian, rhs) is None
+        assert spg._solve_tridiagonal(np.array([1.0, -1.0, 1.0]),
+                                      np.zeros(2), rhs) is None
+        assert spg._solve_tridiagonal(np.array([0.0]), np.zeros(0),
+                                      rhs[:1]) is None
+
+
+class TestHeldRunsForTheAreaKind:
+    # weibull1a is concave-flagged but not concave on its interval, so its
+    # area optimum ties knots and presses them against b.  The errors that
+    # the unheld model reached from these starts, ending NoImprovement or
+    # MaxIter:
+    UNHELD_ERRORS = {(42, 64): -0.0004441329793983341,
+                     (42, 256): -0.0004780822007461497,
+                     (7, 64): -0.0004398561921456415,
+                     (7, 256): -0.0004729436590907247}
+
+    @pytest.mark.parametrize("seed, n", list(UNHELD_ERRORS))
+    def test_weibull1a_random_starts_end_stationary(self, seed, n):
+        # the many-knots benchmark's start: sorted uniform from
+        # rng([seed, row, n]), row the index among the concave-flagged rows
+        row = [entry.name for entry in CONCAVE_ROWS].index("weibull1a")
+        entry = CONCAVE_ROWS[row]
+        rng = np.random.default_rng([seed, row, n])
+        init = KnotVector(entry.a, entry.b, np.sort(rng.uniform(entry.a, entry.b, n)))
+        report = solve(entry.curve, AREA, n, init=init)
+        assert report.termination is Termination.STATIONARY
+        assert report.final_error < self.UNHELD_ERRORS[seed, n]
 
 
 class TestBacktrackStep:
