@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from knotopt import (KnotVector, ObjectiveKind, SpgConfig, default_catalog,
-                     emit_plot_data, run_experiment, solve)
+from knotopt import (KnotVector, ObjectiveKind, default_catalog, emit_plot_data,
+                     run_experiment, solve)
 
 catalog = {e.name: e for e in default_catalog()}
 
@@ -48,7 +48,7 @@ print(f"  knots -> {np.array2string(report.final_knots.interior, precision=7)}"
 # cell's result is the same here, in `knotopt run` and in `knotopt solve`
 entry = catalog["gompertz1a"]
 for n in (4, 8):
-    row = run_experiment(entry, n, "auto", SpgConfig(rng_seed=42))
+    row = run_experiment(entry, n, "auto")
     print(f"gompertz1a n={n}: baseline {row.orig_error:.3e} -> "
           f"optimised {row.spg_error:.3e} ({row.reduction_pct:.1f}% lower, "
           f"{row.iterations} iterations)")

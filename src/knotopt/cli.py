@@ -6,12 +6,11 @@ Subcommands:
   check      first-order optimality diagnostic at given knot positions
   plot-data  sample a curve and its interpolant to CSV for plotting
 
---seed (default 42) is SPG's seed.  Every measure is solved by damped
-Newton in x, which draws no random numbers, so it does not change the
-output; it is still checked like any other input.  Bad input from
-outside the program (the seed, knot counts or positions, the catalog file,
-the --out path) exits from ``main`` with an ``error: ...`` message instead of
-a traceback.  Every --out file is written whole or not at all.
+Every measure is solved by damped Newton in x, which draws no random
+numbers, so no command takes a seed.  Bad input from outside the program
+(knot counts or positions, the catalog file, the --out path) exits from
+``main`` with an ``error: ...`` message instead of a traceback.  Every
+--out file is written whole or not at all.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ import numpy as np
 
 from .harness import (DEFAULT_KNOT_COUNTS, FORMATS, emit_plot_data,
                       run_catalog, run_experiment, select, write_text)
-from .kkt import kkt_check, prop1_test
+from .kkt import hessian_phi, kkt_check, prop1_test
 from .pl import KnotVector, ObjectiveKind
-from .spg import SpgConfig
 
 MEASURE_NAMES = [kind.value for kind in ObjectiveKind]
 
@@ -53,8 +51,7 @@ def _cmd_run(args) -> int:
     curves = args.curves.split(",") if args.curves else None
     rows = run_catalog(catalog_path=args.catalog, curves=curves,
                        knot_counts=args.knots, measure=args.measure,
-                       config=SpgConfig(args.seed), out_path=args.out,
-                       fmt=args.format)
+                       out_path=args.out, fmt=args.format)
     if args.out is None:
         sys.stdout.write(FORMATS[args.format](rows))
     else:
@@ -74,7 +71,7 @@ def _write_json(record: dict, out: str | None):
 
 def _cmd_solve(args) -> int:
     [entry] = select(args.catalog, [args.curves])
-    row = run_experiment(entry, args.knots, args.measure, SpgConfig(args.seed))
+    row = run_experiment(entry, args.knots, args.measure)
     record = {
         "curve": entry.name, "a": entry.a, "b": entry.b, "n_knots": args.knots,
         "measure": row.measure,
@@ -93,7 +90,9 @@ def _cmd_check(args) -> int:
     kind = ObjectiveKind(args.measure)
     report = kkt_check(entry.curve, knots, kind)
     record = report.to_dict()
-    if kind is ObjectiveKind.CONCAVE_AREA:
+    area = kind is ObjectiveKind.CONCAVE_AREA
+    record["hessian"] = hessian_phi(entry.curve, knots).tolist() if area else None
+    if area:
         try:
             holds, margins = prop1_test(entry.curve, knots)
             record["prop1"] = {"holds": holds, "margins": margins.tolist()}
@@ -107,7 +106,7 @@ def _cmd_plot_data(args) -> int:
     [entry] = select(args.catalog, [args.curves])
     spec = args.knots or str(DEFAULT_KNOT_COUNTS[0])
     if spec.strip().isdecimal():
-        row = run_experiment(entry, int(spec), args.measure, SpgConfig(args.seed))
+        row = run_experiment(entry, int(spec), args.measure)
         if row.status != "ok":
             raise SystemExit(row.status)
         knots = KnotVector(entry.a, entry.b, row.final_knots[1:-1])
@@ -126,11 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     # flags that several commands share, each defined once
     catalog = argparse.ArgumentParser(add_help=False)
     catalog.add_argument("--catalog", default=None, help="catalog CSV (default: bundled)")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=SpgConfig().rng_seed,
-                      help="RNG seed (default %(default)s)")
 
-    run = sub.add_parser("run", parents=[catalog, seed], help="run catalog experiments")
+    run = sub.add_parser("run", parents=[catalog], help="run catalog experiments")
     run.add_argument("--curves", default=None, help="comma-separated curve names")
     run.add_argument("--knots", default=DEFAULT_KNOT_COUNTS,
                      type=lambda text: tuple(map(_count, text.split(","))),
@@ -140,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=FORMATS, default="csv")
     run.set_defaults(func=_cmd_run)
 
-    solve = sub.add_parser("solve", parents=[catalog, seed],
+    solve = sub.add_parser("solve", parents=[catalog],
                            help="optimise knots for one curve")
     solve.add_argument("--curves", required=True, help="curve name")
     solve.add_argument("--knots", type=_count, default=DEFAULT_KNOT_COUNTS[0],
@@ -158,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--out", default=None)
     check.set_defaults(func=_cmd_check)
 
-    plot = sub.add_parser("plot-data", parents=[catalog, seed],
+    plot = sub.add_parser("plot-data", parents=[catalog],
                           help="sample curve and interpolant to CSV")
     plot.add_argument("--curves", required=True, help="curve name")
     plot.add_argument("--knots", default=None,

@@ -40,6 +40,7 @@ class CurveFamily(Enum):
 
 def _finite_or_raise(values, family: CurveFamily, x):
     # a finite sum proves every value finite; an overflowing one proves nothing
+    # (callers run this inside their errstate block, so it overflows silently)
     if np.isfinite(values.sum()):
         return values
     flat = np.atleast_1d(values)
@@ -91,7 +92,7 @@ class Curve:
                 out = v1 + v2 * np.arctan(d1 * x + d2)
             else:
                 out = v1 + v2 * (d1 * x ** s + d2) ** (1.0 / s)
-        _finite_or_raise(out, self.family, x)
+            _finite_or_raise(out, self.family, x)
         return out if out.ndim else float(out)
 
     def deriv1(self, x):
@@ -114,7 +115,7 @@ class Curve:
             else:
                 q = d1 * x ** s + d2
                 out = v2 * d1 * x ** (s - 1.0) * q ** (1.0 / s - 1.0)
-        _finite_or_raise(out, self.family, x)
+            _finite_or_raise(out, self.family, x)
         return out if out.ndim else float(out)
 
     def deriv2(self, x):
@@ -144,7 +145,7 @@ class Curve:
             else:
                 q = d1 * x ** s + d2
                 out = v2 * d1 * d2 * (s - 1.0) * x ** (s - 2.0) * q ** (1.0 / s - 2.0)
-        _finite_or_raise(out, self.family, x)
+            _finite_or_raise(out, self.family, x)
         return out if out.ndim else float(out)
 
 

@@ -15,10 +15,11 @@ squared-gap objectives.  A cell that fails (for example because the curve is
 undefined on its interval) gives a row with NaN errors and an ``error: ...``
 status, and the run goes on.
 
-Each cell's solve is damped Newton in x, which draws no random numbers and
-reads nothing from the config, so a row is the same whatever else the run
-holds.  Rows are assembled in catalog order and all floating-point output
-is formatted explicitly, so two runs produce byte-identical files.
+Each cell's solve is damped Newton in x, which draws no random numbers,
+so a row is the same whatever else the run holds.  Rows are assembled in
+catalog order and all floating-point output is formatted explicitly, so
+two runs produce byte-identical files.  A row's reduction percentage is
+NaN unless its baseline error is positive.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .curves import Curve, CurveCatalogEntry, default_catalog, load_catalog
 from .pl import KnotVector, ObjectiveKind, build_pl
-from .spg import SpgConfig, solve
+from .spg import solve
 
 DEFAULT_KNOT_COUNTS = (4, 8)
 
@@ -56,12 +57,11 @@ class ResultRow:
     status: str = "ok"
 
 
-def run_experiment(entry: CurveCatalogEntry, n: int, measure: str,
-                   config: SpgConfig) -> ResultRow:
+def run_experiment(entry: CurveCatalogEntry, n: int, measure: str) -> ResultRow:
     """Solve one (curve, knot count) cell and score it in the given measure."""
     a, b = entry.a, entry.b
     try:
-        report = solve(entry.curve, ObjectiveKind(measure), n, config, a=a, b=b)
+        report = solve(entry.curve, ObjectiveKind(measure), n, a=a, b=b)
         orig, spg_error = report.initial_error, report.final_error
         final = report.final_knots.full()
         iterations = report.iterations
@@ -72,7 +72,8 @@ def run_experiment(entry: CurveCatalogEntry, n: int, measure: str,
         final = KnotVector.equally_spaced(a, b, max(n, 0)).full()  # n < 1 fails too
         iterations, termination, status = 0, "Failed", f"error: {exc}"
 
-    reduction = 0.0 if orig == 0.0 else (orig - spg_error) / orig * 100.0
+    # a reduction is only a share of a positive baseline
+    reduction = (orig - spg_error) / orig * 100.0 if orig > 0.0 else float("nan")
     return ResultRow(
         curve_name=entry.name, a=a, b=b, n_knots=n, measure=measure,
         orig_error=orig, spg_error=spg_error, reduction_pct=reduction,
@@ -98,7 +99,7 @@ def run_catalog(catalog_path: str | Path | None = None,
                 curves: list[str] | None = None,
                 knot_counts: tuple[int, ...] = DEFAULT_KNOT_COUNTS,
                 measure: str = "auto",
-                config: SpgConfig = SpgConfig(),
+                config=None,
                 out_path: str | Path | None = None,
                 fmt: str = "csv") -> list[ResultRow]:
     """Run every selected (curve, knot count) experiment, in catalog order.
@@ -107,8 +108,8 @@ def run_catalog(catalog_path: str | Path | None = None,
     appears once the whole run has finished, and a path whose directory is
     missing fails before the first cell.  A cell's solve draws no random
     numbers, so a row does not depend on which other curves and knot
-    counts are selected, or on their order; ``config`` (SPG's seed) is
-    passed on to ``solve``, which does not read it.
+    counts are selected, or on their order.  ``config`` is ignored; it
+    stays only because perfbench passes it.
     """
     # a bad measure, format or output directory fails before any work
     ObjectiveKind(measure)
@@ -116,7 +117,7 @@ def run_catalog(catalog_path: str | Path | None = None,
     if out_path is not None and not Path(out_path).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
                                 str(out_path))
-    rows = [run_experiment(entry, n, measure, config)
+    rows = [run_experiment(entry, n, measure)
             for entry in select(catalog_path, curves) for n in knot_counts]
 
     if out_path is not None:

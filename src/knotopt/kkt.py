@@ -17,14 +17,16 @@ remain from holding.  A run tied to a is swept leftwards from the separated
 gap after it, so lambda_0 holds x_1 at a as lambda_n holds x_n at b.
 
 The gradient comes from ``objective.grad_x``, so every kind,
-the harness's interior window included, can be certified.  ``hessian_phi``
-assembles the tridiagonal curvature matrix of the area
-objective's stationarity system: diagonal (x_{i-1} - x_{i+1}) f''(x_i),
-off-diagonal f'(x_{i+1}) - f'(x_i).  This equals twice the Hessian of phi
-(the scale does not affect definiteness), built from the bands that
+the harness's interior window included, can be certified.
+
+The area objective's stationarity system has a tridiagonal curvature
+matrix: diagonal (x_{i-1} - x_{i+1}) f''(x_i), off-diagonal
+f'(x_{i+1}) - f'(x_i).  This equals twice the Hessian of phi (the scale
+does not affect definiteness), doubled from the bands that
 ``objective.area_hessian_bands`` gives and the Newton solver factors.
-``prop1_test`` applies a sufficient local-minimum condition for tridiagonal
-matrices: positive diagonal entries plus, for i = 1..n-1,
+``hessian_phi`` assembles it densely; ``prop1_test`` reads the bands and
+applies a sufficient local-minimum condition for tridiagonal matrices:
+positive diagonal entries plus, for i = 1..n-1,
 
     [f'(x_{i+1}) - f'(x_i)]^2
         < (1/4)(x_{i-1} - x_{i+1})(x_i - x_{i+2}) f''(x_i) f''(x_{i+1})
@@ -37,7 +39,7 @@ breakpoint beyond b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,15 +58,12 @@ class KktReport:
     lam: np.ndarray                      # multipliers lambda_0..lambda_n
     stationarity_residual: float
     complementarity_residual: float
-    # the area objective's curvature matrix; None for the squared kinds
-    hessian: np.ndarray | None = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
             "lambda": self.lam.tolist(),
             "stationarity_residual": self.stationarity_residual,
             "complementarity_residual": self.complementarity_residual,
-            "hessian": None if self.hessian is None else self.hessian.tolist(),
         }
 
 
@@ -97,24 +96,22 @@ def kkt_check(curve, knots: KnotVector,
     rows = g + lam[1:] - lam[:-1]
     stationarity = float(np.max(np.abs(rows))) if n else 0.0
     complementarity = float(np.max(np.minimum(gaps, lam)))
-
-    hessian = (hessian_phi(curve, knots)
-               if kind is ObjectiveKind.CONCAVE_AREA else None)
-    return KktReport(
-        lam=lam,
-        stationarity_residual=stationarity,
-        complementarity_residual=complementarity,
-        hessian=hessian,
-    )
+    return KktReport(lam, stationarity, complementarity)
 
 
-def hessian_phi(curve, knots: KnotVector) -> np.ndarray:
-    """Tridiagonal curvature matrix of the area objective (twice its Hessian)."""
+def _curvature_bands(curve, knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the area objective's curvature matrix."""
     xs = knots.full()
     inner = xs[1:-1]
     diag, off = area_hessian_bands(xs, np.asarray(curve.deriv1(inner), dtype=float),
                                    np.asarray(curve.deriv2(inner), dtype=float))
-    return 2.0 * (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 2.0 * diag, 2.0 * off
+
+
+def hessian_phi(curve, knots: KnotVector) -> np.ndarray:
+    """Tridiagonal curvature matrix of the area objective (twice its Hessian)."""
+    diag, off = _curvature_bands(curve, knots)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def prop1_test(curve, knots: KnotVector) -> tuple[bool, np.ndarray]:
@@ -132,11 +129,11 @@ def prop1_test(curve, knots: KnotVector) -> tuple[bool, np.ndarray]:
             f"{report.stationarity_residual:.3e} exceeds {KKT_TOL:.1e}")
 
     n = knots.n
-    diag = np.diag(report.hessian)
+    diag, off = _curvature_bands(curve, knots)
     if n == 1:
         return bool(diag[0] > 0.0), np.empty(0)
 
-    lhs = np.diag(report.hessian, 1) ** 2
+    lhs = off ** 2
     # (x_{i-1} - x_{i+1})(x_i - x_{i+2}) f''(x_i) f''(x_{i+1}) terms, i = 1..n-1
     rhs = 0.25 * diag[:-1] * diag[1:] / math.cos(math.pi / (n + 1)) ** 2
     margins = rhs - lhs

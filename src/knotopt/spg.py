@@ -314,18 +314,19 @@ def minimize_x(curve, start: KnotVector,
 
 
 def solve(curve, kind: ObjectiveKind, n: int,
-          config: SpgConfig = SpgConfig(),
+          config=None,
           init: KnotVector | None = None,
           a: float | None = None, b: float | None = None) -> SolveReport:
     """Place n knots minimising the chosen objective over [a, b].
 
-    Every kind runs ``minimize_x``, which draws no random numbers, so
-    ``config`` (SPG's seed) has no effect here.  The interval comes
-    from ``init`` when given, otherwise from ``a``/``b``; bounds given with
-    ``init`` must equal its own.  Reported errors use ``kind``'s own error
-    measure, the initial one at the start as given; the incumbent guard
-    ensures the reported final error never exceeds the initial one, so
-    ``final_knots`` is the start when it rejects the minimiser's point.
+    Every kind runs ``minimize_x``, which draws no random numbers.
+    ``config`` is ignored; it stays only because perfbench passes it.  The
+    interval comes from ``init`` when given, otherwise from ``a``/``b``;
+    bounds given with ``init`` must equal its own.  Reported errors use
+    ``kind``'s own error measure, the initial one at the start as given;
+    the incumbent guard ensures the reported final error never exceeds the
+    initial one, so ``final_knots`` is the start when it rejects the
+    minimiser's point.
     """
     if n < 1:
         raise ValueError("need at least one knot")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -202,6 +203,31 @@ class TestValidation:
         curve = Curve(CurveFamily.ALGEBRAIC, 0.0, 1.0, 2.0, 1.0, -2.0)
         with pytest.raises(CurveDomainError):
             curve.value(1.0)  # x**2 - 2 < 0 under a square root
+
+    # values near the largest float, whose sum overflows: f at u = 11..13,
+    # f' at u = 0 and f'' at its peak u = 1/sqrt(3) (2 v2 must stay finite)
+    @pytest.mark.parametrize("method, v2, d2, x", [
+        ("value", 1e308, 10.0, [1.0, 2.0, 3.0]),
+        ("deriv1", 1e308, 0.0, [0.0, 0.0, 0.0]),
+        ("deriv2", 8e307, 0.0, [3.0 ** -0.5] * 4),
+    ], ids=["value", "deriv1", "deriv2"])
+    def test_finite_values_near_overflow_do_not_warn(self, method, v2, d2, x):
+        curve = Curve(CurveFamily.ARCTAN, 0.0, v2, None, 1.0, d2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = getattr(curve, method)(np.array(x))
+        # finite, and each above max_float / len(x), so their sum overflows
+        assert np.all(np.isfinite(out))
+        assert np.all(np.abs(out) > np.finfo(float).max / len(x))
+
+    @pytest.mark.parametrize("method", ["value", "deriv1", "deriv2"])
+    def test_undefined_weibull_still_raises_without_warning(self, method):
+        # (x - 1) ** 1.5 is undefined below x = 1
+        curve = Curve(CurveFamily.WEIBULL, 0.0, 1.0, 1.5, 1.0, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CurveDomainError, match="x=0.5"):
+                getattr(curve, method)(np.array([0.5, 1.5, 2.0]))
 
 
 class TestCatalog:

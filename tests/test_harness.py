@@ -1,14 +1,14 @@
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import (KnotVector, ObjectiveKind, SpgConfig, cli, emit_plot_data,
-                     error_concave, error_general, harness, load_catalog,
+from knotopt import (KnotVector, ObjectiveKind, emit_plot_data, error_concave,
+                     error_general, harness, hessian_phi, load_catalog,
                      run_catalog, run_experiment, solve)
 from knotopt.cli import main
 
@@ -58,9 +58,9 @@ class TestRunCatalog:
 
     def test_cell_result_does_not_depend_on_the_run(self, catalog_by_name,
                                                     capsys):
-        # every cell draws from the seed's own stream, so logistic1b n=8
-        # comes out the same in a larger run, alone, from the CLI and from
-        # the library
+        # a cell's solve draws no random numbers, so logistic1b n=8 comes
+        # out the same in a larger run, alone, from the CLI and from the
+        # library
         in_run = run_catalog(curves=["logistic1a", "logistic1b"],
                              knot_counts=(4, 8))[3]
         alone = run_catalog(curves=["logistic1b"], knot_counts=(8,))[0]
@@ -68,7 +68,7 @@ class TestRunCatalog:
         cli = json.loads(capsys.readouterr().out)
         entry = catalog_by_name["logistic1b"]
         report = solve(entry.curve, ObjectiveKind.INTERIOR_SQUARED, 8,
-                       SpgConfig(rng_seed=42), a=entry.a, b=entry.b)
+                       a=entry.a, b=entry.b)
 
         assert (in_run.curve_name, in_run.n_knots) == ("logistic1b", 8)
         expected = (in_run.spg_error, in_run.iterations, in_run.termination,
@@ -85,7 +85,7 @@ class TestRunCatalog:
         # the area measure improves only a little at its optimum: equal
         # spacing is already close to optimal for this gently curved row
         entry = catalog_by_name["logistic1a"]
-        row = run_experiment(entry, 4, "concave", SpgConfig())
+        row = run_experiment(entry, 4, "concave")
         start = KnotVector.equally_spaced(entry.a, entry.b, 4)
         assert row.orig_error == pytest.approx(error_concave(entry.curve, start),
                                                rel=1e-12)
@@ -94,11 +94,24 @@ class TestRunCatalog:
 
     def test_general_measure_reports_squared_gaps(self, catalog_by_name):
         entry = catalog_by_name["logistic1b"]
-        row = run_experiment(entry, 4, "general", SpgConfig())
+        row = run_experiment(entry, 4, "general")
         start = KnotVector.equally_spaced(entry.a, entry.b, 4)
         assert row.orig_error == pytest.approx(error_general(entry.curve, start),
                                                rel=1e-12)
         assert row.spg_error <= row.orig_error
+
+    def test_reduction_needs_a_positive_baseline(self, catalog_by_name, capsys):
+        # logistic1b is not concave on its interval: its equally spaced area
+        # gap at n = 4 is -6.07e-18, of which no reduction is a share
+        row = run_experiment(catalog_by_name["logistic1b"], 4, "concave")
+        assert row.status == "ok" and row.orig_error < 0.0
+        assert math.isnan(row.reduction_pct)
+        assert main(["solve", "--curves", "logistic1b", "--measure", "concave"]) == 0
+        assert json.loads(capsys.readouterr().out)["reduction_pct"] is None
+        # a concave-flagged row keeps its share of the baseline
+        row = run_experiment(catalog_by_name["logistic1a"], 4, "concave")
+        assert row.orig_error > 0.0
+        assert row.reduction_pct == (row.orig_error - row.spg_error) / row.orig_error * 100.0
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "rows.json"
@@ -203,10 +216,13 @@ class TestCli:
         assert rows[0]["curve_name"] == "logistic1a"
         assert rows[0]["termination"] in ("Stationary", "NoImprovement", "MaxIter")
 
-    @pytest.mark.parametrize("flag", [["--bb", "bb1"], ["--backtrack", "halving"]])
-    def test_seed_is_the_only_solver_flag(self, flag, capsys):
+    @pytest.mark.parametrize("command", ["run", "solve", "plot-data"])
+    @pytest.mark.parametrize("flag", [["--bb", "bb1"], ["--backtrack", "halving"],
+                                      ["--seed", "42"]], ids=["bb", "backtrack", "seed"])
+    def test_no_solver_flag_is_accepted(self, flag, command, tmp_path, capsys):
+        argv = [command, "--curves", "logistic1a", "--out", str(tmp_path / "out")]
         with pytest.raises(SystemExit) as exc:
-            main(["run"] + flag)
+            main(argv + flag)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -259,6 +275,19 @@ class TestCli:
         assert record["stationarity_residual"] > 0.0
         assert record["hessian"] is None
 
+    def test_check_prints_hessian_only_for_area_kind(self, catalog_by_name, capsys):
+        entry = catalog_by_name["logistic1a"]
+        kv = KnotVector.equally_spaced(entry.a, entry.b, 3)
+        positions = ",".join(repr(float(x)) for x in kv.interior)
+        for kind in ObjectiveKind:
+            assert main(["check", "--curves", "logistic1a", "--measure", kind.value,
+                         "--knots", positions]) == 0
+            record = json.loads(capsys.readouterr().out)
+            if kind is ObjectiveKind.CONCAVE_AREA:
+                assert record["hessian"] == hessian_phi(entry.curve, kv).tolist()
+            else:
+                assert record["hessian"] is None
+
     def test_check_reports_multipliers(self, capsys):
         code = main(["check", "--curves", "logistic1a",
                      "--knots", "0.4,0.8,1.2,1.6"])
@@ -298,12 +327,6 @@ class TestCli:
         assert exc.value.code == 2
         assert "error: argument --knots" in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["run", "solve"])
-    def test_negative_seed_exits_with_error(self, command):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--curves", "logistic1a", "--seed", "-1"])
-        assert str(exc.value).startswith("error: rng_seed")
 
     @pytest.mark.parametrize("text, line, reason", [
         (HEADER + OK_ROW + "foo,Foo,0,1,1,1,0,Y,0,1\n", 3,
@@ -369,17 +392,3 @@ class TestCli:
             assert ".tmp" not in str(exc.value)
         if out is not None and out != "taken":
             assert not (tmp_path / out).exists()
-
-    def test_seed_default_is_the_solver_default(self, monkeypatch, capsys):
-        @dataclass(frozen=True)
-        class SevenConfig(SpgConfig):
-            rng_seed: int = 7
-
-        monkeypatch.setattr(cli, "SpgConfig", SevenConfig)
-        parser = cli.build_parser()
-        for command in ("run", "solve", "plot-data"):
-            args = parser.parse_args([command, "--curves", "ok", "--out", "x"])
-            assert args.seed == 7
-            with pytest.raises(SystemExit):
-                parser.parse_args([command, "--help"])
-            assert "RNG seed (default 7)" in capsys.readouterr().out

@@ -137,26 +137,15 @@ class TestKktCheck:
         assert report.stationarity_residual > 0.0
         assert_allclose(report.lam, 0.0)
 
-    def test_hessian_only_for_area_kind(self, catalog_by_name_module):
-        entry = catalog_by_name_module["logistic1a"]
-        kv = KnotVector.equally_spaced(entry.a, entry.b, 3)
-        for kind in ObjectiveKind:
-            report = kkt_check(entry.curve, kv, kind)
-            if kind is ObjectiveKind.CONCAVE_AREA:
-                assert np.array_equal(report.hessian,
-                                      hessian_phi(entry.curve, kv))
-            else:
-                assert report.hessian is None
-                assert report.to_dict()["hessian"] is None
-
     def test_report_serialises(self, catalog_by_name_module):
         import json
         entry = catalog_by_name_module["logistic1a"]
         kv = KnotVector.equally_spaced(entry.a, entry.b, 3)
         record = kkt_check(entry.curve, kv).to_dict()
         json.dumps(record)
-        assert set(record) >= {"lambda", "stationarity_residual",
-                               "complementarity_residual", "hessian"}
+        assert set(record) == {"lambda", "stationarity_residual",
+                               "complementarity_residual"}
+        assert "hessian" not in record
 
 
 class TestHessian:
@@ -257,3 +246,20 @@ class TestProp1:
         diag = -2.0 * step * -2.0
         rhs = 0.25 * diag * diag / math.cos(math.pi / (n + 1)) ** 2
         assert_allclose(margins, rhs - lhs, rtol=1e-12)
+
+    def test_bands_match_the_dense_matrix_on_concave_small(self,
+                                                          catalog_by_name_module):
+        # every concave-flagged row at n in {4, 8, 16, 32}, solved: the
+        # verdict and margins read off hessian_phi's diagonals are the same
+        for entry in catalog_by_name_module.values():
+            if not entry.concave:
+                continue
+            for n in (4, 8, 16, 32):
+                knots = solve(entry.curve, AREA, n, a=entry.a, b=entry.b).final_knots
+                holds, margins = prop1_test(entry.curve, knots)
+                matrix = hessian_phi(entry.curve, knots)
+                diag, off = np.diag(matrix), np.diag(matrix, 1)
+                rhs = 0.25 * diag[:-1] * diag[1:] / math.cos(math.pi / (n + 1)) ** 2
+                want = rhs - off ** 2
+                assert np.array_equal(margins, want), (entry.name, n)
+                assert holds == bool(np.all(diag > 0.0) and np.all(want > 0.0))
