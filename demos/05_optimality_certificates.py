@@ -4,11 +4,14 @@ A knot vector is first-order optimal for the area objective exactly when
 its gradient vanishes with all ordering multipliers at zero.  On top of
 that, a tridiagonal curvature test gives a sufficient condition for a
 strict local minimum.  Both checks are cheap, so they double as a safety
-net for solver output.  The Newton solver behind `solve` stops on this
-same residual.  SPG (`minimize_y`), which the library keeps for its
-comparison with the paper, works through a cone substitution that can park
-iterates against the right endpoint, where the transformed gradient is
-artificially tiny; the diagnostic residual exposes that immediately.
+net for solver output.  The Newton solver behind `solve` stops on a
+different residual, max|P(x - g) - x| with P the projection onto the
+ordered knots, while `kkt_check` reports the multiplier rows; the two
+agree only to rounding, at a stationary point.  SPG (`minimize_y`), which
+the library keeps for its comparison with the paper, works through a cone
+substitution that can park iterates against the right endpoint, where the
+transformed gradient is artificially tiny; the diagnostic residual exposes
+that immediately.
 """
 
 import numpy as np

@@ -19,7 +19,8 @@ Each cell's solve is damped Newton in x, which draws no random numbers,
 so a row is the same whatever else the run holds.  Rows are assembled in
 catalog order and all floating-point output is formatted explicitly, so
 two runs produce byte-identical files.  A row's reduction percentage is
-NaN unless its baseline error is positive.
+NaN unless its baseline error is positive and its optimised error is
+nonnegative, so every number printed lies in [0, 100].
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ def run_experiment(entry: CurveCatalogEntry, n: int, measure: str) -> ResultRow:
         final = KnotVector.equally_spaced(a, b, max(n, 0)).full()  # n < 1 fails too
         iterations, termination, status = 0, "Failed", f"error: {exc}"
 
-    # a reduction is only a share of a positive baseline
-    reduction = (orig - spg_error) / orig * 100.0 if orig > 0.0 else float("nan")
+    # a reduction is only a share of a positive baseline, down to an error >= 0
+    share = orig > 0.0 and spg_error >= 0.0
+    reduction = (orig - spg_error) / orig * 100.0 if share else float("nan")
     return ResultRow(
         curve_name=entry.name, a=a, b=b, n_knots=n, measure=measure,
         orig_error=orig, spg_error=spg_error, reduction_pct=reduction,

@@ -22,8 +22,8 @@ the harness's interior window included, can be certified.
 The area objective's stationarity system has a tridiagonal curvature
 matrix: diagonal (x_{i-1} - x_{i+1}) f''(x_i), off-diagonal
 f'(x_{i+1}) - f'(x_i).  This equals twice the Hessian of phi (the scale
-does not affect definiteness), doubled from the bands that
-``objective.area_hessian_bands`` gives and the Newton solver factors.
+does not affect definiteness), doubled from the area kind's
+``objective.model_bands``, which the Newton solver factors.
 ``hessian_phi`` assembles it densely; ``prop1_test`` reads the bands and
 applies a sufficient local-minimum condition for tridiagonal matrices:
 positive diagonal entries plus, for i = 1..n-1,
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import area_hessian_bands, grad_x
+from .objective import grad_x, model_bands
 from .pl import KnotVector, ObjectiveKind
 
 #: a segment narrower than this counts as an active (tied) constraint
@@ -102,9 +102,8 @@ def kkt_check(curve, knots: KnotVector,
 def _curvature_bands(curve, knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the area objective's curvature matrix."""
     xs = knots.full()
-    inner = xs[1:-1]
-    diag, off = area_hessian_bands(xs, np.asarray(curve.deriv1(inner), dtype=float),
-                                   np.asarray(curve.deriv2(inner), dtype=float))
+    diag, off = model_bands(curve, ObjectiveKind.CONCAVE_AREA, xs, None,
+                            np.asarray(curve.deriv1(xs[1:-1]), dtype=float))
     return 2.0 * diag, 2.0 * off
 
 

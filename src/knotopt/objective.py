@@ -13,8 +13,9 @@ of the error measure it minimises:
 * ``INTERIOR_SQUARED`` ("auto"): the same sum over the segments between
   consecutive interior knots only, the harness default.
 
-The squared kinds' values are ``pl.squared_gap_sum`` of the gaps in the
-kind's window, the same call their error measures make, so each equals its
+``evaluate`` is the one place that computes a kind's value: phi for the
+area kind, and for a squared kind ``pl.squared_gap_sum`` of the gaps in the
+kind's window, the same call its error measure makes, so each equals its
 measure by construction.  Writing a gap as I - T, with I the segment
 integral and T the trapezoid, the partials of its square are
 
@@ -24,7 +25,8 @@ integral and T the trapezoid, the partials of its square are
 Both factors vanish when x_lo = x_hi, so degenerate segments are smooth
 zeros of the objective.  Halved, the brackets are the partials of the gap
 itself, the two entries per row of the gaps' Jacobian J, from which
-``gauss_newton_bands`` forms the squared kinds' tridiagonal model 2 J^T J.
+``model_bands`` forms the squared kinds' tridiagonal Newton model 2 J^T J;
+for the area kind it gives phi's Hessian, which is tridiagonal too.
 
 The substitution y_i = (x_i - a) / (b - x_i), with inverse
 x_i = b - (b - a) / (1 + y_i), maps ordered knots in [a, b) onto the monotone
@@ -48,14 +50,25 @@ DELTA_SCALE = 1e-12
 # -- x-space objectives ---------------------------------------------------
 
 
-def phi(curve, knots: KnotVector, fv: np.ndarray | None = None) -> float:
-    """Negated trapezoid area of the interpolant over [a, b].
+def evaluate(curve, kind: ObjectiveKind,
+             knots: KnotVector) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """f at ``knots.full()``, the kind's window gaps and the kind's value.
 
-    ``fv``, f at ``knots.full()``, spares the curve evaluation when given.
+    The area kind has no gaps (None) and its value is phi; a squared kind's
+    value is ``squared_gap_sum`` of its gaps.
     """
+    window = kind.window(knots.n)
     xs = knots.full()
-    fv = np.asarray(curve.value(xs), dtype=float) if fv is None else fv
-    return float(-0.5 * np.sum(np.diff(xs) * (fv[:-1] + fv[1:])))
+    gaps = None if window is None else window_gaps(curve, xs, *window)
+    fv = np.asarray(curve.value(xs), dtype=float)
+    if gaps is None:
+        return fv, None, float(-0.5 * np.sum(np.diff(xs) * (fv[:-1] + fv[1:])))
+    return fv, gaps, squared_gap_sum(gaps)
+
+
+def phi(curve, knots: KnotVector) -> float:
+    """Negated trapezoid area of the interpolant over [a, b]."""
+    return evaluate(curve, ObjectiveKind.CONCAVE_AREA, knots)[2]
 
 
 def grad_x(curve, kind: ObjectiveKind, knots: KnotVector,
@@ -63,18 +76,16 @@ def grad_x(curve, kind: ObjectiveKind, knots: KnotVector,
            fp: np.ndarray | None = None) -> np.ndarray:
     """The kind's gradient in the interior knots.
 
-    ``gaps`` (the kind's window gaps), ``fv`` (f at ``knots.full()``) and
-    ``fp`` (f' at the interior knots) spare their evaluation when given.
-    For the area kind (phi) component i is
+    ``fv`` and ``gaps`` as ``evaluate`` gives them (``gaps`` is read only
+    with ``fv``) and ``fp`` (f' at the interior knots) spare their
+    evaluation when given.  For the area kind (phi) component i is
     (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1} - x_{i+1})].
     """
-    window = kind.window(knots.n)
     xs = knots.full()
-    if window is not None and gaps is None:
-        gaps = window_gaps(curve, xs, *window)
-    fv = np.asarray(curve.value(xs), dtype=float) if fv is None else fv
+    if fv is None:
+        fv, gaps, _ = evaluate(curve, kind, knots)
     fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float) if fp is None else fp
-    if window is None:
+    if gaps is None:
         return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:]))
     upper, lower = gap_brackets(xs, fv, fp)
     return gaps[:-1] * upper + gaps[1:] * lower
@@ -93,31 +104,28 @@ def gap_brackets(xs: np.ndarray, fv: np.ndarray,
     return df[:-1] - fp * h[:-1], df[1:] - fp * h[1:]
 
 
-def gauss_newton_bands(xs: np.ndarray, fv: np.ndarray, fp: np.ndarray,
-                       window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of 2 J^T J for a squared kind's window.
+def model_bands(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray | None,
+                fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the kind's tridiagonal Newton model.
 
-    J is the Jacobian of the window's gaps in the interior knots.  Each gap
+    ``xs`` are the breakpoints, ``fv`` f at them and ``fp`` f' at the
+    interior ones.  For the area kind the model is phi's Hessian in the
+    interior knots, (1/2)(x_{i-1} - x_{i+1}) f''(x_i) on the diagonal and
+    (1/2)(f'(x_{i+1}) - f'(x_i)) beside it, with f'' evaluated here (``fv``
+    is not read).  For a squared kind it is the Gauss-Newton matrix 2 J^T J,
+    J the Jacobian of the window's gaps in the interior knots: each gap
     depends only on its segment's two end knots, so J has two entries per
-    row, ``gap_brackets`` halved, and 2 J^T J is tridiagonal: the
-    Gauss-Newton model of the squared-gap sum.
+    row, ``gap_brackets`` halved, and 2 J^T J is tridiagonal.
     """
+    window = kind.window(xs.size - 2)
+    if window is None:
+        fpp = np.asarray(curve.deriv2(xs[1:-1]), dtype=float)
+        return 0.5 * (xs[:-2] - xs[2:]) * fpp, 0.5 * (fp[1:] - fp[:-1])
     upper, lower = gap_brackets(xs, fv, fp)
     scored = np.zeros(xs.size - 1)
     scored[window[0]:window[1] + 1] = 1.0
     return (0.5 * (scored[:-1] * upper ** 2 + scored[1:] * lower ** 2),
             0.5 * scored[1:-1] * lower[:-1] * upper[1:])
-
-
-def area_hessian_bands(xs: np.ndarray, fp: np.ndarray,
-                       fpp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of phi's Hessian in the interior knots.
-
-    The Hessian is tridiagonal: (1/2)(x_{i-1} - x_{i+1}) f''(x_i) on the
-    diagonal and (1/2)(f'(x_{i+1}) - f'(x_i)) beside it; ``fp`` and ``fpp``
-    are f' and f'' at the interior knots of the breakpoints ``xs``.
-    """
-    return 0.5 * (xs[:-2] - xs[2:]) * fpp, 0.5 * (fp[1:] - fp[:-1])
 
 
 # -- the cone substitution ------------------------------------------------
@@ -147,8 +155,8 @@ class YObjective:
     """A smooth objective of the given kind over the monotone nonnegative cone.
 
     The solver asks for the gradient where it has just taken the value, so
-    ``grad`` reuses the state ``value`` left at the same y: the window gaps
-    of a squared kind, or f at the knots for the area kind.
+    ``grad`` reuses the state ``value`` left at the same y: f at the knots
+    and, for a squared kind, the window gaps.
     """
 
     def __init__(self, curve, a: float, b: float, kind: ObjectiveKind):
@@ -156,25 +164,19 @@ class YObjective:
         self.a = float(a)
         self.b = float(b)
         self.kind = kind
-        self._state = None   # (y, knots, gaps, f at knots) of the last y
+        self._state = None   # (y, knots, *evaluate(...)) of the last y
 
     def _at(self, y: np.ndarray):
         if self._state is None or not np.array_equal(self._state[0], y):
             y = np.array(y, dtype=float)   # a copy: the caller may reuse its array
             knots = from_y(y, self.a, self.b)
-            window = self.kind.window(knots.n)
-            if window is None:
-                gaps, fv = None, np.asarray(self.curve.value(knots.full()), dtype=float)
-            else:
-                gaps, fv = window_gaps(self.curve, knots.full(), *window), None
-            self._state = (y, knots, gaps, fv)
+            self._state = (y, knots, *evaluate(self.curve, self.kind, knots))
         return self._state
 
     def value(self, y: np.ndarray) -> float:
-        _, knots, gaps, fv = self._at(y)
-        return phi(self.curve, knots, fv) if gaps is None else squared_gap_sum(gaps)
+        return self._at(y)[-1]
 
     def grad(self, y: np.ndarray) -> np.ndarray:
-        y, knots, gaps, fv = self._at(y)
+        y, knots, fv, gaps, _ = self._at(y)
         dx_dy = (self.b - self.a) / (1.0 + y) ** 2
         return grad_x(self.curve, self.kind, knots, gaps, fv) * dx_dy

@@ -1,9 +1,9 @@
 """The solvers: damped Newton in x behind ``solve``, and SPG in y.
 
-``minimize_x`` works in the knots, for every kind.  Its model is
-tridiagonal: phi's Hessian for the area kind, and for a squared kind the
-Gauss-Newton matrix 2 J^T J of its window's gaps, as each gap depends only
-on its segment's two end knots.  Each model step solves (H + mu I) s = -g
+``minimize_x`` works in the knots, for every kind: ``objective.evaluate``
+gives the kind's value and ``objective.model_bands`` its tridiagonal model,
+phi's Hessian for the area kind and the Gauss-Newton matrix 2 J^T J of the
+window's gaps for a squared kind.  Each model step solves (H + mu I) s = -g
 by an O(n) LDL^T sweep; the Levenberg damping mu grows fourfold until s is
 a descent direction, tending to the steepest-descent step.  Trial points
 follow the projected arc P(x + t s), t = 1, 1/2, ..., with P the exact
@@ -50,8 +50,8 @@ from enum import Enum
 import numpy as np
 
 from .cone import project
-from .objective import area_hessian_bands, gauss_newton_bands, grad_x, phi
-from .pl import KnotVector, ObjectiveKind, squared_gap_sum, window_gaps
+from .objective import evaluate, grad_x, model_bands
+from .pl import KnotVector, ObjectiveKind
 
 
 class Termination(Enum):
@@ -70,7 +70,7 @@ class SolverError(RuntimeError):
 
 
 def _checked(value, k: int, point: np.ndarray, what: str):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise SolverError(f"non-finite {what}", k, point)
     return value
 
@@ -231,24 +231,18 @@ def minimize_x(curve, start: KnotVector,
                kind: ObjectiveKind = ObjectiveKind.CONCAVE_AREA) -> MinimizeResult:
     """Minimise the kind's objective over {a <= x_1 <= ... <= x_n <= b}."""
     a, b = start.a, start.b
-    window = kind.window(start.n)
 
     def onto_knots(v):
         # exact projection onto the ordered knots in [a, b]; monotone rounding
         # keeps the shifted cone point ordered and at least a
         return np.minimum(project(v - a) + a, b)
 
-    def evaluate(knots, k):
-        xs = knots.full()
-        gaps = None if window is None else window_gaps(curve, xs, *window)
-        fv = _checked(np.asarray(curve.value(xs), dtype=float),
-                      k, knots.interior, "curve value")
-        if gaps is None:
-            return knots, fv, None, phi(curve, knots, fv)
-        f = _checked(squared_gap_sum(gaps), k, knots.interior, "objective")
-        return knots, fv, gaps, f
+    def evaluated(knots, k):
+        fv, gaps, f = evaluate(curve, kind, knots)
+        _checked(fv, k, knots.interior, "curve value")
+        return knots, fv, gaps, _checked(f, k, knots.interior, "objective")
 
-    knots, fv, gaps, f = evaluate(start, 0)
+    knots, fv, gaps, f = evaluated(start, 0)
     mu, tol = 0.0, None
     for k in range(NEWTON_MAX_ITER):
         x, xs = knots.interior, knots.full()
@@ -258,7 +252,7 @@ def minimize_x(curve, start: KnotVector,
         # a rise within a few roundings of the objective's terms is noise,
         # which would stall Newton near the optimum: phi sums terms bounded
         # by (b - a) max |f|, the squared-gap sum nonnegative ones
-        if window is None:
+        if gaps is None:
             f_scale = float(np.max(np.abs(fv)))
             tol = NEWTON_TOL * max(1.0, f_scale)
             noise = PHI_ROUNDING * (b - a) * f_scale
@@ -271,11 +265,8 @@ def minimize_x(curve, start: KnotVector,
         if residual <= tol:
             return MinimizeResult(x, f, k, Termination.STATIONARY)
 
-        if window is None:
-            fpp = _checked(np.asarray(curve.deriv2(x), dtype=float), k, x, "curvature")
-            diag, off = area_hessian_bands(xs, fp, fpp)
-        else:
-            diag, off = gauss_newton_bands(xs, fv, fp, window)
+        diag, off = model_bands(curve, kind, xs, fv, fp)
+        _checked(diag, k, x, "curvature")
         runs, g_model, h = None, g, xs[1:] - xs[:-1]
         if h.min() <= 0.0:
             # projected Newton: the knots that a short steepest-descent step
@@ -298,7 +289,7 @@ def minimize_x(curve, start: KnotVector,
             trial = onto_knots(x + t * s)
             slope = float(g @ (trial - x))
             if slope < 0.0:
-                new = evaluate(KnotVector(a, b, trial), k)
+                new = evaluated(KnotVector(a, b, trial), k)
                 if new[3] <= f + NU * slope + noise:
                     break
             t *= 0.5

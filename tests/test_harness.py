@@ -108,6 +108,14 @@ class TestRunCatalog:
         assert math.isnan(row.reduction_pct)
         assert main(["solve", "--curves", "logistic1b", "--measure", "concave"]) == 0
         assert json.loads(capsys.readouterr().out)["reduction_pct"] is None
+        # arctan2b's baseline is positive but its optimised area gap is
+        # negative, so the difference is no share of an error either
+        row = run_experiment(catalog_by_name["arctan2b"], 4, "concave")
+        assert row.status == "ok" and row.orig_error > 0.0 > row.spg_error
+        assert math.isnan(row.reduction_pct)
+        assert main(["solve", "--curves", "arctan2b", "--knots", "4",
+                     "--measure", "concave"]) == 0
+        assert json.loads(capsys.readouterr().out)["reduction_pct"] is None
         # a concave-flagged row keeps its share of the baseline
         row = run_experiment(catalog_by_name["logistic1a"], 4, "concave")
         assert row.orig_error > 0.0

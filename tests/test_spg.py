@@ -13,7 +13,7 @@ from knotopt import (KnotVector, MinimizeResult, ObjectiveKind, SolverError,
                      default_catalog, error_concave, from_y, kkt_check,
                      minimize_y, phi, solve, to_y)
 from knotopt import spg
-from knotopt.objective import gauss_newton_bands, grad_x
+from knotopt.objective import grad_x, model_bands
 from knotopt.pl import window_gaps
 
 from helpers import QuadraticCurve, sequential_ldlt_solve
@@ -151,7 +151,8 @@ class TestNewton:
                 residual = kkt_check(entry.curve, knots).stationarity_residual
                 assert residual <= tol, (entry.name, n)
 
-    def test_nan_value_names_the_point(self):
+    @pytest.mark.parametrize("kind", [AREA, GENERAL], ids=lambda kind: kind.value)
+    def test_nan_value_names_the_point(self, kind):
         class Holed(QuadraticCurve):
             def value(self, x):
                 inside = (np.asarray(x) > 0.9) & (np.asarray(x) < 1.1)
@@ -159,9 +160,22 @@ class TestNewton:
 
         init = KnotVector(0.0, 2.0, np.array([0.1, 0.2, 0.3]))
         with pytest.raises(SolverError, match="non-finite curve value") as caught:
-            solve(Holed(-1.0, 0.0, 4.0), AREA, 3, init=init)
+            solve(Holed(-1.0, 0.0, 4.0), kind, 3, init=init)
         point = caught.value.point
         assert np.any((point > 0.9) & (point < 1.1))
+
+    def test_nan_curvature_stops_the_solve(self):
+        # a NaN f'' would make the damping's scale NaN, and the model solve
+        # would then fail for every damping tried
+        class Flat(QuadraticCurve):
+            def deriv2(self, x):
+                return np.full_like(np.asarray(x, dtype=float), np.nan)
+
+        init = KnotVector(0.0, 2.0, np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(SolverError,
+                           match="non-finite curvature at iteration 0") as caught:
+            solve(Flat(-1.0, 0.0, 4.0), AREA, 3, init=init)
+        assert np.array_equal(caught.value.point, init.interior)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(st.sampled_from(CONCAVE_ROWS),
@@ -199,8 +213,8 @@ class TestGaussNewton:
         xs = equal_start(entry, n).full()
         xs[1:-1] += np.random.default_rng(3).uniform(-0.3, 0.3, n) * width
         window = kind.window(n)
-        diag, off = gauss_newton_bands(xs, entry.curve.value(xs),
-                                       entry.curve.deriv1(xs[1:-1]), window)
+        diag, off = model_bands(entry.curve, kind, xs, entry.curve.value(xs),
+                                entry.curve.deriv1(xs[1:-1]))
 
         step = 1e-6 * width
         jac = np.empty((n + 1, n))
