@@ -2,14 +2,15 @@
 
 Subcommands:
   run        catalog experiments, one row per curve and knot count
-  solve      optimise a single curve and print the resulting knots
+  solve      optimise a single curve and print its result row as JSON
   check      first-order optimality diagnostic at given knot positions
   plot-data  sample a curve and its interpolant to CSV for plotting
 
 Every measure is solved by damped Newton in x, which draws no random
 numbers, so no command takes a seed.  Bad input from outside the program
 (knot counts or positions, the catalog file, the --out path) exits from
-``main`` with an ``error: ...`` message instead of a traceback.  Every
+``main`` with an ``error: ...`` message instead of a traceback; so do an
+empty catalog and an empty curve name.  Curve names are stripped.  Every
 --out file is written whole or not at all.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -48,7 +50,7 @@ def _knot_vector(entry, text: str) -> KnotVector:
 
 
 def _cmd_run(args) -> int:
-    curves = args.curves.split(",") if args.curves else None
+    curves = None if args.curves is None else args.curves.split(",")
     rows = run_catalog(catalog_path=args.catalog, curves=curves,
                        knot_counts=args.knots, measure=args.measure,
                        out_path=args.out, fmt=args.format)
@@ -72,14 +74,10 @@ def _write_json(record: dict, out: str | None):
 def _cmd_solve(args) -> int:
     [entry] = select(args.catalog, [args.curves])
     row = run_experiment(entry, args.knots, args.measure)
-    record = {
-        "curve": entry.name, "a": entry.a, "b": entry.b, "n_knots": args.knots,
-        "measure": row.measure,
-        "orig_error": row.orig_error, "spg_error": row.spg_error,
-        "reduction_pct": row.reduction_pct, "iterations": row.iterations,
-        "termination": row.termination, "status": row.status,
-        "knots": row.final_knots.tolist(),
-    }
+    # the row's columns in order, under the two names this command prints
+    renamed = {"curve_name": "curve", "final_knots": "knots"}
+    record = {renamed.get(name, name): value for name, value in asdict(row).items()}
+    record["knots"] = row.final_knots.tolist()
     _write_json(record, args.out)
     return 0
 

@@ -180,12 +180,13 @@ def load_catalog(path: str | Path) -> list[CurveCatalogEntry]:
     Expected columns: name, type, v1, v2, s, d1, d2, concave, a, b.  The
     shape column accepts "-" (or blank) for families without one; the
     concave column is Y or N, in either case; every number must be finite.
-    Names must be unique.  A row that cannot be read raises ValueError naming
-    the file, the line and the row.
+    Names must be unique.  The file is UTF-8, with or without a byte-order
+    mark.  A row that cannot be read raises ValueError naming the file, the
+    line and the row; so does a file with no curve rows, naming the file.
     """
     entries: list[CurveCatalogEntry] = []
     seen: set[str] = set()
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         for fields in filter(None, reader):      # skip blank lines
@@ -219,6 +220,8 @@ def load_catalog(path: str | Path) -> list[CurveCatalogEntry]:
                 raise ValueError(f"{path}, line {reader.line_num}: "
                                  f"{','.join(fields)!r}: {reason}") from None
             seen.add(name)
+    if not entries:
+        raise ValueError(f"{path}: no curve rows")
     return entries
 
 

@@ -20,7 +20,8 @@ so a row is the same whatever else the run holds.  Rows are assembled in
 catalog order and all floating-point output is formatted explicitly, so
 two runs produce byte-identical files.  A row's reduction percentage is
 NaN unless its baseline error is positive and its optimised error is
-nonnegative, so every number printed lies in [0, 100].
+nonnegative, so every number printed lies in [0, 100].  ``ResultRow``'s
+fields are the output columns in order, and ``_row_record`` their formats.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import errno
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ DEFAULT_KNOT_COUNTS = (4, 8)
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One cell of the result table; the fields are its columns, in order."""
     curve_name: str
     a: float
     b: float
@@ -54,8 +56,8 @@ class ResultRow:
     reduction_pct: float
     iterations: int
     termination: str
+    status: str
     final_knots: np.ndarray
-    status: str = "ok"
 
 
 def run_experiment(entry: CurveCatalogEntry, n: int, measure: str) -> ResultRow:
@@ -79,17 +81,20 @@ def run_experiment(entry: CurveCatalogEntry, n: int, measure: str) -> ResultRow:
     return ResultRow(
         curve_name=entry.name, a=a, b=b, n_knots=n, measure=measure,
         orig_error=orig, spg_error=spg_error, reduction_pct=reduction,
-        iterations=iterations, termination=termination,
-        final_knots=final, status=status,
+        iterations=iterations, termination=termination, status=status,
+        final_knots=final,
     )
 
 
 def select(catalog_path: str | Path | None,
            names: list[str] | None) -> list[CurveCatalogEntry]:
-    """Entries ``names`` (all if None) of the catalog file (bundled if None)."""
+    """Entries ``names`` (stripped; all if None) of the catalog (bundled if None)."""
     catalog = default_catalog() if catalog_path is None else load_catalog(catalog_path)
     if names is None:
         return catalog
+    names = [name.strip() for name in names]
+    if "" in names:
+        raise ValueError(f"empty curve name in {','.join(names)!r}")
     by_name = {entry.name: entry for entry in catalog}
     missing = [name for name in names if name not in by_name]
     if missing:
@@ -129,31 +134,21 @@ def run_catalog(catalog_path: str | Path | None = None,
 
 # -- serialisation ---------------------------------------------------------
 
-_CSV_FIELDS = ("curve_name", "a", "b", "n_knots", "measure", "orig_error",
-               "spg_error", "reduction_pct", "iterations", "termination",
-               "status", "final_knots")
-
-
 def _row_record(row: ResultRow) -> dict:
-    return {
-        "curve_name": row.curve_name,
-        "a": f"{row.a:.6g}",
-        "b": f"{row.b:.6g}",
-        "n_knots": row.n_knots,
-        "measure": row.measure,
-        "orig_error": f"{row.orig_error:.6E}",
-        "spg_error": f"{row.spg_error:.6E}",
-        "reduction_pct": f"{row.reduction_pct:.4f}",
-        "iterations": row.iterations,
-        "termination": row.termination,
-        "status": row.status,
-        "final_knots": ";".join(f"{x:.12g}" for x in row.final_knots),
-    }
+    """The row's columns as the CSV and the JSON table print them."""
+    record = {field.name: getattr(row, field.name) for field in fields(row)}
+    record.update(a=f"{row.a:.6g}", b=f"{row.b:.6g}",
+                  orig_error=f"{row.orig_error:.6E}",
+                  spg_error=f"{row.spg_error:.6E}",
+                  reduction_pct=f"{row.reduction_pct:.4f}",
+                  final_knots=";".join(f"{x:.12g}" for x in row.final_knots))
+    return record
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buffer, lineterminator="\n",
+                            fieldnames=[field.name for field in fields(ResultRow)])
     writer.writeheader()
     for row in rows:
         writer.writerow(_row_record(row))

@@ -125,9 +125,15 @@ class TestRunCatalog:
         out = tmp_path / "rows.json"
         run_catalog(curves=["logistic1a"], knot_counts=(4,), out_path=out,
                     fmt="json")
-        records = json.loads(out.read_text())
-        assert len(records) == 1
-        assert records[0]["curve_name"] == "logistic1a"
+        [record] = json.loads(out.read_text())
+        assert list(record) == [
+            "curve_name", "a", "b", "n_knots", "measure", "orig_error",
+            "spg_error", "reduction_pct", "iterations", "termination",
+            "status", "final_knots"]
+        assert record["curve_name"] == "logistic1a"
+        assert type(record["n_knots"]) is int and record["n_knots"] == 4
+        assert type(record["iterations"]) is int
+        assert record["a"] == "0" and record["final_knots"].startswith("0;")
 
     def test_invalid_measure(self):
         with pytest.raises(ValueError):
@@ -219,6 +225,9 @@ class TestCli:
         code = main(["run", "--curves", "logistic1a", "--knots", "4",
                      "--out", str(out)])
         assert code == 0
+        assert out.read_text().splitlines()[0] == (
+            "curve_name,a,b,n_knots,measure,orig_error,spg_error,"
+            "reduction_pct,iterations,termination,status,final_knots")
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["curve_name"] == "logistic1a"
@@ -257,9 +266,61 @@ class TestCli:
         code = main(["solve", "--curves", "logistic1a", "--knots", "4"])
         assert code == 0
         record = json.loads(capsys.readouterr().out)
+        assert list(record) == [
+            "curve", "a", "b", "n_knots", "measure", "orig_error", "spg_error",
+            "reduction_pct", "iterations", "termination", "status", "knots"]
         assert record["curve"] == "logistic1a"
+        assert (record["a"], record["b"]) == (0.0, 2.0)
+        assert type(record["n_knots"]) is int and record["n_knots"] == 4
+        assert type(record["iterations"]) is int
         assert record["spg_error"] <= record["orig_error"]
         assert len(record["knots"]) == 6
+
+    def test_bom_catalog_loads(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_bytes(b"\xef\xbb\xbf" + (HEADER + OK_ROW).encode())
+        assert [entry.name for entry in load_catalog(catalog)] == ["ok"]
+        assert main(["run", "--catalog", str(catalog), "--knots", "4"]) == 0
+        [row] = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert (row["curve_name"], row["status"]) == ("ok", "ok")
+
+    @pytest.mark.parametrize("text", ["", HEADER], ids=["empty", "header-only"])
+    def test_catalog_without_rows_exits_with_error(self, text, tmp_path):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text(text)
+        with pytest.raises(ValueError, match="no curve rows"):
+            load_catalog(catalog)
+        out = tmp_path / "rows.csv"
+        for argv in (["run", "--out", str(out)], ["solve", "--curves", "ok"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--catalog", str(catalog)])
+            assert str(exc.value) == f"error: {catalog}: no curve rows"
+        assert not out.exists()
+
+    def test_curve_names_are_stripped(self, capsys):
+        argv = ["run", "--knots", "4", "--curves"]
+        assert main(argv + ["logistic1a,weibull2a"]) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + [" logistic1a, weibull2a "]) == 0
+        assert capsys.readouterr().out == plain
+        assert len(plain.splitlines()) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--curves", ""], ["run", "--curves", "logistic1a,"],
+        ["run", "--curves", "logistic1a, ,weibull2a"], ["solve", "--curves", ""],
+    ], ids=["run-empty", "run-trailing-comma", "run-blank", "solve-empty"])
+    def test_empty_curve_name_exits_with_error(self, argv, tmp_path,
+                                               monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_experiment",
+                            lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert str(exc.value).startswith("error: empty curve name in ")
+        assert len(calls) == 0
+        assert not out.exists()
 
     def test_solve_failed_row_is_valid_json(self, tmp_path, capsys):
         catalog = tmp_path / "catalog.csv"
