@@ -72,7 +72,7 @@ def kkt_check(curve, knots: KnotVector,
     """Recover multipliers and measure how far the KKT conditions are violated."""
     xs = knots.full()
     gaps = np.diff(xs)
-    g = grad_x(curve, kind, knots)
+    g = grad_x(curve, kind, xs)
     n = knots.n
 
     active = gaps <= COMPLEMENTARITY_TOL

@@ -51,14 +51,13 @@ DELTA_SCALE = 1e-12
 
 
 def evaluate(curve, kind: ObjectiveKind,
-             knots: KnotVector) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """f at ``knots.full()``, the kind's window gaps and the kind's value.
+             xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """f at the ordered breakpoints ``xs`` (a, the knots, b), gaps and value.
 
     The area kind has no gaps (None) and its value is phi; a squared kind's
-    value is ``squared_gap_sum`` of its gaps.
+    value is ``squared_gap_sum`` of the gaps in its window.
     """
-    window = kind.window(knots.n)
-    xs = knots.full()
+    window = kind.window(xs.size - 2)
     gaps = None if window is None else window_gaps(curve, xs, *window)
     fv = np.asarray(curve.value(xs), dtype=float)
     if gaps is None:
@@ -68,22 +67,21 @@ def evaluate(curve, kind: ObjectiveKind,
 
 def phi(curve, knots: KnotVector) -> float:
     """Negated trapezoid area of the interpolant over [a, b]."""
-    return evaluate(curve, ObjectiveKind.CONCAVE_AREA, knots)[2]
+    return evaluate(curve, ObjectiveKind.CONCAVE_AREA, knots.full())[2]
 
 
-def grad_x(curve, kind: ObjectiveKind, knots: KnotVector,
+def grad_x(curve, kind: ObjectiveKind, xs: np.ndarray,
            gaps: np.ndarray | None = None, fv: np.ndarray | None = None,
            fp: np.ndarray | None = None) -> np.ndarray:
-    """The kind's gradient in the interior knots.
+    """The kind's gradient in the interior knots of the breakpoints ``xs``.
 
     ``fv`` and ``gaps`` as ``evaluate`` gives them (``gaps`` is read only
     with ``fv``) and ``fp`` (f' at the interior knots) spare their
     evaluation when given.  For the area kind (phi) component i is
     (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1} - x_{i+1})].
     """
-    xs = knots.full()
     if fv is None:
-        fv, gaps, _ = evaluate(curve, kind, knots)
+        fv, gaps, _ = evaluate(curve, kind, xs)
     fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float) if fp is None else fp
     if gaps is None:
         return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:]))
@@ -164,19 +162,19 @@ class YObjective:
         self.a = float(a)
         self.b = float(b)
         self.kind = kind
-        self._state = None   # (y, knots, *evaluate(...)) of the last y
+        self._state = None   # (y, xs, *evaluate(...)) of the last y
 
     def _at(self, y: np.ndarray):
         if self._state is None or not np.array_equal(self._state[0], y):
             y = np.array(y, dtype=float)   # a copy: the caller may reuse its array
-            knots = from_y(y, self.a, self.b)
-            self._state = (y, knots, *evaluate(self.curve, self.kind, knots))
+            xs = from_y(y, self.a, self.b).full()
+            self._state = (y, xs, *evaluate(self.curve, self.kind, xs))
         return self._state
 
     def value(self, y: np.ndarray) -> float:
         return self._at(y)[-1]
 
     def grad(self, y: np.ndarray) -> np.ndarray:
-        y, knots, fv, gaps, _ = self._at(y)
+        y, xs, fv, gaps, _ = self._at(y)
         dx_dy = (self.b - self.a) / (1.0 + y) ** 2
-        return grad_x(self.curve, self.kind, knots, gaps, fv) * dx_dy
+        return grad_x(self.curve, self.kind, xs, gaps, fv) * dx_dy

@@ -1,13 +1,14 @@
 """The solvers: damped Newton in x behind ``solve``, and SPG in y.
 
-``minimize_x`` works in the knots, for every kind: ``objective.evaluate``
-gives the kind's value and ``objective.model_bands`` its tridiagonal model,
-phi's Hessian for the area kind and the Gauss-Newton matrix 2 J^T J of the
-window's gaps for a squared kind.  Each model step solves (H + mu I) s = -g
-by an O(n) LDL^T sweep; the Levenberg damping mu grows fourfold until s is
-a descent direction, tending to the steepest-descent step.  Trial points
-follow the projected arc P(x + t s), t = 1, 1/2, ..., with P the exact
-projection onto the ordered knots in [a, b], until an Armijo test holds.
+``minimize_x`` works in the breakpoints (a, the knots, b) for every kind:
+``objective.evaluate`` gives the kind's value and ``objective.model_bands``
+its tridiagonal model, phi's Hessian for the area kind and the Gauss-Newton
+matrix 2 J^T J of the window's gaps for a squared kind.  Each model step
+solves (H + mu I) s = -g by an O(n) LDL^T sweep; the Levenberg damping mu
+grows fourfold until s is a descent direction, tending to steepest descent.
+Trial points follow the projected arc P(x + t s), t = 1, 1/2, ..., with P
+the exact projection onto the ordered knots in [a, b], until an Armijo test
+holds; being ordered by P, they need no ``KnotVector`` check.
 For every kind the model is projected Newton's (Bertsekas, SIAM J.
 Control Optim. 20, 1982): the knots that a short steepest-descent step
 keeps tied, or at a or b, move as one run or stay put, so P never pools a
@@ -229,7 +230,7 @@ def _held_model(probe: np.ndarray, a: float, b: float, diag: np.ndarray,
 
 def minimize_x(curve, start: KnotVector,
                kind: ObjectiveKind = ObjectiveKind.CONCAVE_AREA) -> MinimizeResult:
-    """Minimise the kind's objective over {a <= x_1 <= ... <= x_n <= b}."""
+    """Minimise the kind's objective over breakpoints a <= x_1 <= ... <= x_n <= b."""
     a, b = start.a, start.b
 
     def onto_knots(v):
@@ -237,17 +238,17 @@ def minimize_x(curve, start: KnotVector,
         # keeps the shifted cone point ordered and at least a
         return np.minimum(project(v - a) + a, b)
 
-    def evaluated(knots, k):
-        fv, gaps, f = evaluate(curve, kind, knots)
-        _checked(fv, k, knots.interior, "curve value")
-        return knots, fv, gaps, _checked(f, k, knots.interior, "objective")
+    def evaluated(xs, k):
+        fv, gaps, f = evaluate(curve, kind, xs)
+        _checked(fv, k, xs[1:-1], "curve value")
+        return xs, fv, gaps, _checked(f, k, xs[1:-1], "objective")
 
-    knots, fv, gaps, f = evaluated(start, 0)
+    xs, fv, gaps, f = evaluated(start.full(), 0)
     mu, tol = 0.0, None
     for k in range(NEWTON_MAX_ITER):
-        x, xs = knots.interior, knots.full()
+        x = xs[1:-1]
         fp = _checked(np.asarray(curve.deriv1(x), dtype=float), k, x, "derivative")
-        g = grad_x(curve, kind, knots, gaps, fv, fp)
+        g = grad_x(curve, kind, xs, gaps, fv, fp)
         residual = np.max(np.abs(onto_knots(x - g) - x))
         # a rise within a few roundings of the objective's terms is noise,
         # which would stall Newton near the optimum: phi sums terms bounded
@@ -289,19 +290,19 @@ def minimize_x(curve, start: KnotVector,
             trial = onto_knots(x + t * s)
             slope = float(g @ (trial - x))
             if slope < 0.0:
-                new = evaluated(KnotVector(a, b, trial), k)
+                new = evaluated(np.concatenate(([a], trial, [b])), k)
                 if new[3] <= f + NU * slope + noise:
                     break
             t *= 0.5
             if t < _ALPHA_FLOOR:
                 return MinimizeResult(x, f, k, Termination.NO_IMPROVEMENT)
-        knots, fv, gaps, f = new
+        xs, fv, gaps, f = new
         if t < 1.0:
             mu = max(4.0 * mu, 1e-6 * h_scale)
         elif (mu := mu / 4.0) < 1e-10 * h_scale:
             mu = 0.0
 
-    return MinimizeResult(knots.interior, f, NEWTON_MAX_ITER, Termination.MAX_ITER)
+    return MinimizeResult(xs[1:-1], f, NEWTON_MAX_ITER, Termination.MAX_ITER)
 
 
 def solve(curve, kind: ObjectiveKind, n: int,

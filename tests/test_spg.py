@@ -235,15 +235,15 @@ class TestGaussNewton:
         # be the one at the knots it asks about
         entry, seen = catalog_by_name["gompertz1b"], []
 
-        def recording(curve, kind, knots, *cached):
-            seen.append((knots, grad_x(curve, kind, knots, *cached)))
+        def recording(curve, kind, xs, *cached):
+            seen.append((xs, grad_x(curve, kind, xs, *cached)))
             return seen[-1][1]
 
         monkeypatch.setattr(spg, "grad_x", recording)
         report = solve(entry.curve, kind, 4, a=entry.a, b=entry.b)
         assert len(seen) == report.iterations + 1
-        for knots, g in seen:
-            assert g.tobytes() == grad_x(entry.curve, kind, knots).tobytes()
+        for xs, g in seen:
+            assert g.tobytes() == grad_x(entry.curve, kind, xs).tobytes()
 
     def test_catalog_auto_cells_end_stationary(self, catalog):
         for entry in catalog:
