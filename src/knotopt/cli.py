@@ -10,8 +10,8 @@ Every measure is solved by damped Newton in x, which draws no random
 numbers, so no command takes a seed.  Bad input from outside the program
 (knot counts or positions, the catalog file, the --out path) exits from
 ``main`` with an ``error: ...`` message instead of a traceback; so do an
-empty catalog and an empty curve name.  Curve names are stripped.  Every
---out file is written whole or not at all.
+empty catalog, an empty curve name and knots where the gap kernel gives up.
+Curve names are stripped.  Every --out file is written whole or not at all.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .harness import (DEFAULT_KNOT_COUNTS, FORMATS, emit_plot_data,
                       run_catalog, run_experiment, select, write_text)
 from .kkt import hessian_phi, kkt_check, prop1_test
 from .pl import KnotVector, ObjectiveKind
+from .quadrature import QuadratureError
 
 MEASURE_NAMES = [kind.value for kind in ObjectiveKind]
 
@@ -170,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except KeyError as exc:     # harness.select names the curves it lacks
         raise SystemExit(f"error: {exc.args[0]}") from None
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, QuadratureError) as exc:
         raise SystemExit(f"error: {exc}") from None
 
 

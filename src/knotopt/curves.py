@@ -181,15 +181,19 @@ def load_catalog(path: str | Path) -> list[CurveCatalogEntry]:
     shape column accepts "-" (or blank) for families without one; the
     concave column is Y or N, in either case; every number must be finite.
     Names must be unique.  The file is UTF-8, with or without a byte-order
-    mark.  A row that cannot be read raises ValueError naming the file, the
-    line and the row; so does a file with no curve rows, naming the file.
+    mark.  ValueError names the file and line of a bad row (and the row once
+    split into fields), or the file if it has no curve rows.
     """
     entries: list[CurveCatalogEntry] = []
     seen: set[str] = set()
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        for fields in filter(None, reader):      # skip blank lines
+        try:      # the reader raises csv.Error, such as on an overlong field
+            header = next(reader, [])
+            rows = [(reader.line_num, fields) for fields in reader if fields]
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        for line, fields in rows:      # blank lines skipped
             try:
                 if len(fields) != len(header):
                     raise ValueError(f"{len(fields)} fields for {len(header)} columns")
@@ -217,7 +221,7 @@ def load_catalog(path: str | Path) -> list[CurveCatalogEntry]:
                 ))
             except (KeyError, ValueError) as exc:
                 reason = f"no column {exc}" if isinstance(exc, KeyError) else exc
-                raise ValueError(f"{path}, line {reader.line_num}: "
+                raise ValueError(f"{path}, line {line}: "
                                  f"{','.join(fields)!r}: {reason}") from None
             seen.add(name)
     if not entries:

@@ -461,3 +461,24 @@ class TestCli:
             assert ".tmp" not in str(exc.value)
         if out is not None and out != "taken":
             assert not (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("measure, panels", [("general", 1024), ("auto", 512)])
+    def test_gap_kernel_failure_exits_with_error(self, measure, panels):
+        # arctan2b's f'' is zero at x = -1, where a 2e-7 wide segment defeats
+        # the kernel's bisection
+        argv = ["check", "--curves", "arctan2b",
+                "--knots=-1.0000001,-0.9999999,0.5", "--measure", measure]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value) == (
+            f"error: bisection would need over {panels} live panels")
+
+    def test_unreadable_csv_exits_with_error(self, tmp_path):
+        # a field over the csv module's limit makes its reader raise
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text(HEADER + f'"{"x" * 200_000}",Logistic,0,1,1,-1,0,Y,0,2\n')
+        with pytest.raises(ValueError, match="field larger than field limit"):
+            load_catalog(catalog)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--catalog", str(catalog)])
+        assert str(exc.value).startswith(f"error: {catalog}, line 2: ")

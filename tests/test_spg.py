@@ -190,6 +190,27 @@ class TestNewton:
         assert result.objective == phi(entry.curve, reached)
         assert result.objective <= phi(entry.curve, start) + 1e-12
 
+    @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda kind: kind.value)
+    def test_knot_vectors_are_built_only_at_the_boundary(self, catalog_by_name,
+                                                         monkeypatch, kind):
+        # the loop carries breakpoint arrays, which the projection keeps
+        # ordered: only solve's start and final knots are checked
+        built = []
+        check = KnotVector.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        entry = catalog_by_name["gompertz1b"]
+        start = equal_start(entry, 8)
+        monkeypatch.setattr(KnotVector, "__post_init__", counting)
+        result = spg.minimize_x(entry.curve, start, kind)
+        assert result.iterations > 0 and built == []
+        report = solve(entry.curve, kind, 8, a=entry.a, b=entry.b)
+        assert report.iterations == result.iterations
+        assert len(built) == 2 and built[-1] is report.final_knots
+
     def test_no_worse_than_spg(self):
         for entry in CONCAVE_ROWS:
             for n in (4, 8):
