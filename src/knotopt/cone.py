@@ -40,16 +40,16 @@ def project(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("input must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("input must be finite")
 
     # 0.0 first, here and below: on a tie np.maximum returns its second
     # operand, so a -0.0 entry or block mean keeps its sign and a feasible
     # input comes back bit for bit
-    descents = np.flatnonzero(v[1:] < v[:-1])
-    if descents.size == 0:
+    descent = v[1:] < v[:-1]
+    if not descent.any():
         return np.maximum(0.0, v)
-    j = int(descents[0]) + 1
+    j = int(descent.argmax()) + 1
 
     # stack of blocks as (total, count); invariant: nondecreasing means.
     # only strict violations are pooled: merging tied blocks would change

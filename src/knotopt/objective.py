@@ -61,7 +61,7 @@ def evaluate(curve, kind: ObjectiveKind,
     gaps = None if window is None else window_gaps(curve, xs, *window)
     fv = np.asarray(curve.value(xs), dtype=float)
     if gaps is None:
-        return fv, None, float(-0.5 * np.sum(np.diff(xs) * (fv[:-1] + fv[1:])))
+        return fv, None, float(-0.5 * ((xs[1:] - xs[:-1]) * (fv[:-1] + fv[1:])).sum())
     return fv, gaps, squared_gap_sum(gaps)
 
 
@@ -72,20 +72,21 @@ def phi(curve, knots: KnotVector) -> float:
 
 def grad_x(curve, kind: ObjectiveKind, xs: np.ndarray,
            gaps: np.ndarray | None = None, fv: np.ndarray | None = None,
-           fp: np.ndarray | None = None) -> np.ndarray:
+           fp: np.ndarray | None = None,
+           brackets: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """The kind's gradient in the interior knots of the breakpoints ``xs``.
 
     ``fv`` and ``gaps`` as ``evaluate`` gives them (``gaps`` is read only
-    with ``fv``) and ``fp`` (f' at the interior knots) spare their
-    evaluation when given.  For the area kind (phi) component i is
-    (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1} - x_{i+1})].
+    with ``fv``), ``fp`` (f' at the interior knots) and ``gap_brackets`` of
+    them spare their evaluation when given.  For the area kind (phi)
+    component i is (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1} - x_{i+1})].
     """
     if fv is None:
         fv, gaps, _ = evaluate(curve, kind, xs)
     fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float) if fp is None else fp
     if gaps is None:
         return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:]))
-    upper, lower = gap_brackets(xs, fv, fp)
+    upper, lower = gap_brackets(xs, fv, fp) if brackets is None else brackets
     return gaps[:-1] * upper + gaps[1:] * lower
 
 
@@ -97,29 +98,32 @@ def gap_brackets(xs: np.ndarray, fv: np.ndarray,
     segment j + 1; ``upper[j]`` is twice d gap_j / d x and ``lower[j]`` twice
     d gap_{j+1} / d x, the bracket factors of the module docstring.
     """
-    h = np.diff(xs)
+    h = xs[1:] - xs[:-1]
     df = fv[1:] - fv[:-1]
     return df[:-1] - fp * h[:-1], df[1:] - fp * h[1:]
 
 
 def model_bands(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray | None,
-                fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                fp: np.ndarray,
+                brackets: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the kind's tridiagonal Newton model.
 
-    ``xs`` are the breakpoints, ``fv`` f at them and ``fp`` f' at the
-    interior ones.  For the area kind the model is phi's Hessian in the
-    interior knots, (1/2)(x_{i-1} - x_{i+1}) f''(x_i) on the diagonal and
-    (1/2)(f'(x_{i+1}) - f'(x_i)) beside it, with f'' evaluated here (``fv``
-    is not read).  For a squared kind it is the Gauss-Newton matrix 2 J^T J,
-    J the Jacobian of the window's gaps in the interior knots: each gap
-    depends only on its segment's two end knots, so J has two entries per
-    row, ``gap_brackets`` halved, and 2 J^T J is tridiagonal.
+    ``xs`` are the breakpoints, ``fv`` f at them, ``fp`` f' at the interior
+    ones and ``brackets`` their ``gap_brackets`` if known.  For the area kind
+    the model is phi's Hessian in the interior knots, (1/2)(x_{i-1} - x_{i+1})
+    f''(x_i) on the diagonal and (1/2)(f'(x_{i+1}) - f'(x_i)) beside it, with
+    f'' evaluated here (``fv`` is not read).  For a squared kind it is the
+    Gauss-Newton matrix 2 J^T J, J the Jacobian of the window's gaps in the
+    interior knots: each gap depends only on its segment's two end knots, so
+    J has two entries per row, ``gap_brackets`` halved, and 2 J^T J is
+    tridiagonal.
     """
     window = kind.window(xs.size - 2)
     if window is None:
         fpp = np.asarray(curve.deriv2(xs[1:-1]), dtype=float)
         return 0.5 * (xs[:-2] - xs[2:]) * fpp, 0.5 * (fp[1:] - fp[:-1])
-    upper, lower = gap_brackets(xs, fv, fp)
+    upper, lower = gap_brackets(xs, fv, fp) if brackets is None else brackets
     scored = np.zeros(xs.size - 1)
     scored[window[0]:window[1] + 1] = 1.0
     return (0.5 * (scored[:-1] * upper ** 2 + scored[1:] * lower ** 2),

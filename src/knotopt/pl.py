@@ -134,7 +134,7 @@ def window_gaps(curve, xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 def squared_gap_sum(gaps: np.ndarray) -> float:
     """Sum of the squared gaps: a squared kind's measure and objective value."""
-    return float(np.sum(gaps ** 2))
+    return float((gaps ** 2).sum())
 
 
 def segment_gaps(curve, knots: KnotVector) -> np.ndarray:

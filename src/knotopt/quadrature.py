@@ -66,8 +66,8 @@ class QuadratureError(RuntimeError):
 def _sampled(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """func at the nodes x; QuadratureError names the first non-finite sample."""
     fx = np.asarray(func(x), dtype=float)
-    bad = ~np.isfinite(fx)
-    if bad.any():
+    if not np.isfinite(fx).all():
+        bad = ~np.isfinite(fx)
         first = float(x[np.argmax(bad)])
         raise QuadratureError(f"non-finite integrand at x={first!r} "
                               f"({np.count_nonzero(bad)} of {x.size} points)")

@@ -37,21 +37,24 @@ start for a squared kind; Newton also stops when no run is free to descend;
 ``EPS`` on |d_k| for SPG), with no improvement (the step underflows, or
 SPG's best value stalls for ``STALL_ITERS`` iterations) or at its
 iteration limit.  Each returns its best point (Newton's is its last, as it
-descends up to the objective's rounding), the value there, the iteration
-count and the reason to stop.
+descends up to the objective's rounding), the value there and at the start,
+the iteration count and the reason to stop.  A squared kind's value is its
+measure, so ``solve`` reports Newton's two values as its errors.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .cone import project
-from .objective import evaluate, grad_x, model_bands
+from .objective import evaluate, gap_brackets, grad_x, model_bands
 from .pl import KnotVector, ObjectiveKind
 
 
@@ -71,7 +74,8 @@ class SolverError(RuntimeError):
 
 
 def _checked(value, k: int, point: np.ndarray, what: str):
-    if not np.isfinite(value).all():
+    if not (math.isfinite(value) if isinstance(value, float)
+            else np.isfinite(value).all()):
         raise SolverError(f"non-finite {what}", k, point)
     return value
 
@@ -120,6 +124,7 @@ class MinimizeResult:
     objective: float              # objective at the best point
     iterations: int
     termination: Termination
+    initial_objective: float = field(kw_only=True)   # objective at the start
 
 
 @dataclass(frozen=True)
@@ -137,6 +142,7 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
     y = project(np.asarray(y0, dtype=float))
     f = float(_checked(value_fn(y), 0, y, "objective"))
     g = np.asarray(_checked(grad_fn(y), 0, y, "gradient"), dtype=float)
+    done = partial(MinimizeResult, initial_objective=f)
 
     best_y, best_f = y, f
     history = deque([f], maxlen=HISTORY + 1)
@@ -148,7 +154,7 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
         p = project(y - alpha_bar * g)
         d = p - y
         if np.linalg.norm(d) <= EPS:
-            return MinimizeResult(best_y, best_f, k, Termination.STATIONARY)
+            return done(best_y, best_f, k, Termination.STATIONARY)
 
         f_bound = max(history)
         g_dot_d = float(g @ d)
@@ -157,7 +163,7 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
         while f_new > f_bound + NU * alpha * g_dot_d:
             alpha = backtrack_step(alpha, rng)
             if alpha < _ALPHA_FLOOR:
-                return MinimizeResult(best_y, best_f, k, Termination.NO_IMPROVEMENT)
+                return done(best_y, best_f, k, Termination.NO_IMPROVEMENT)
             # nonnegative multiples of ordered nonnegative vectors, summed with
             # monotone rounding: in the cone exactly
             y_new = (1.0 - alpha) * y + alpha * p
@@ -182,9 +188,9 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
         y, g = y_new, g_new
         history.append(f_new)
         if stall >= STALL_ITERS:
-            return MinimizeResult(best_y, best_f, k + 1, Termination.NO_IMPROVEMENT)
+            return done(best_y, best_f, k + 1, Termination.NO_IMPROVEMENT)
 
-    return MinimizeResult(best_y, best_f, MAX_ITER, Termination.MAX_ITER)
+    return done(best_y, best_f, MAX_ITER, Termination.MAX_ITER)
 
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
@@ -244,17 +250,19 @@ def minimize_x(curve, start: KnotVector,
         return xs, fv, gaps, _checked(f, k, xs[1:-1], "objective")
 
     xs, fv, gaps, f = evaluated(start.full(), 0)
+    done = partial(MinimizeResult, initial_objective=f)
     mu, tol = 0.0, None
     for k in range(NEWTON_MAX_ITER):
         x = xs[1:-1]
         fp = _checked(np.asarray(curve.deriv1(x), dtype=float), k, x, "derivative")
-        g = grad_x(curve, kind, xs, gaps, fv, fp)
-        residual = np.max(np.abs(onto_knots(x - g) - x))
+        brackets = None if gaps is None else gap_brackets(xs, fv, fp)
+        g = grad_x(curve, kind, xs, gaps, fv, fp, brackets)
+        residual = np.abs(onto_knots(x - g) - x).max()
         # a rise within a few roundings of the objective's terms is noise,
         # which would stall Newton near the optimum: phi sums terms bounded
         # by (b - a) max |f|, the squared-gap sum nonnegative ones
         if gaps is None:
-            f_scale = float(np.max(np.abs(fv)))
+            f_scale = float(np.abs(fv).max())
             tol = NEWTON_TOL * max(1.0, f_scale)
             noise = PHI_ROUNDING * (b - a) * f_scale
         else:
@@ -264,21 +272,21 @@ def minimize_x(curve, start: KnotVector,
                 # which an absolute bound would chase by collapsing the knots
                 tol = SQUARED_RTOL * residual
         if residual <= tol:
-            return MinimizeResult(x, f, k, Termination.STATIONARY)
+            return done(x, f, k, Termination.STATIONARY)
 
-        diag, off = model_bands(curve, kind, xs, fv, fp)
+        diag, off = model_bands(curve, kind, xs, fv, fp, brackets)
         _checked(diag, k, x, "curvature")
         runs, g_model, h = None, g, xs[1:] - xs[:-1]
         if h.min() <= 0.0:
             # projected Newton: the knots that a short steepest-descent step
             # keeps tied, or at a or b, move as one run or stay put; it moves
             # no knot a quarter of the narrowest segment, so no two runs meet
-            tau = 0.25 * np.min(h[h > 0.0]) / np.max(np.abs(g))
+            tau = 0.25 * h[h > 0.0].min() / np.abs(g).max()
             probe = onto_knots(x - tau * g)
             diag, off, g_model, runs = _held_model(probe, a, b, diag, off, g)
-            if not np.any(g_model):   # stationary on the held face
-                return MinimizeResult(x, f, k, Termination.STATIONARY)
-        h_scale = float(np.max(np.abs(diag))) or 1.0
+            if not g_model.any():   # stationary on the held face
+                return done(x, f, k, Termination.STATIONARY)
+        h_scale = float(np.abs(diag).max()) or 1.0
         while ((s := _solve_tridiagonal(diag + mu, off, -g_model)) is None
                or g_model @ s >= 0.0):
             mu = max(4.0 * mu, 1e-10 * h_scale)
@@ -295,14 +303,14 @@ def minimize_x(curve, start: KnotVector,
                     break
             t *= 0.5
             if t < _ALPHA_FLOOR:
-                return MinimizeResult(x, f, k, Termination.NO_IMPROVEMENT)
+                return done(x, f, k, Termination.NO_IMPROVEMENT)
         xs, fv, gaps, f = new
         if t < 1.0:
             mu = max(4.0 * mu, 1e-6 * h_scale)
         elif (mu := mu / 4.0) < 1e-10 * h_scale:
             mu = 0.0
 
-    return MinimizeResult(xs[1:-1], f, NEWTON_MAX_ITER, Termination.MAX_ITER)
+    return done(xs[1:-1], f, NEWTON_MAX_ITER, Termination.MAX_ITER)
 
 
 def solve(curve, kind: ObjectiveKind, n: int,
@@ -315,10 +323,11 @@ def solve(curve, kind: ObjectiveKind, n: int,
     ``config`` is ignored; it stays only because perfbench passes it.  The
     interval comes from ``init`` when given, otherwise from ``a``/``b``;
     bounds given with ``init`` must equal its own.  Reported errors use
-    ``kind``'s own error measure, the initial one at the start as given;
-    the incumbent guard ensures the reported final error never exceeds the
-    initial one, so ``final_knots`` is the start when it rejects the
-    minimiser's point.
+    ``kind``'s own error measure, the initial one at the start as given; a
+    squared kind's are the solve's own values, the same gap sums to the bit,
+    and the area kind measures both points.  The incumbent guard ensures the
+    reported final error never exceeds the initial one, so ``final_knots``
+    is the start when it rejects the minimiser's point.
     """
     if n < 1:
         raise ValueError("need at least one knot")
@@ -336,8 +345,10 @@ def solve(curve, kind: ObjectiveKind, n: int,
 
     result = minimize_x(curve, start, kind)
     final = KnotVector(a, b, result.point)
-    initial_error = kind.error(curve, start)
-    final_error = kind.error(curve, final)
+    # a squared kind's objective is its measure on the same gaps; phi is not
+    initial_error, final_error = result.initial_objective, result.objective
+    if kind is ObjectiveKind.CONCAVE_AREA:
+        initial_error, final_error = kind.error(curve, start), kind.error(curve, final)
     if final_error > initial_error:   # incumbent guard on the reported measure
         final, final_error = start, initial_error
 

@@ -129,3 +129,20 @@ class TestValidation:
             project(np.array([1.0, np.nan]))
         with pytest.raises(ValueError):
             project(np.array([np.inf, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_rejects_non_finite_with_and_without_descent(self, bad, where):
+        for v in ([0.0, 1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0, 0.0]):
+            v = np.array(v)
+            v[where] = bad
+            with pytest.raises(ValueError, match="input must be finite"):
+                project(v)
+
+    def test_no_descent_keeps_negative_zero(self):
+        # the clamp alone: -0.0 entries come back with their sign bit
+        for v in ([-0.0], [-1.0, -0.0, 5.0], [-0.0, 0.0, 2.0]):
+            v = np.array(v)
+            want = np.maximum(0.0, v)
+            assert np.signbit(want).any()
+            assert project(v).tobytes() == want.tobytes()

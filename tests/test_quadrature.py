@@ -186,6 +186,17 @@ class HoledCurve(QuadraticCurve):
 
 
 class TestNonFiniteIntegrand:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sampled_names_the_first_node_and_counts_the_bad(self, bad):
+        x = np.linspace(0.0, 1.0, 9)
+        fx = np.sin(x)
+        fx[[3, 5, 8]] = bad
+        with pytest.raises(QuadratureError) as caught:
+            quadrature._sampled(lambda _: fx, x)
+        assert str(caught.value) == (f"non-finite integrand at x={float(x[3])!r} "
+                                     f"(3 of 9 points)")
+        assert quadrature._sampled(np.sin, x).tobytes() == np.sin(x).tobytes()
+
     # NaN used to bisect up to the panel cap and inf to warn in the panel sums
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_names_the_first_non_finite_x(self, bad):

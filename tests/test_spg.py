@@ -12,8 +12,8 @@ from knotopt import (KnotVector, MinimizeResult, ObjectiveKind, SolverError,
                      SpgConfig, Termination, YObjective, backtrack_step,
                      default_catalog, error_concave, from_y, kkt_check,
                      minimize_y, phi, solve, to_y)
-from knotopt import spg
-from knotopt.objective import grad_x, model_bands
+from knotopt import pl, spg
+from knotopt.objective import evaluate, grad_x, model_bands
 from knotopt.pl import window_gaps
 
 from helpers import QuadraticCurve, sequential_ldlt_solve
@@ -265,6 +265,78 @@ class TestGaussNewton:
         assert len(seen) == report.iterations + 1
         for xs, g in seen:
             assert g.tobytes() == grad_x(entry.curve, kind, xs).tobytes()
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda kind: kind.value)
+    def test_bands_are_model_bands_bit_for_bit(self, catalog_by_name, monkeypatch,
+                                               kind):
+        # the loop hands model_bands the f, f' and gap brackets it already
+        # has; the bands must be the ones computed afresh at the same knots
+        entry, seen = catalog_by_name["gompertz1b"], []
+
+        def recording(curve, kind, xs, *cached):
+            seen.append((xs, model_bands(curve, kind, xs, *cached)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(spg, "model_bands", recording)
+        report = solve(entry.curve, kind, 4, a=entry.a, b=entry.b)
+        assert len(seen) >= report.iterations > 0
+        for xs, bands in seen:
+            fresh = model_bands(entry.curve, kind, xs, entry.curve.value(xs),
+                                entry.curve.deriv1(xs[1:-1]))
+            assert [band.tobytes() for band in bands] \
+                == [band.tobytes() for band in fresh]
+
+    @pytest.mark.parametrize("kind", SQUARED, ids=lambda kind: kind.value)
+    def test_errors_are_the_measure_bit_for_bit(self, catalog, kind):
+        # a squared kind reports the solve's own values at the start and at
+        # the end, which must be its measure there to the last bit
+        def bits(value):
+            return np.float64(value).tobytes()
+
+        starts = [(entry, equal_start(entry, n)) for entry in catalog for n in (4, 8)]
+        entry, rng = catalog[0], np.random.default_rng(11)
+        xs = np.sort(rng.uniform(entry.a, entry.b, 6))
+        starts.append((entry, KnotVector(entry.a, entry.b, xs)))
+        for entry, start in starts:
+            report = solve(entry.curve, kind, start.n, init=start)
+            assert bits(report.initial_error) \
+                == bits(kind.error(entry.curve, start)), (entry.name, start.n)
+            assert bits(report.final_error) \
+                == bits(kind.error(entry.curve, report.final_knots)), \
+                (entry.name, start.n)
+
+    @pytest.mark.parametrize("kind", SQUARED, ids=lambda kind: kind.value)
+    def test_each_point_is_integrated_once(self, catalog_by_name, monkeypatch,
+                                           kind):
+        # solve re-integrates neither its start nor its end
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(pl, "integrate_segments",
+                            counting("kernel", pl.integrate_segments))
+        monkeypatch.setattr(spg, "evaluate", counting("evaluate", evaluate))
+        entry = catalog_by_name["weibull2b"]
+        solve(entry.curve, kind, 8, a=entry.a, b=entry.b)
+        assert calls["evaluate"] > 1
+        assert calls["kernel"] == calls["evaluate"]
+
+    def test_area_kind_measures_start_and_end(self, catalog_by_name, monkeypatch):
+        # phi is not the area kind's measure, so solve still measures twice
+        measured = []
+
+        def counting(curve, knots):
+            measured.append(knots)
+            return error_concave(curve, knots)
+
+        monkeypatch.setattr(pl, "error_concave", counting)
+        entry = catalog_by_name["logistic1a"]
+        report = solve(entry.curve, AREA, 8, a=entry.a, b=entry.b)
+        assert len(measured) == 2 and measured[1] is report.final_knots
 
     def test_catalog_auto_cells_end_stationary(self, catalog):
         for entry in catalog:
@@ -599,6 +671,22 @@ class TestReports:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), np.float64(np.nan),
+        np.float64(-np.inf), np.array([1.0, np.nan]), np.array([[np.inf]])],
+        ids=repr)
+    def test_checked_rejects_non_finite_values(self, value):
+        point = np.array([0.5])
+        with pytest.raises(SolverError,
+                           match="^non-finite objective at iteration 3$") as caught:
+            spg._checked(value, 3, point, "objective")
+        assert caught.value.iteration == 3 and caught.value.point is point
+
+    @pytest.mark.parametrize("value", [0.0, -1.5, np.float64(2.0),
+                                       np.array([1.0, -0.0])], ids=repr)
+    def test_checked_passes_finite_values_through(self, value):
+        assert spg._checked(value, 0, np.array([0.5]), "objective") is value
+
     def test_solver_error_on_nan_objective(self):
         value = lambda y: float("nan")
         grad = lambda y: np.zeros_like(y)
