@@ -53,8 +53,8 @@ for n in (4, 8):
           f"optimised {row.spg_error:.3e} ({row.reduction_pct:.1f}% lower, "
           f"{row.iterations} iterations)")
 
-# the area objective on a catalog curve: Newton moves knots only slightly
-# because equal spacing is already good for it
+# the area objective on a catalog curve: the baseline is equal spacing, and
+# Newton starts at knots equidistributed by |f''|^(1/3), near the optimum
 report = solve(entry.curve, ObjectiveKind.CONCAVE_AREA, 4,
                a=entry.a, b=entry.b)
 print(f"gompertz1a area measure: {report.initial_error:.4e} -> "

@@ -1,9 +1,9 @@
 """Catalog experiment runner and plot-data export.
 
 ``run_catalog`` reproduces the reference experiment layout: every selected
-curve is solved for each knot count, starting from equally spaced knots, and
-a result row records the baseline (equal-spacing) error, the optimised
-error, the reduction percentage, and the solver outcome.
+curve is solved for each knot count (``spg.solve`` without a start), and a
+result row records the baseline (equal-spacing) error, the optimised error,
+the reduction percentage, and the solver outcome.
 
 A measure name is the value of an ``ObjectiveKind``, and each cell is one
 ``spg.solve`` of that kind, which optimises the kind's functional and

@@ -85,24 +85,35 @@ def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
     """-(1/2) * integral of (x - lo_j)(hi_j - x) func(x) over each [lo_j, hi_j].
 
     With ``func`` = f'' this is the gap of segment j: the integral of f over
-    it minus its trapezoid.  Zero-width segments give 0.  Requires 1-d
-    arrays with lo <= hi.  Raises QuadratureError at a non-finite value of
-    ``func``, after _MAX_LEVELS levels, or when the live panels would pass
-    _MAX_PANELS_PER_SEGMENT per segment.
+    it minus its trapezoid.  Zero-width segments give 0, and ``func`` is not
+    called there.  Requires 1-d arrays with lo <= hi.  Raises
+    QuadratureError at a non-finite value of ``func``, after _MAX_LEVELS
+    levels, or when the live panels would pass _MAX_PANELS_PER_SEGMENT per
+    segment.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise ValueError("lo and hi must be 1-d arrays of matching shapes")
     width = hi - lo
-    if (width < 0.0).any():
-        raise ValueError("segment bounds must satisfy lo <= hi")
+    live = None
+    if not (width > 0.0).all():
+        if (width < 0.0).any():
+            raise ValueError("segment bounds must satisfy lo <= hi")
+        live = width != 0.0   # NaN bounds are sampled, and raise there
     m = width.size
 
-    # a zero-width segment needs no special case: its h^3 factor is 0
     h = 0.5 * width
     x = lo[:, None] + h[:, None] * _START_LEFT.ravel()
-    g = (_sampled(func, x.ravel()).reshape(m, _START_PANELS, _NODES.size)
+    if live is None:
+        fx = _sampled(func, x.ravel())
+    else:
+        # func may be undefined at a zero-width segment's one point (f'' at
+        # an end where it is singular); its gap is 0, and its row stays in
+        # the batch as zeros, so the batch keeps its shape and rounding
+        fx = np.zeros(x.shape)
+        fx[live] = _sampled(func, x[live].ravel()).reshape(-1, x.shape[1])
+    g = (fx.reshape(m, _START_PANELS, _NODES.size)
          * _START_WEIGHT).reshape(-1, _NODES.size)
     half = 1.0 / _START_PANELS
     est, err, size = _panel_sums(g)

@@ -14,7 +14,8 @@ Control Optim. 20, 1982): the knots that a short steepest-descent step
 keeps tied, or at a or b, move as one run or stay put, so P never pools a
 model step that pushes tied knots across each other into an ascent along
 the whole arc.  Newton draws no random numbers.  ``solve`` runs it for
-every kind.
+every kind, and without a caller's start it starts the area kind at
+``pl.equidistributed`` knots, near that kind's asymptotic optimum.
 
 ``minimize_y`` is the spectral projected gradient (SPG) method over the
 monotone nonnegative cone that y_i = (x_i - a)/(b - x_i) maps the knots
@@ -55,7 +56,7 @@ import numpy as np
 
 from .cone import project
 from .objective import evaluate, gap_brackets, grad_x, model_bands
-from .pl import KnotVector, ObjectiveKind
+from .pl import KnotVector, ObjectiveKind, equidistributed
 
 
 class Termination(Enum):
@@ -322,12 +323,15 @@ def solve(curve, kind: ObjectiveKind, n: int,
     Every kind runs ``minimize_x``, which draws no random numbers.
     ``config`` is ignored; it stays only because perfbench passes it.  The
     interval comes from ``init`` when given, otherwise from ``a``/``b``;
-    bounds given with ``init`` must equal its own.  Reported errors use
-    ``kind``'s own error measure, the initial one at the start as given; a
-    squared kind's are the solve's own values, the same gap sums to the bit,
-    and the area kind measures both points.  The incumbent guard ensures the
-    reported final error never exceeds the initial one, so ``final_knots``
-    is the start when it rejects the minimiser's point.
+    bounds given with ``init`` must equal its own.  The baseline is
+    ``init``, or else equally spaced knots, and Newton starts there, except
+    that the area kind starts at ``equidistributed`` knots when ``init`` is
+    None.  Reported errors use ``kind``'s own error measure, the initial one
+    at the baseline; a squared kind's are the solve's own values, the same
+    gap sums to the bit, and the area kind measures both points.  The
+    incumbent guard ensures the reported final error never exceeds the
+    initial one, so ``final_knots`` is the baseline when it rejects the
+    minimiser's point.
     """
     if n < 1:
         raise ValueError("need at least one knot")
@@ -337,20 +341,25 @@ def solve(curve, kind: ObjectiveKind, n: int,
                              f"[{init.a}, {init.b}]")
         if init.n != n:
             raise ValueError(f"init has {init.n} knots, expected {n}")
-        a, b, start = init.a, init.b, init
+        a, b, baseline = init.a, init.b, init
     elif a is None or b is None:
         raise ValueError("provide either init or the interval bounds a and b")
     else:
-        start = KnotVector.equally_spaced(a, b, n)
+        baseline = KnotVector.equally_spaced(a, b, n)
 
+    # the squared kinds took more steps from equidistributed knots
+    start = baseline
+    if init is None and kind is ObjectiveKind.CONCAVE_AREA:
+        start = equidistributed(curve, a, b, n)
     result = minimize_x(curve, start, kind)
     final = KnotVector(a, b, result.point)
     # a squared kind's objective is its measure on the same gaps; phi is not
     initial_error, final_error = result.initial_objective, result.objective
     if kind is ObjectiveKind.CONCAVE_AREA:
-        initial_error, final_error = kind.error(curve, start), kind.error(curve, final)
+        initial_error = kind.error(curve, baseline)
+        final_error = kind.error(curve, final)
     if final_error > initial_error:   # incumbent guard on the reported measure
-        final, final_error = start, initial_error
+        final, final_error = baseline, initial_error
 
     return SolveReport(**vars(result), final_knots=final,
                        initial_error=initial_error, final_error=final_error)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import (KnotVector, ObjectiveKind, hessian_phi, kkt_check,
-                     prop1_test, solve)
+from knotopt import (Curve, CurveFamily, KnotVector, ObjectiveKind,
+                     hessian_phi, kkt_check, prop1_test, solve)
 from knotopt.objective import grad_x
 
 from helpers import QuadraticCurve
@@ -156,6 +156,15 @@ class TestHessian:
         expected = (entry.a - entry.b) * entry.curve.deriv2(0.7)
         assert matrix.shape == (1, 1)
         assert matrix[0, 0] == pytest.approx(expected, rel=1e-14)
+
+    def test_knots_on_a_or_b_take_no_curvature(self):
+        # f'' ~ x^-0.5 is infinite at a = 0: a knot there used to raise
+        curve = Curve(CurveFamily.WEIBULL, 1.0, -1.0, 1.5, 1.0, 0.0)
+        kv = KnotVector(0.0, 2.0, np.array([0.0, 0.7, 2.0]))
+        matrix = hessian_phi(curve, kv)
+        assert matrix[0, 0] == 0.0 and matrix[2, 2] == 0.0
+        assert matrix[1, 1] == pytest.approx(-2.0 * curve.deriv2(0.7), rel=1e-14)
+        assert np.all(np.isfinite(matrix))
 
     def test_quadratic_even_spacing_entries(self):
         a2 = -1.5

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import (KnotVector, build_pl, error_concave, error_general,
-                     error_interior_squared, segment_gaps)
+from knotopt import (Curve, CurveFamily, KnotVector, build_pl, error_concave,
+                     error_general, error_interior_squared, segment_gaps)
+from knotopt.pl import equidistributed
 
 from helpers import LinearCurve, QuadraticCurve, simpson_integral
 
@@ -34,6 +35,46 @@ class TestKnotVector:
     def test_endpoints_must_be_finite(self, a, b):
         with pytest.raises(ValueError, match="needs finite a < b"):
             KnotVector(a, b, np.empty(0))
+
+
+class TestEquidistributed:
+    def test_constant_density_is_equal_spacing(self):
+        kv = equidistributed(QuadraticCurve(-1.0, 0.0, 4.0), 0.0, 2.0, 4)
+        assert_allclose(kv.interior, [0.4, 0.8, 1.2, 1.6], rtol=1e-14)
+
+    def test_zero_density_is_equal_spacing(self):
+        kv = equidistributed(LinearCurve(2.0, 1.0), -1.0, 3.0, 3)
+        assert kv.interior.tobytes() == \
+            KnotVector.equally_spaced(-1.0, 3.0, 3).interior.tobytes()
+
+    def test_shares_follow_the_cube_root_of_f2(self):
+        # f'' = -x^2 on [0, 2]: rho = x^(2/3), so knot j sits where
+        # (x/2)^(5/3) = j/(n + 1)
+        kv = equidistributed(QuarticHook(), 0.0, 2.0, 5)
+        want = 2.0 * (np.arange(1, 6) / 6.0) ** 0.6
+        assert_allclose(kv.interior, want, rtol=2e-3)
+
+    def test_samples_f2_strictly_inside(self):
+        # f'' ~ x^-0.5 is infinite at a = 0, which the gap kernel integrates
+        curve = Curve(CurveFamily.WEIBULL, 1.0, -1.0, 1.5, 1.0, 0.0)
+        seen = []
+
+        class Recording:
+            def deriv2(self, x):
+                seen.append(np.array(x))
+                return curve.deriv2(x)
+
+        kv = equidistributed(Recording(), 0.0, 2.0, 16)
+        xs = np.concatenate(seen)
+        assert xs.min() > 0.0 and xs.max() < 2.0
+        assert 0.0 < kv.interior[0] and np.all(np.diff(kv.full()) > 0.0)
+
+
+class QuarticHook:
+    """f = -x^4 / 12, so f'' = -x^2: its density vanishes at 0."""
+
+    def deriv2(self, x):
+        return -np.asarray(x, dtype=float) ** 2
 
 
 class TestBuildPl:

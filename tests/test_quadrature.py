@@ -8,9 +8,9 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
-from knotopt import (Curve, CurveCatalogEntry, CurveFamily, KnotVector,
-                     QuadratureError, error_general, harness, quadrature,
-                     run_catalog)
+from knotopt import (Curve, CurveCatalogEntry, CurveDomainError, CurveFamily,
+                     KnotVector, ObjectiveKind, QuadratureError, error_general,
+                     harness, quadrature, run_catalog, solve)
 from knotopt.pl import segment_gaps
 from knotopt.quadrature import integrate_segments
 
@@ -208,3 +208,46 @@ class TestNonFiniteIntegrand:
         nodes = np.linspace(0.0, 2.0, 5)
         assert 1.2 < first < 1.2 + (nodes[1] - nodes[0]) / quadrature._START_PANELS
         assert message.endswith(" of 480 points)")
+
+
+class TestZeroWidthSegments:
+    """f'' is not sampled on a zero-width segment, where it may be undefined."""
+
+    SINGULAR = Curve(CurveFamily.WEIBULL, 1.0, -1.0, 1.5, 1.0, 0.0)   # f'' ~ x^-0.5
+
+    def test_tied_knots_at_a_singular_end_give_zero_gaps(self):
+        seen = []
+
+        def recording(x):
+            seen.append(np.array(x))
+            return self.SINGULAR.deriv2(x)
+
+        lo = np.array([0.0, 0.0, 0.0, 0.7])
+        hi = np.array([0.0, 0.0, 0.7, 2.0])
+        got = integrate_segments(recording, lo, hi)
+        assert got[0] == 0.0 and got[1] == 0.0
+        assert np.all(np.concatenate(seen) > 0.0)
+        # the zero-width rows stay in the batch: moved to where f'' is
+        # finite, they leave the other rows' gaps the same to the bit
+        moved = integrate_segments(self.SINGULAR.deriv2, np.array([1.0, 1.5, 0.0, 0.7]),
+                                   np.array([1.0, 1.5, 0.7, 2.0]))
+        assert got.tobytes() == moved.tobytes()
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda kind: kind.value)
+    def test_knots_tied_at_a_singular_end_solve(self, kind):
+        # Newton ties knots at a, where f'' is infinite; the general kind
+        # raised CurveDomainError "undefined at x=0.0 (240 of 1080 points)"
+        report = solve(self.SINGULAR, kind, 8, a=0.0, b=2.0)
+        assert report.final_error <= report.initial_error
+        assert np.isfinite(report.final_error)
+
+    @pytest.mark.parametrize("lo, hi", [([np.nan], [1.0]), ([0.0], [np.nan]),
+                                        ([0.0, np.nan], [0.0, 1.0])], ids=str)
+    def test_nan_bounds_still_raise(self, catalog_by_name, lo, hi):
+        curve = catalog_by_name["logistic1a"].curve
+        with pytest.raises(CurveDomainError, match="undefined at x=nan"):
+            integrate_segments(curve.deriv2, np.array(lo), np.array(hi))
+
+    def test_negative_width_still_rejected(self):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            integrate_segments(np.cos, np.array([0.0, 1.0]), np.array([0.0, 0.5]))

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from knotopt import (KnotVector, MinimizeResult, ObjectiveKind, SolverError,
-                     SpgConfig, Termination, YObjective, backtrack_step,
-                     default_catalog, error_concave, from_y, kkt_check,
-                     minimize_y, phi, solve, to_y)
+from knotopt import (Curve, CurveFamily, KnotVector, MinimizeResult,
+                     ObjectiveKind, SolverError, SpgConfig, Termination,
+                     YObjective, backtrack_step, default_catalog, error_concave,
+                     from_y, kkt_check, minimize_y, phi, solve, to_y)
 from knotopt import pl, spg
 from knotopt.objective import evaluate, grad_x, model_bands
-from knotopt.pl import window_gaps
+from knotopt.pl import equidistributed, window_gaps
 
 from helpers import QuadraticCurve, sequential_ldlt_solve
 
@@ -194,7 +194,8 @@ class TestNewton:
     def test_knot_vectors_are_built_only_at_the_boundary(self, catalog_by_name,
                                                          monkeypatch, kind):
         # the loop carries breakpoint arrays, which the projection keeps
-        # ordered: only solve's start and final knots are checked
+        # ordered: only solve's baseline, Newton's start (the area kind's
+        # own) and the final knots are checked
         built = []
         check = KnotVector.__post_init__
 
@@ -204,12 +205,18 @@ class TestNewton:
 
         entry = catalog_by_name["gompertz1b"]
         start = equal_start(entry, 8)
+        if kind is AREA:
+            start = equidistributed(entry.curve, entry.a, entry.b, 8)
         monkeypatch.setattr(KnotVector, "__post_init__", counting)
         result = spg.minimize_x(entry.curve, start, kind)
         assert result.iterations > 0 and built == []
         report = solve(entry.curve, kind, 8, a=entry.a, b=entry.b)
         assert report.iterations == result.iterations
-        assert len(built) == 2 and built[-1] is report.final_knots
+        assert np.array_equal(report.point, result.point)
+        assert len(built) == (3 if kind is AREA else 2)
+        assert built[-1] is report.final_knots
+        if kind is AREA:
+            assert np.array_equal(built[1].interior, start.interior)
 
     def test_no_worse_than_spg(self):
         for entry in CONCAVE_ROWS:
@@ -668,6 +675,100 @@ class TestReports:
         spg_in_y(entry.curve, start)
         assert watched.values[0] == pytest.approx(
             phi(entry.curve, start), rel=1e-13)
+
+
+SINGULAR_END = Curve(CurveFamily.WEIBULL, 1.0, -1.0, 1.5, 1.0, 0.0)   # f'' ~ x^-0.5
+
+
+class TestBaseline:
+    """Equal spacing is the baseline even where Newton starts elsewhere."""
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("name", ["logistic1a", "weibull2a", "gompertz1b",
+                                      "arctan2b"])
+    def test_initial_error_is_equal_spacing_bit_for_bit(self, catalog_by_name,
+                                                        name, kind):
+        entry = catalog_by_name[name]
+        report = solve(entry.curve, kind, 8, a=entry.a, b=entry.b)
+        want = kind.error(entry.curve, equal_start(entry, 8))
+        assert np.float64(report.initial_error).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda kind: kind.value)
+    def test_guard_falls_back_to_equal_spacing(self, catalog_by_name, monkeypatch,
+                                               kind):
+        # a minimiser that returns one segment over [a, b] (the last knot at
+        # b, the others at a), far worse than the start in every measure
+        def worse(curve, start, kind):
+            point = np.append(np.full(start.n - 1, start.a), start.b)
+            value = kind.error(curve, KnotVector(start.a, start.b, point))
+            return MinimizeResult(point, value, 1, Termination.STATIONARY,
+                                  initial_objective=kind.error(curve, start))
+
+        monkeypatch.setattr(spg, "minimize_x", worse)
+        entry = catalog_by_name["gompertz1a"]
+        report = solve(entry.curve, kind, 8, a=entry.a, b=entry.b)
+        equal = equal_start(entry, 8)
+        assert report.final_knots.interior.tobytes() == equal.interior.tobytes()
+        assert report.final_error == report.initial_error \
+            == kind.error(entry.curve, equal)
+
+    def test_only_the_area_kind_without_init_starts_elsewhere(self, catalog_by_name,
+                                                               monkeypatch):
+        starts = []
+        minimize_x = spg.minimize_x
+
+        def recording(curve, start, kind):
+            starts.append((kind, start))
+            return minimize_x(curve, start, kind)
+
+        monkeypatch.setattr(spg, "minimize_x", recording)
+        entry = catalog_by_name["weibull2a"]
+        equal = equal_start(entry, 8)
+        for kind in ObjectiveKind:
+            solve(entry.curve, kind, 8, a=entry.a, b=entry.b)
+            solve(entry.curve, kind, 8, init=equal)
+        equi = equidistributed(entry.curve, entry.a, entry.b, 8)
+        assert [kind for kind, _ in starts] == [k for k in ObjectiveKind for _ in "ab"]
+        assert starts[0][1].interior.tobytes() == equi.interior.tobytes()
+        for _, start in starts[1:]:
+            assert start.interior.tobytes() == equal.interior.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 64])
+    def test_singular_end_row_solves_under_the_area_kind(self, n):
+        # Newton moves knots onto a, where f'' is infinite; the model gives
+        # them no curvature and the gap kernel skips their zero-width segments
+        report = solve(SINGULAR_END, AREA, n, a=0.0, b=2.0)
+        assert report.termination is Termination.STATIONARY
+        assert report.final_error <= report.initial_error
+
+
+def cube_root_integral(entry) -> float:
+    from scipy.integrate import quad
+    value, _ = quad(lambda x: abs(float(entry.curve.deriv2(x))) ** (1.0 / 3.0),
+                    entry.a, entry.b, limit=200, epsabs=0.0, epsrel=1e-12)
+    return value
+
+
+ORACLE_CELLS = [(name, n) for name in ("logistic1a", "logistic2a", "logistic3a",
+                                       "gompertz1a", "weibull3a")
+                for n in (64, 256)] + [("weibull2a", 256)]
+
+
+class TestAsymptoticOracle:
+    """de Boor: the area kind's optimum E*(n) (n + 1)^2 tends to I^3 / 12.
+
+    I is the integral of |f''|^(1/3) over [a, b]; the check is independent
+    of the solver.  weibull2a at n = 64 is 1.023 and is left out.
+    """
+
+    @pytest.mark.parametrize("name, n", ORACLE_CELLS,
+                             ids=[f"{name}-{n}" for name, n in ORACLE_CELLS])
+    def test_area_optimum_meets_the_prediction(self, catalog_by_name, name, n):
+        entry = catalog_by_name[name]
+        report = solve(entry.curve, AREA, n, a=entry.a, b=entry.b)
+        ratio = report.final_error * (n + 1) ** 2 / (cube_root_integral(entry) ** 3 / 12.0)
+        assert report.termination is Termination.STATIONARY
+        assert abs(ratio - 1.0) < 0.01, ratio
 
 
 class TestValidation:
