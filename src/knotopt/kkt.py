@@ -110,7 +110,8 @@ def _curvature_bands(curve, knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
 def hessian_phi(curve, knots: KnotVector) -> np.ndarray:
     """Tridiagonal curvature matrix of the area objective (twice its Hessian).
 
-    A knot on a or b takes no curvature (``objective.model_bands``).
+    A knot on a or b takes 0 only where f'' is infinite there
+    (``objective.model_bands``); elsewhere the entries are exact.
     """
     diag, off = _curvature_bands(curve, knots)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

@@ -39,8 +39,11 @@ kind, times the chain-rule factor dx_i/dy_i = (b - a) / (1 + y_i)^2.
 
 from __future__ import annotations
 
+from contextlib import suppress
+
 import numpy as np
 
+from .curves import CurveDomainError
 from .pl import KnotVector, ObjectiveKind, squared_gap_sum, window_gaps
 
 #: relative width of the guard band below b that ``to_y`` moves knots out of
@@ -113,21 +116,27 @@ def model_bands(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray | Non
     ones and ``brackets`` their ``gap_brackets`` if known.  For the area kind
     the model is phi's Hessian in the interior knots, (1/2)(x_{i-1} - x_{i+1})
     f''(x_i) on the diagonal and (1/2)(f'(x_{i+1}) - f'(x_i)) beside it, with
-    f'' evaluated here (``fv`` is not read) and 0 at a knot on a or b, where
-    it may be infinite.  For a squared kind it is the Gauss-Newton matrix
-    2 J^T J, J the Jacobian of the window's gaps in the interior knots: each
-    gap depends only on its segment's two end knots, so J has two entries
-    per row, ``gap_brackets`` halved, and 2 J^T J is tridiagonal.
+    f'' evaluated here (``fv`` is not read), and 0 at a knot on a or b where
+    f'' is infinite (Weibull with 1 < s < 2 at a).  For a squared kind it is
+    the Gauss-Newton matrix 2 J^T J, J the Jacobian of the window's gaps in
+    the interior knots: each gap depends only on its segment's two end
+    knots, so J has two entries per row, ``gap_brackets`` halved, and
+    2 J^T J is tridiagonal.
     """
     window = kind.window(xs.size - 2)
     if window is None:
         x = xs[1:-1]
-        if xs[0] < xs[1] and xs[-2] < xs[-1]:
+        try:
             fpp = np.asarray(curve.deriv2(x), dtype=float)
-        else:   # only Newton's damping bounds the step of a knot on a or b
+        except CurveDomainError:
+            # f'' may be infinite at a or b, where Newton ties knots; only
+            # Newton's damping bounds the step of a knot given 0 there
             inside = (xs[0] < x) & (x < xs[-1])
             fpp = np.zeros(x.size)
             fpp[inside] = curve.deriv2(x[inside])
+            for end in xs[0], xs[-1]:
+                with suppress(CurveDomainError):
+                    fpp[x == end] = curve.deriv2(end)
         return 0.5 * (xs[:-2] - xs[2:]) * fpp, 0.5 * (fp[1:] - fp[:-1])
     upper, lower = gap_brackets(xs, fv, fp) if brackets is None else brackets
     scored = np.zeros(xs.size - 1)

@@ -157,14 +157,28 @@ class TestHessian:
         assert matrix.shape == (1, 1)
         assert matrix[0, 0] == pytest.approx(expected, rel=1e-14)
 
-    def test_knots_on_a_or_b_take_no_curvature(self):
-        # f'' ~ x^-0.5 is infinite at a = 0: a knot there used to raise
+    def test_knot_on_an_infinite_curvature_end_takes_zero(self):
+        # f'' ~ x^-0.5 is infinite at a = 0 and finite at b = 2
         curve = Curve(CurveFamily.WEIBULL, 1.0, -1.0, 1.5, 1.0, 0.0)
         kv = KnotVector(0.0, 2.0, np.array([0.0, 0.7, 2.0]))
         matrix = hessian_phi(curve, kv)
-        assert matrix[0, 0] == 0.0 and matrix[2, 2] == 0.0
+        assert matrix[0, 0] == 0.0
         assert matrix[1, 1] == pytest.approx(-2.0 * curve.deriv2(0.7), rel=1e-14)
+        assert matrix[2, 2] == pytest.approx(-1.3 * curve.deriv2(2.0), rel=1e-14)
         assert np.all(np.isfinite(matrix))
+
+    @pytest.mark.parametrize("name", ["logistic3a", "weibull3a"])
+    def test_knots_on_finite_curvature_ends_keep_it(self, catalog_by_name_module,
+                                                    name):
+        entry = catalog_by_name_module[name]
+        a, b = entry.a, entry.b
+        mid = 0.5 * (a + b)
+        kv = KnotVector(a, b, np.array([a, a, mid, b]))
+        got = np.diag(hessian_phi(entry.curve, kv))
+        fpp = entry.curve.deriv2(np.array([a, a, mid, b]))
+        want = np.array([a - a, a - mid, a - b, mid - b]) * fpp
+        assert np.array_equal(got, want)   # exact; +0 and -0 compare equal
+        assert got[1] != 0.0 and got[3] != 0.0
 
     def test_quadratic_even_spacing_entries(self):
         a2 = -1.5
