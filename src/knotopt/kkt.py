@@ -16,14 +16,14 @@ zero, negatives are clamped) and the residuals report how far the rows
 remain from holding.  A run tied to a is swept leftwards from the separated
 gap after it, so lambda_0 holds x_1 at a as lambda_n holds x_n at b.
 
-The gradient comes from ``objective.grad_x``, so every kind,
-the harness's interior window included, can be certified.
+The gradient and the curvature come from ``objective.local_model``, the
+model the Newton solver factors, so every kind, the harness's interior
+window included, can be certified.
 
 The area objective's stationarity system has a tridiagonal curvature
 matrix: diagonal (x_{i-1} - x_{i+1}) f''(x_i), off-diagonal
 f'(x_{i+1}) - f'(x_i).  This equals twice the Hessian of phi (the scale
-does not affect definiteness), doubled from the area kind's
-``objective.model_bands``, which the Newton solver factors.
+does not affect definiteness), the area kind's model doubled.
 ``hessian_phi`` assembles it densely; ``prop1_test`` reads the bands and
 applies a sufficient local-minimum condition for tridiagonal matrices:
 positive diagonal entries plus, for i = 1..n-1,
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import grad_x, model_bands
+from .objective import grad_x, local_model
 from .pl import KnotVector, ObjectiveKind
 
 #: a segment narrower than this counts as an active (tied) constraint
@@ -102,8 +102,8 @@ def kkt_check(curve, knots: KnotVector,
 def _curvature_bands(curve, knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the area objective's curvature matrix."""
     xs = knots.full()
-    diag, off = model_bands(curve, ObjectiveKind.CONCAVE_AREA, xs, None,
-                            np.asarray(curve.deriv1(xs[1:-1]), dtype=float))
+    _, diag, off = local_model(curve, ObjectiveKind.CONCAVE_AREA, xs,
+                               curve.value(xs), None, curve.deriv1(xs[1:-1]))
     return 2.0 * diag, 2.0 * off
 
 
@@ -111,7 +111,7 @@ def hessian_phi(curve, knots: KnotVector) -> np.ndarray:
     """Tridiagonal curvature matrix of the area objective (twice its Hessian).
 
     A knot on a or b takes 0 only where f'' is infinite there
-    (``objective.model_bands``); elsewhere the entries are exact.
+    (``objective.local_model``); elsewhere the entries are exact.
     """
     diag, off = _curvature_bands(curve, knots)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

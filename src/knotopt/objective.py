@@ -24,17 +24,18 @@ integral and T the trapezoid, the partials of its square are
 
 Both factors vanish when x_lo = x_hi, so degenerate segments are smooth
 zeros of the objective.  Halved, the brackets are the partials of the gap
-itself, the two entries per row of the gaps' Jacobian J, from which
-``model_bands`` forms the squared kinds' tridiagonal Newton model 2 J^T J;
-for the area kind it gives phi's Hessian, which is tridiagonal too.
+itself, the two entries per row of the gaps' Jacobian J.  ``local_model``
+is the one place that forms a kind's gradient and tridiagonal Newton
+model: from the brackets, the squared kinds' Gauss-Newton matrix 2 J^T J,
+and for the area kind phi's Hessian, which is tridiagonal too.
 
 The substitution y_i = (x_i - a) / (b - x_i), with inverse
 x_i = b - (b - a) / (1 + y_i), maps ordered knots in [a, b) onto the monotone
 nonnegative cone 0 <= y_1 <= ... <= y_n, turning the ordering constraints
 into a cone membership that admits a fast exact projection.
 ``YObjective.value`` and ``YObjective.grad`` evaluate any kind through that
-substitution; the gradient is ``grad_x``, the one x-space gradient of every
-kind, times the chain-rule factor dx_i/dy_i = (b - a) / (1 + y_i)^2.
+substitution; the gradient is ``grad_x``, the gradient of ``local_model``,
+times the chain-rule factor dx_i/dy_i = (b - a) / (1 + y_i)^2.
 """
 
 from __future__ import annotations
@@ -73,55 +74,25 @@ def phi(curve, knots: KnotVector) -> float:
     return evaluate(curve, ObjectiveKind.CONCAVE_AREA, knots.full())[2]
 
 
-def grad_x(curve, kind: ObjectiveKind, xs: np.ndarray,
-           gaps: np.ndarray | None = None, fv: np.ndarray | None = None,
-           fp: np.ndarray | None = None,
-           brackets: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """The kind's gradient in the interior knots of the breakpoints ``xs``.
+def local_model(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray,
+                gaps: np.ndarray | None, fp: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kind's gradient g and tridiagonal Newton model (diag, off).
 
-    ``fv`` and ``gaps`` as ``evaluate`` gives them (``gaps`` is read only
-    with ``fv``), ``fp`` (f' at the interior knots) and ``gap_brackets`` of
-    them spare their evaluation when given.  For the area kind (phi)
-    component i is (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1} - x_{i+1})].
-    """
-    if fv is None:
-        fv, gaps, _ = evaluate(curve, kind, xs)
-    fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float) if fp is None else fp
-    if gaps is None:
-        return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:]))
-    upper, lower = gap_brackets(xs, fv, fp) if brackets is None else brackets
-    return gaps[:-1] * upper + gaps[1:] * lower
-
-
-def gap_brackets(xs: np.ndarray, fv: np.ndarray,
-                 fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Twice the partials of the gaps next to each interior knot.
-
-    Interior knot j (breakpoint j + 1 of ``xs``) ends segment j and starts
-    segment j + 1; ``upper[j]`` is twice d gap_j / d x and ``lower[j]`` twice
-    d gap_{j+1} / d x, the bracket factors of the module docstring.
-    """
-    h = xs[1:] - xs[:-1]
-    df = fv[1:] - fv[:-1]
-    return df[:-1] - fp * h[:-1], df[1:] - fp * h[1:]
-
-
-def model_bands(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray | None,
-                fp: np.ndarray,
-                brackets: tuple[np.ndarray, np.ndarray] | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the kind's tridiagonal Newton model.
-
-    ``xs`` are the breakpoints, ``fv`` f at them, ``fp`` f' at the interior
-    ones and ``brackets`` their ``gap_brackets`` if known.  For the area kind
-    the model is phi's Hessian in the interior knots, (1/2)(x_{i-1} - x_{i+1})
-    f''(x_i) on the diagonal and (1/2)(f'(x_{i+1}) - f'(x_i)) beside it, with
-    f'' evaluated here (``fv`` is not read), and 0 at a knot on a or b where
-    f'' is infinite (Weibull with 1 < s < 2 at a).  For a squared kind it is
-    the Gauss-Newton matrix 2 J^T J, J the Jacobian of the window's gaps in
-    the interior knots: each gap depends only on its segment's two end
-    knots, so J has two entries per row, ``gap_brackets`` halved, and
-    2 J^T J is tridiagonal.
+    ``xs`` are the breakpoints, ``fv`` and ``gaps`` as ``evaluate`` gives
+    them and ``fp`` f' at the interior knots.  For the area kind, phi's
+    gradient component i is (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1}
+    - x_{i+1})] and the model is phi's Hessian, (1/2)(x_{i-1} - x_{i+1})
+    f''(x_i) on the diagonal and (1/2)(f'(x_{i+1}) - f'(x_i)) beside it,
+    with f'' evaluated here and 0 at a knot on a or b where f'' is infinite
+    (Weibull with 1 < s < 2 at a).  For a squared kind, interior knot j
+    (breakpoint j + 1) ends segment j and starts segment j + 1, and the
+    bracket factors of the module docstring are twice d gap_j / d x
+    (``upper``) and twice d gap_{j+1} / d x (``lower``).  The model is the
+    Gauss-Newton matrix 2 J^T J, J the Jacobian of the window's gaps in the
+    interior knots: each gap depends only on its segment's two end knots, so
+    J has two entries per row, the brackets halved, and 2 J^T J is
+    tridiagonal.
     """
     window = kind.window(xs.size - 2)
     if window is None:
@@ -137,12 +108,29 @@ def model_bands(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray | Non
             for end in xs[0], xs[-1]:
                 with suppress(CurveDomainError):
                     fpp[x == end] = curve.deriv2(end)
-        return 0.5 * (xs[:-2] - xs[2:]) * fpp, 0.5 * (fp[1:] - fp[:-1])
-    upper, lower = gap_brackets(xs, fv, fp) if brackets is None else brackets
+        return (0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:])),
+                0.5 * (xs[:-2] - xs[2:]) * fpp, 0.5 * (fp[1:] - fp[:-1]))
+    h = xs[1:] - xs[:-1]
+    df = fv[1:] - fv[:-1]
+    upper, lower = df[:-1] - fp * h[:-1], df[1:] - fp * h[1:]
     scored = np.zeros(xs.size - 1)
     scored[window[0]:window[1] + 1] = 1.0
-    return (0.5 * (scored[:-1] * upper ** 2 + scored[1:] * lower ** 2),
+    return (gaps[:-1] * upper + gaps[1:] * lower,
+            0.5 * (scored[:-1] * upper ** 2 + scored[1:] * lower ** 2),
             0.5 * scored[1:-1] * lower[:-1] * upper[1:])
+
+
+def grad_x(curve, kind: ObjectiveKind, xs: np.ndarray,
+           gaps: np.ndarray | None = None, fv: np.ndarray | None = None) -> np.ndarray:
+    """``local_model``'s gradient in the interior knots of the breakpoints ``xs``.
+
+    ``fv`` and ``gaps``, as ``evaluate`` gives them at ``xs``, spare that
+    evaluation (``gaps`` is read only with ``fv``).
+    """
+    if fv is None:
+        fv, gaps, _ = evaluate(curve, kind, xs)
+    fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
+    return local_model(curve, kind, xs, fv, gaps, fp)[0]
 
 
 # -- the cone substitution ------------------------------------------------

@@ -1,11 +1,12 @@
 """The solvers: damped Newton in x behind ``solve``, and SPG in y.
 
 ``minimize_x`` works in the breakpoints (a, the knots, b) for every kind:
-``objective.evaluate`` gives the kind's value and ``objective.model_bands``
-its tridiagonal model, phi's Hessian for the area kind and the Gauss-Newton
-matrix 2 J^T J of the window's gaps for a squared kind.  Each model step
-solves (H + mu I) s = -g by an O(n) LDL^T sweep; the Levenberg damping mu
-grows fourfold until s is a descent direction, tending to steepest descent.
+``objective.evaluate`` gives the kind's value and ``objective.local_model``
+its gradient and tridiagonal model, phi's Hessian for the area kind and the
+Gauss-Newton matrix 2 J^T J of the window's gaps for a squared kind.  Each
+model step solves (H + mu I) s = -g by an O(n) LDL^T sweep; the Levenberg
+damping mu grows fourfold until s is a descent direction, tending to
+steepest descent.
 Trial points follow the projected arc P(x + t s), t = 1, 1/2, ..., with P
 the exact projection onto the ordered knots in [a, b], until an Armijo test
 holds; being ordered by P, they need no ``KnotVector`` check.
@@ -55,7 +56,7 @@ from functools import partial
 import numpy as np
 
 from .cone import project
-from .objective import evaluate, gap_brackets, grad_x, model_bands
+from .objective import evaluate, local_model
 from .pl import KnotVector, ObjectiveKind, equidistributed
 
 
@@ -256,8 +257,7 @@ def minimize_x(curve, start: KnotVector,
     for k in range(NEWTON_MAX_ITER):
         x = xs[1:-1]
         fp = _checked(np.asarray(curve.deriv1(x), dtype=float), k, x, "derivative")
-        brackets = None if gaps is None else gap_brackets(xs, fv, fp)
-        g = grad_x(curve, kind, xs, gaps, fv, fp, brackets)
+        g, diag, off = local_model(curve, kind, xs, fv, gaps, fp)
         residual = np.abs(onto_knots(x - g) - x).max()
         # a rise within a few roundings of the objective's terms is noise,
         # which would stall Newton near the optimum: phi sums terms bounded
@@ -275,7 +275,6 @@ def minimize_x(curve, start: KnotVector,
         if residual <= tol:
             return done(x, f, k, Termination.STATIONARY)
 
-        diag, off = model_bands(curve, kind, xs, fv, fp, brackets)
         _checked(diag, k, x, "curvature")
         runs, g_model, h = None, g, xs[1:] - xs[:-1]
         if h.min() <= 0.0:

@@ -193,6 +193,8 @@ class TestValidation:
     def test_other_families_require_shape(self):
         with pytest.raises(ValueError):
             Curve(CurveFamily.WEIBULL, 0.0, 1.0, None, 1.0, 0.0)
+        with pytest.raises(ValueError, match="must be nonzero"):
+            Curve(CurveFamily.WEIBULL, 0, 1, 0.0, 1, 0)
 
     def test_fractional_power_domain_error(self, catalog_by_name):
         curve = catalog_by_name["weibull3a"].curve  # (x)**2.2 needs x >= 0

@@ -365,6 +365,30 @@ class TestCli:
         assert record["lambda"] == [0.0] * 5
         assert record["stationarity_residual"] > 0.0
 
+    def test_check_certifies_newtons_knots(self, catalog_by_name, capsys):
+        entry = catalog_by_name["logistic1a"]
+        knots = solve(entry.curve, ObjectiveKind.CONCAVE_AREA, 4,
+                      a=entry.a, b=entry.b).final_knots
+        positions = ",".join(repr(float(x)) for x in knots.interior)
+        assert main(["check", "--curves", "logistic1a", "--measure", "concave",
+                     "--knots", positions]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["stationarity_residual"] < 1e-12
+        assert record["prop1"]["holds"] is True
+        assert len(record["prop1"]["margins"]) == 3
+
+    def test_plot_data_with_a_knot_count(self, catalog_by_name, tmp_path, capsys):
+        entry = catalog_by_name["logistic1a"]
+        out = tmp_path / "plot.csv"
+        assert main(["plot-data", "--curves", "logistic1a", "--knots", "4",
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            knot_rows = [row["x"] for row in csv.DictReader(fh)
+                         if row["kind"] == "knot"]
+        report = solve(entry.curve, ObjectiveKind.INTERIOR_SQUARED, 4,
+                       a=entry.a, b=entry.b)
+        assert knot_rows == [f"{x:.12g}" for x in report.final_knots.full()]
+
     def test_plot_data_with_positions(self, tmp_path):
         out = tmp_path / "plot.csv"
         code = main(["plot-data", "--curves", "logistic1a",

@@ -13,7 +13,7 @@ from knotopt import (Curve, CurveFamily, KnotVector, MinimizeResult,
                      YObjective, backtrack_step, default_catalog, error_concave,
                      from_y, kkt_check, minimize_y, phi, solve, to_y)
 from knotopt import pl, spg
-from knotopt.objective import evaluate, grad_x, model_bands
+from knotopt.objective import evaluate, local_model
 from knotopt.pl import equidistributed, window_gaps
 
 from helpers import QuadraticCurve, sequential_ldlt_solve
@@ -164,6 +164,31 @@ class TestNewton:
         point = caught.value.point
         assert np.any((point > 0.9) & (point < 1.1))
 
+    @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda kind: kind.value)
+    def test_nan_derivative_names_the_point(self, kind):
+        class Kinked(QuadraticCurve):
+            def deriv1(self, x):
+                inside = (np.asarray(x) > 0.9) & (np.asarray(x) < 1.1)
+                return np.where(inside, np.nan, super().deriv1(x))
+
+        init = KnotVector(0.0, 2.0, np.array([0.5, 1.0, 1.5]))
+        with pytest.raises(SolverError,
+                           match="^non-finite derivative at iteration 0$") as caught:
+            solve(Kinked(-1.0, 0.0, 4.0), kind, 3, init=init)
+        assert np.array_equal(caught.value.point, init.interior)
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda kind: kind.value)
+    def test_max_iter_ends_at_the_last_point(self, catalog_by_name, monkeypatch,
+                                             kind):
+        entry = catalog_by_name["gompertz1b"]
+        monkeypatch.setattr(spg, "NEWTON_MAX_ITER", 2)
+        report = solve(entry.curve, kind, 8, a=entry.a, b=entry.b)
+        assert report.termination is Termination.MAX_ITER
+        assert report.iterations == 2
+        assert report.final_error <= report.initial_error
+        xs = KnotVector(entry.a, entry.b, report.point).full()
+        assert report.objective == evaluate(entry.curve, kind, xs)[2]
+
     def test_nan_curvature_stops_the_solve(self):
         # a NaN f'' would make the damping's scale NaN, and the model solve
         # would then fail for every damping tried
@@ -241,8 +266,9 @@ class TestGaussNewton:
         xs = equal_start(entry, n).full()
         xs[1:-1] += np.random.default_rng(3).uniform(-0.3, 0.3, n) * width
         window = kind.window(n)
-        diag, off = model_bands(entry.curve, kind, xs, entry.curve.value(xs),
-                                entry.curve.deriv1(xs[1:-1]))
+        fv, gaps, _ = evaluate(entry.curve, kind, xs)
+        _, diag, off = local_model(entry.curve, kind, xs, fv, gaps,
+                                   entry.curve.deriv1(xs[1:-1]))
 
         step = 1e-6 * width
         jac = np.empty((n + 1, n))
@@ -256,42 +282,27 @@ class TestGaussNewton:
         bands = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert_allclose(bands, want, rtol=0, atol=1e-6 * np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("kind", SQUARED, ids=lambda kind: kind.value)
-    def test_gradient_is_grad_x_bit_for_bit(self, catalog_by_name, monkeypatch,
-                                            kind):
-        # the loop hands grad_x the gaps, f and f' it already has; each must
-        # be the one at the knots it asks about
-        entry, seen = catalog_by_name["gompertz1b"], []
-
-        def recording(curve, kind, xs, *cached):
-            seen.append((xs, grad_x(curve, kind, xs, *cached)))
-            return seen[-1][1]
-
-        monkeypatch.setattr(spg, "grad_x", recording)
-        report = solve(entry.curve, kind, 4, a=entry.a, b=entry.b)
-        assert len(seen) == report.iterations + 1
-        for xs, g in seen:
-            assert g.tobytes() == grad_x(entry.curve, kind, xs).tobytes()
-
     @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda kind: kind.value)
-    def test_bands_are_model_bands_bit_for_bit(self, catalog_by_name, monkeypatch,
-                                               kind):
-        # the loop hands model_bands the f, f' and gap brackets it already
-        # has; the bands must be the ones computed afresh at the same knots
+    def test_model_is_local_model_bit_for_bit(self, catalog_by_name, monkeypatch,
+                                              kind):
+        # the loop hands local_model the f, gaps and f' it already has; the
+        # gradient and bands must be the ones computed afresh at the same knots
         entry, seen = catalog_by_name["gompertz1b"], []
 
         def recording(curve, kind, xs, *cached):
-            seen.append((xs, model_bands(curve, kind, xs, *cached)))
+            seen.append((xs, local_model(curve, kind, xs, *cached)))
             return seen[-1][1]
 
-        monkeypatch.setattr(spg, "model_bands", recording)
+        monkeypatch.setattr(spg, "local_model", recording)
         report = solve(entry.curve, kind, 4, a=entry.a, b=entry.b)
-        assert len(seen) >= report.iterations > 0
-        for xs, bands in seen:
-            fresh = model_bands(entry.curve, kind, xs, entry.curve.value(xs),
+        assert report.termination is Termination.STATIONARY
+        assert len(seen) == report.iterations + 1 > 1
+        for xs, model in seen:
+            fv, gaps, _ = evaluate(entry.curve, kind, xs)
+            fresh = local_model(entry.curve, kind, xs, fv, gaps,
                                 entry.curve.deriv1(xs[1:-1]))
-            assert [band.tobytes() for band in bands] \
-                == [band.tobytes() for band in fresh]
+            assert [part.tobytes() for part in model] \
+                == [part.tobytes() for part in fresh]
 
     @pytest.mark.parametrize("kind", SQUARED, ids=lambda kind: kind.value)
     def test_errors_are_the_measure_bit_for_bit(self, catalog, kind):
