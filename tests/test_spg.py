@@ -13,7 +13,7 @@ from knotopt import (Curve, CurveFamily, KnotVector, MinimizeResult,
                      YObjective, backtrack_step, default_catalog, error_concave,
                      from_y, kkt_check, minimize_y, phi, solve, to_y)
 from knotopt import pl, spg
-from knotopt.objective import evaluate, local_model
+from knotopt.objective import evaluate, grad_x, local_model
 from knotopt.pl import equidistributed, window_gaps
 
 from helpers import QuadraticCurve, sequential_ldlt_solve
@@ -282,12 +282,10 @@ class TestGaussNewton:
         bands = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert_allclose(bands, want, rtol=0, atol=1e-6 * np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda kind: kind.value)
-    def test_model_is_local_model_bit_for_bit(self, catalog_by_name, monkeypatch,
-                                              kind):
-        # the loop hands local_model the f, gaps and f' it already has; the
-        # gradient and bands must be the ones computed afresh at the same knots
-        entry, seen = catalog_by_name["gompertz1b"], []
+    @staticmethod
+    def recorded_models(entry, kind, monkeypatch):
+        """Each (xs, local_model output) of a Newton solve from equal knots."""
+        seen = []
 
         def recording(curve, kind, xs, *cached):
             seen.append((xs, local_model(curve, kind, xs, *cached)))
@@ -297,7 +295,24 @@ class TestGaussNewton:
         report = solve(entry.curve, kind, 4, a=entry.a, b=entry.b)
         assert report.termination is Termination.STATIONARY
         assert len(seen) == report.iterations + 1 > 1
-        for xs, model in seen:
+        return seen
+
+    @pytest.mark.parametrize("kind", SQUARED, ids=lambda kind: kind.value)
+    def test_gradient_is_grad_x_bit_for_bit(self, catalog_by_name, monkeypatch,
+                                            kind):
+        # the loop hands local_model the f, gaps and f' it already has; the
+        # gradient must be grad_x's at the same knots
+        entry = catalog_by_name["gompertz1b"]
+        for xs, (g, _, _) in self.recorded_models(entry, kind, monkeypatch):
+            assert g.tobytes() == grad_x(entry.curve, kind, xs).tobytes()
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda kind: kind.value)
+    def test_bands_are_model_bands_bit_for_bit(self, catalog_by_name, monkeypatch,
+                                               kind):
+        # the model's gradient and bands must be the ones computed afresh at
+        # the same knots
+        entry = catalog_by_name["gompertz1b"]
+        for xs, model in self.recorded_models(entry, kind, monkeypatch):
             fv, gaps, _ = evaluate(entry.curve, kind, xs)
             fresh = local_model(entry.curve, kind, xs, fv, gaps,
                                 entry.curve.deriv1(xs[1:-1]))
