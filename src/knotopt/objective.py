@@ -120,15 +120,9 @@ def local_model(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray,
             0.5 * scored[1:-1] * lower[:-1] * upper[1:])
 
 
-def grad_x(curve, kind: ObjectiveKind, xs: np.ndarray,
-           gaps: np.ndarray | None = None, fv: np.ndarray | None = None) -> np.ndarray:
-    """``local_model``'s gradient in the interior knots of the breakpoints ``xs``.
-
-    ``fv`` and ``gaps``, as ``evaluate`` gives them at ``xs``, spare that
-    evaluation (``gaps`` is read only with ``fv``).
-    """
-    if fv is None:
-        fv, gaps, _ = evaluate(curve, kind, xs)
+def grad_x(curve, kind: ObjectiveKind, xs: np.ndarray) -> np.ndarray:
+    """``local_model``'s gradient in the interior knots of the breakpoints ``xs``."""
+    fv, gaps, _ = evaluate(curve, kind, xs)
     fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
     return local_model(curve, kind, xs, fv, gaps, fp)[0]
 
@@ -159,9 +153,9 @@ def from_y(y: np.ndarray, a: float, b: float) -> KnotVector:
 class YObjective:
     """A smooth objective of the given kind over the monotone nonnegative cone.
 
-    The solver asks for the gradient where it has just taken the value, so
-    ``grad`` reuses the state ``value`` left at the same y: f at the knots
-    and, for a squared kind, the window gaps.
+    Each call maps y to knots with ``from_y`` and evaluates the kind there:
+    ``value`` is ``evaluate``'s value and ``grad`` is ``grad_x`` times the
+    chain-rule factor dx_i/dy_i.
     """
 
     def __init__(self, curve, a: float, b: float, kind: ObjectiveKind):
@@ -169,19 +163,11 @@ class YObjective:
         self.a = float(a)
         self.b = float(b)
         self.kind = kind
-        self._state = None   # (y, xs, *evaluate(...)) of the last y
-
-    def _at(self, y: np.ndarray):
-        if self._state is None or not np.array_equal(self._state[0], y):
-            y = np.array(y, dtype=float)   # a copy: the caller may reuse its array
-            xs = from_y(y, self.a, self.b).full()
-            self._state = (y, xs, *evaluate(self.curve, self.kind, xs))
-        return self._state
 
     def value(self, y: np.ndarray) -> float:
-        return self._at(y)[-1]
+        return evaluate(self.curve, self.kind, from_y(y, self.a, self.b).full())[2]
 
     def grad(self, y: np.ndarray) -> np.ndarray:
-        y, xs, fv, gaps, _ = self._at(y)
+        xs = from_y(y, self.a, self.b).full()
         dx_dy = (self.b - self.a) / (1.0 + y) ** 2
-        return grad_x(self.curve, self.kind, xs, gaps, fv) * dx_dy
+        return grad_x(self.curve, self.kind, xs) * dx_dy

@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 
 from knotopt import (KnotVector, ObjectiveKind, YObjective, error_concave,
                      from_y, phi, to_y)
-from knotopt import objective as objective_module
-from knotopt.objective import DELTA_SCALE, grad_x
+from knotopt.objective import DELTA_SCALE, evaluate, grad_x
 from knotopt.pl import window_gaps
 
 from helpers import LinearCurve, QuadraticCurve, fd_gradient, simpson_integral
@@ -107,85 +106,29 @@ class TestPsi:
             window_gaps(curve, xs, 0, 2)
 
 
-class CountingCurve:
-    """Delegates to a curve and counts the calls of its value and deriv2."""
-
-    def __init__(self, curve):
-        self.curve = curve
-        self.value_calls = 0
-        self.deriv2_calls = 0
-
-    def value(self, x):
-        self.value_calls += 1
-        return self.curve.value(x)
-
-    def deriv1(self, x):
-        return self.curve.deriv1(x)
-
-    def deriv2(self, x):
-        self.deriv2_calls += 1
-        return self.curve.deriv2(x)
-
-
-class TestGapReuse:
-    # the solver asks for the gradient where it has just taken the value, so
-    # the gaps the value integrated serve the gradient too
-
-    @pytest.mark.parametrize("kind", [GENERAL, INTERIOR])
-    def test_grad_after_value_reuses_the_gaps(self, catalog_by_name, kind):
-        entry = catalog_by_name["logistic2b"]
-        curve = CountingCurve(entry.curve)
-        objective = YObjective(curve, entry.a, entry.b, kind)
-        y = to_y(KnotVector(entry.a, entry.b, np.array([-1.5, -0.2, 0.3, 1.1, 1.7])))
-        objective.value(y)
-        after_value = curve.deriv2_calls
-        assert after_value > 0
-        grad = objective.grad(y)
-        assert curve.deriv2_calls == after_value
-        fresh = YObjective(entry.curve, entry.a, entry.b, kind)
-        assert np.array_equal(grad, fresh.grad(y))
+class TestPureMap:
+    # YObjective keeps nothing between calls: each is the x-space routine at
+    # from_y(y), so any order of calls gives the same bits
 
     @pytest.mark.parametrize("kind", list(ObjectiveKind))
-    def test_value_then_grad_maps_y_once(self, catalog_by_name, kind, monkeypatch):
+    def test_value_and_grad_are_x_space_at_from_y(self, catalog_by_name, kind):
         entry = catalog_by_name["logistic2b"]
-        calls = []
-
-        def counting_from_y(*args):
-            calls.append(args)
-            return from_y(*args)
-
-        monkeypatch.setattr(objective_module, "from_y", counting_from_y)
-        objective = YObjective(entry.curve, entry.a, entry.b, kind)
-        y = to_y(KnotVector(entry.a, entry.b, np.array([-1.5, -0.2, 0.3, 1.1])))
-        objective.value(y)
-        objective.grad(y)
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("kind", list(ObjectiveKind))
-    def test_value_then_grad_evaluates_f_once(self, catalog_by_name, kind):
-        entry = catalog_by_name["logistic2b"]
-        curve = CountingCurve(entry.curve)
-        objective = YObjective(curve, entry.a, entry.b, kind)
-        y = to_y(KnotVector(entry.a, entry.b, np.array([-1.5, -0.2, 0.3, 1.1])))
-        value = objective.value(y)
-        grad = objective.grad(y)
-        assert curve.value_calls == 1
-        fresh = YObjective(entry.curve, entry.a, entry.b, kind)
-        assert np.array_equal(grad, fresh.grad(y))
-        assert value == fresh.value(y)
-
-    def test_grad_elsewhere_recomputes(self, catalog_by_name):
-        entry = catalog_by_name["logistic2b"]
-        curve = CountingCurve(entry.curve)
-        objective = YObjective(curve, entry.a, entry.b, GENERAL)
-        y = to_y(KnotVector(entry.a, entry.b, np.array([-1.5, -0.2, 0.3, 1.1])))
-        objective.value(y)
-        after_value = curve.deriv2_calls
-        moved = y * 1.01
-        grad = objective.grad(moved)
-        assert curve.deriv2_calls > after_value
-        fresh = YObjective(entry.curve, entry.a, entry.b, GENERAL)
-        assert np.array_equal(grad, fresh.grad(moved))
+        a, b = entry.a, entry.b
+        objective = YObjective(entry.curve, a, b, kind)
+        for inner in ([-1.5, -0.2, 0.3, 1.1], [-1.5, 0.3, 0.3, 1.1]):
+            y = to_y(KnotVector(a, b, np.array(inner)))
+            xs = from_y(y, a, b).full()
+            assert objective.value(y) == evaluate(entry.curve, kind, xs)[2]
+            dx_dy = (b - a) / (1.0 + y) ** 2
+            assert objective.grad(y).tobytes() == \
+                (grad_x(entry.curve, kind, xs) * dx_dy).tobytes()
+            moved = y * 1.01
+            calls = [objective.value(y), objective.grad(y), objective.value(moved)]
+            fresh = [YObjective(entry.curve, a, b, kind).value(y),
+                     YObjective(entry.curve, a, b, kind).grad(y),
+                     YObjective(entry.curve, a, b, kind).value(moved)]
+            for got, want in zip(calls, fresh):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestYTransform:

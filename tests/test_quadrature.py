@@ -173,6 +173,16 @@ class TestBoundedBisection:
         assert good_row.status == "ok"
         assert good_row.spg_error < good_row.orig_error
 
+    @pytest.mark.parametrize("levels", [0, 1, 2])
+    def test_level_limit_raises(self, monkeypatch, levels):
+        # f'' is infinite at 0, so the panel there needs many bisections
+        # (unpatched, the integral is -0.18185328)
+        curve = Curve(CurveFamily.WEIBULL, 0, 1, 1.5, 1, 0)
+        monkeypatch.setattr(quadrature, "_MAX_LEVELS", levels)
+        with pytest.raises(QuadratureError) as caught:
+            integrate_segments(curve.deriv2, np.array([0.0]), np.array([2.0]))
+        assert str(caught.value) == f"no convergence after {levels} bisections"
+
 
 class HoledCurve(QuadraticCurve):
     """-x^2 + 4 whose f'' is ``bad`` above x = 1.2."""
