@@ -14,6 +14,7 @@ import numpy as np
 
 from knotopt import (KnotVector, ObjectiveKind, default_catalog, emit_plot_data,
                      run_experiment, solve)
+from knotopt.spg import minimize_x
 
 catalog = {e.name: e for e in default_catalog()}
 
@@ -35,12 +36,19 @@ class Parabola:
         return out if out.ndim else float(out)
 
 
-# the area objective runs Newton in x
-report = solve(Parabola(), ObjectiveKind.CONCAVE_AREA, 3,
-               init=KnotVector(0.0, 2.0, np.array([0.2, 0.3, 0.4])))
+# Newton in x on the area objective, from the knots it is given
+skewed = KnotVector(0.0, 2.0, np.array([0.2, 0.3, 0.4]))
+result = minimize_x(Parabola(), skewed)
 print("parabola on [0, 2], 3 knots from a skewed start:")
-print(f"  knots -> {np.array2string(report.final_knots.interior, precision=7)}"
-      f"  ({report.termination.value} after {report.iterations} iterations)")
+print(f"  knots -> {np.array2string(result.point, precision=7)}"
+      f"  ({result.termination.value} after {result.iterations} Newton steps)")
+
+# `solve` starts the area objective at the caller's knots or at knots
+# equidistributed by |f''|^(1/3), whichever has the lower objective; for a
+# parabola the latter are equally spaced, its optimum
+report = solve(Parabola(), ObjectiveKind.CONCAVE_AREA, 3, init=skewed)
+print(f"  solve picked the equidistributed start: "
+      f"{report.termination.value} after {report.iterations} Newton steps")
 
 # catalog experiments score knot vectors with the interior squared-gap
 # metric and optimise that same functional with Gauss-Newton steps, which

@@ -43,8 +43,9 @@ arbitrary = KnotVector(entry.a, entry.b, np.array([0.1, 0.4, 0.6, 1.9]))
 print(f"\narbitrary knots residual: "
       f"{kkt_check(entry.curve, arbitrary).stationarity_residual:.3e}")
 
-# knots crowded against b: the Newton solver works in x and converges from
-# there, for the area objective and the squared gaps alike
+# knots crowded against b: the squared gaps' Newton works in x and converges
+# from there; for the area objective `solve` starts at the knots
+# equidistributed by |f''|^(1/3) instead, whose objective is lower
 cluster = KnotVector(entry.a, entry.b, np.array([1.9, 1.95, 1.99]))
 general = ObjectiveKind.GENERAL_SQUARED
 for kind in (ObjectiveKind.CONCAVE_AREA, general):

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quadrature import integrate_segments
+from .quadrature import _sampled, integrate_segments
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,13 @@ def equidistributed(curve, a: float, b: float, n: int) -> KnotVector:
     de Boor's asymptotic optimum of the area error ("Good approximation by
     splines with variable knots", 1973), floored at 1e-3 of its maximum and
     taken at cell midpoints only, never at a or b, where f'' may have an
-    integrable singularity.  Equal spacing when f'' is 0.
+    integrable singularity.  Equal spacing when f'' is 0.  The density's
+    cumulative sum is a midpoint rule, so a NaN or infinite f'' sample
+    raises ``QuadratureError`` naming its x, as the gap kernel does.
     """
     edges = np.linspace(a, b, 129)
-    rho = np.abs(curve.deriv2(0.5 * (edges[:-1] + edges[1:]))) ** (1.0 / 3.0)
+    f2 = _sampled(curve.deriv2, 0.5 * (edges[:-1] + edges[1:]), "f''")
+    rho = np.abs(f2) ** (1.0 / 3.0)
     cdf = np.concatenate(([0.0], np.maximum(rho, 1e-3 * rho.max()).cumsum()))
     if not cdf[-1] > 0.0:
         return KnotVector.equally_spaced(a, b, n)

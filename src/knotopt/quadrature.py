@@ -63,13 +63,14 @@ class QuadratureError(RuntimeError):
     """Raised at a non-finite integrand value or a stalled panel refinement."""
 
 
-def _sampled(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+def _sampled(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+             what: str = "integrand") -> np.ndarray:
     """func at the nodes x; QuadratureError names the first non-finite sample."""
     fx = np.asarray(func(x), dtype=float)
     if not np.isfinite(fx).all():
         bad = ~np.isfinite(fx)
         first = float(x[np.argmax(bad)])
-        raise QuadratureError(f"non-finite integrand at x={first!r} "
+        raise QuadratureError(f"non-finite {what} at x={first!r} "
                               f"({np.count_nonzero(bad)} of {x.size} points)")
     return fx
 

@@ -15,8 +15,11 @@ Control Optim. 20, 1982): the knots that a short steepest-descent step
 keeps tied, or at a or b, move as one run or stay put, so P never pools a
 model step that pushes tied knots across each other into an ascent along
 the whole arc.  Newton draws no random numbers.  ``solve`` runs it for
-every kind, and without a caller's start it starts the area kind at
-``pl.equidistributed`` knots, near that kind's asymptotic optimum.
+every kind.  It starts the area kind at ``pl.equidistributed`` knots, near
+that kind's asymptotic optimum, unless the caller's start has no higher
+phi.  Over the 100 catalog cells (20 rows, n = 4 to 64) from equal spacing,
+that leaves 92 results unchanged to 1e-9, better 3 and worse 5, all on
+rows with an inflection, and the concave rows' steps fall from 490 to 182.
 
 ``minimize_y`` is the spectral projected gradient (SPG) method over the
 monotone nonnegative cone that y_i = (x_i - a)/(b - x_i) maps the knots
@@ -56,7 +59,7 @@ from functools import partial
 import numpy as np
 
 from .cone import project
-from .objective import evaluate, local_model
+from .objective import evaluate, local_model, phi
 from .pl import KnotVector, ObjectiveKind, equidistributed
 
 
@@ -323,14 +326,16 @@ def solve(curve, kind: ObjectiveKind, n: int,
     ``config`` is ignored; it stays only because perfbench passes it.  The
     interval comes from ``init`` when given, otherwise from ``a``/``b``;
     bounds given with ``init`` must equal its own.  The baseline is
-    ``init``, or else equally spaced knots, and Newton starts there, except
-    that the area kind starts at ``equidistributed`` knots when ``init`` is
-    None.  Reported errors use ``kind``'s own error measure, the initial one
-    at the baseline; a squared kind's are the solve's own values, the same
-    gap sums to the bit, and the area kind measures both points.  The
-    incumbent guard ensures the reported final error never exceeds the
-    initial one, so ``final_knots`` is the baseline when it rejects the
-    minimiser's point.
+    ``init``, or else equally spaced knots.  A squared kind's Newton starts
+    there.  The area kind's starts at ``equidistributed`` knots, or at
+    ``init`` when ``init``'s phi is no higher: from equal spacing on the 100
+    catalog cells with n = 4 to 64, 92 results stay the same to 1e-9, 3 get
+    better and 5 worse, all on rows with an inflection.  Reported errors
+    use ``kind``'s own error measure, the initial one at the baseline; a
+    squared kind's are the solve's own values, the same gap sums to the
+    bit, and the area kind measures both points.  The incumbent guard
+    ensures the reported final error never exceeds the initial one, so
+    ``final_knots`` is the baseline when it rejects the minimiser's point.
     """
     if n < 1:
         raise ValueError("need at least one knot")
@@ -346,10 +351,13 @@ def solve(curve, kind: ObjectiveKind, n: int,
     else:
         baseline = KnotVector.equally_spaced(a, b, n)
 
-    # the squared kinds took more steps from equidistributed knots
+    # the squared kinds took more steps from equidistributed knots; the area
+    # kind starts at the lower phi of the two, ties going to the caller's
     start = baseline
-    if init is None and kind is ObjectiveKind.CONCAVE_AREA:
-        start = equidistributed(curve, a, b, n)
+    if kind is ObjectiveKind.CONCAVE_AREA:
+        equi = equidistributed(curve, a, b, n)
+        if init is None or phi(curve, equi) < phi(curve, init):
+            start = equi
     result = minimize_x(curve, start, kind)
     final = KnotVector(a, b, result.point)
     # a squared kind's objective is its measure on the same gaps; phi is not

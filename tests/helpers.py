@@ -32,6 +32,17 @@ class QuadraticCurve:
         return out if out.ndim else float(out)
 
 
+class HoledCurve(QuadraticCurve):
+    """-x^2 + 4 whose f'' is ``bad`` above x = 1.2."""
+
+    def __init__(self, bad: float):
+        super().__init__(-1.0, 0.0, 4.0)
+        self.bad = bad
+
+    def deriv2(self, x):
+        return np.where(np.asarray(x) > 1.2, self.bad, super().deriv2(x))
+
+
 class LinearCurve(QuadraticCurve):
     """Affine curve; every chord matches it exactly."""
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import (Curve, CurveFamily, KnotVector, build_pl, error_concave,
-                     error_general, error_interior_squared, segment_gaps)
+from knotopt import (Curve, CurveFamily, KnotVector, QuadratureError, build_pl,
+                     error_concave, error_general, error_interior_squared,
+                     segment_gaps)
 from knotopt.pl import equidistributed
 
-from helpers import LinearCurve, QuadraticCurve, simpson_integral
+from helpers import HoledCurve, LinearCurve, QuadraticCurve, simpson_integral
 
 
 class TestKnotVector:
@@ -68,6 +69,15 @@ class TestEquidistributed:
         xs = np.concatenate(seen)
         assert xs.min() > 0.0 and xs.max() < 2.0
         assert 0.0 < kv.interior[0] and np.all(np.diff(kv.full()) > 0.0)
+
+    # a NaN sample made the density's total NaN, which read as f'' = 0 and
+    # gave equal spacing; an inf one gave NaN knots
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_the_first_non_finite_f2(self, bad):
+        # the cells' midpoints are (k + 1/2)/64; k = 77..127 lie above 1.2
+        with pytest.raises(QuadratureError) as caught:
+            equidistributed(HoledCurve(bad), 0.0, 2.0, 4)
+        assert str(caught.value) == "non-finite f'' at x=1.2109375 (51 of 128 points)"
 
 
 class QuarticHook:

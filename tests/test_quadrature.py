@@ -14,7 +14,7 @@ from knotopt import (Curve, CurveCatalogEntry, CurveDomainError, CurveFamily,
 from knotopt.pl import segment_gaps
 from knotopt.quadrature import integrate_segments
 
-from helpers import QuadraticCurve, f2_zeros, mp_value
+from helpers import HoledCurve, QuadraticCurve, f2_zeros, mp_value
 
 ORACLE_DPS = 80
 GAP_RTOL = 1e-12
@@ -182,17 +182,6 @@ class TestBoundedBisection:
         with pytest.raises(QuadratureError) as caught:
             integrate_segments(curve.deriv2, np.array([0.0]), np.array([2.0]))
         assert str(caught.value) == f"no convergence after {levels} bisections"
-
-
-class HoledCurve(QuadraticCurve):
-    """-x^2 + 4 whose f'' is ``bad`` above x = 1.2."""
-
-    def __init__(self, bad: float):
-        super().__init__(-1.0, 0.0, 4.0)
-        self.bad = bad
-
-    def deriv2(self, x):
-        return np.where(np.asarray(x) > 1.2, self.bad, super().deriv2(x))
 
 
 class TestNonFiniteIntegrand:

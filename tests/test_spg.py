@@ -9,14 +9,15 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from knotopt import (Curve, CurveFamily, KnotVector, MinimizeResult,
-                     ObjectiveKind, SolverError, SpgConfig, Termination,
-                     YObjective, backtrack_step, default_catalog, error_concave,
-                     from_y, kkt_check, minimize_y, phi, solve, to_y)
+                     ObjectiveKind, QuadratureError, SolverError, SpgConfig,
+                     Termination, YObjective, backtrack_step, default_catalog,
+                     error_concave, from_y, kkt_check, minimize_y, phi, solve,
+                     to_y)
 from knotopt import pl, spg
 from knotopt.objective import evaluate, grad_x, local_model
 from knotopt.pl import equidistributed, window_gaps
 
-from helpers import QuadraticCurve, sequential_ldlt_solve
+from helpers import HoledCurve, QuadraticCurve, f2_zeros, sequential_ldlt_solve
 
 AREA = ObjectiveKind.CONCAVE_AREA
 GENERAL = ObjectiveKind.GENERAL_SQUARED
@@ -196,11 +197,21 @@ class TestNewton:
             def deriv2(self, x):
                 return np.full_like(np.asarray(x, dtype=float), np.nan)
 
+        # called directly: solve's equidistributed start rejects a NaN f''
         init = KnotVector(0.0, 2.0, np.array([0.1, 0.2, 0.3]))
         with pytest.raises(SolverError,
                            match="non-finite curvature at iteration 0") as caught:
-            solve(Flat(-1.0, 0.0, 4.0), AREA, 3, init=init)
+            spg.minimize_x(Flat(-1.0, 0.0, 4.0), init, AREA)
         assert np.array_equal(caught.value.point, init.interior)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("init", [None, [0.1, 0.2, 0.3]], ids=["no-init", "init"])
+    def test_non_finite_f2_fails_the_area_start(self, bad, init):
+        # with or without init, the area kind forms equidistributed knots
+        if init is not None:
+            init = KnotVector(0.0, 2.0, np.array(init))
+        with pytest.raises(QuadratureError, match="^non-finite f'' at x=1.2109375 "):
+            solve(HoledCurve(bad), AREA, 3, init=init, a=0.0, b=2.0)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(st.sampled_from(CONCAVE_ROWS),
@@ -707,7 +718,7 @@ SINGULAR_END = Curve(CurveFamily.WEIBULL, 1.0, -1.0, 1.5, 1.0, 0.0)   # f'' ~ x^
 
 
 class TestBaseline:
-    """Equal spacing is the baseline even where Newton starts elsewhere."""
+    """The baseline is init or equal spacing, wherever Newton starts."""
 
     @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda kind: kind.value)
     @pytest.mark.parametrize("name", ["logistic1a", "weibull2a", "gompertz1b",
@@ -738,26 +749,41 @@ class TestBaseline:
         assert report.final_error == report.initial_error \
             == kind.error(entry.curve, equal)
 
-    def test_only_the_area_kind_without_init_starts_elsewhere(self, catalog_by_name,
-                                                               monkeypatch):
+    def test_area_kind_starts_at_the_lower_phi(self, catalog_by_name,
+                                               monkeypatch):
+        # the area kind starts at the lower phi of init and equidistributed
+        # knots, ties going to init; the squared kinds start at init, and
+        # every kind's initial error is measured at init
         starts = []
         minimize_x = spg.minimize_x
 
         def recording(curve, start, kind):
-            starts.append((kind, start))
+            starts.append(start)
             return minimize_x(curve, start, kind)
+
+        def check(kind, init, start):
+            report = solve(entry.curve, kind, 8, init=init)
+            assert starts[-1].interior.tobytes() == start.interior.tobytes()
+            want = kind.error(entry.curve, init)
+            assert np.float64(report.initial_error).tobytes() \
+                == np.float64(want).tobytes()
+            return report
 
         monkeypatch.setattr(spg, "minimize_x", recording)
         entry = catalog_by_name["weibull2a"]
         equal = equal_start(entry, 8)
-        for kind in ObjectiveKind:
-            solve(entry.curve, kind, 8, a=entry.a, b=entry.b)
-            solve(entry.curve, kind, 8, init=equal)
         equi = equidistributed(entry.curve, entry.a, entry.b, 8)
-        assert [kind for kind, _ in starts] == [k for k in ObjectiveKind for _ in "ab"]
-        assert starts[0][1].interior.tobytes() == equi.interior.tobytes()
-        for _, start in starts[1:]:
-            assert start.interior.tobytes() == equal.interior.tobytes()
+        assert phi(entry.curve, equi) < phi(entry.curve, equal)
+        optimum = check(AREA, equal, equi).final_knots
+
+        again = check(AREA, optimum, optimum)
+        assert again.termination is Termination.STATIONARY
+        assert again.iterations <= 2
+        tied = KnotVector(entry.a, entry.b, equi.interior)
+        check(AREA, tied, tied)
+        assert starts[-1] is tied
+        for kind in SQUARED:
+            check(kind, equal, equal)
 
     @pytest.mark.parametrize("kind, n", [(kind, 8) for kind in ObjectiveKind]
                              + [(AREA, n) for n in (4, 16, 64)],
@@ -800,6 +826,33 @@ class TestAsymptoticOracle:
         ratio = report.final_error * (n + 1) ** 2 / (cube_root_integral(entry) ** 3 / 12.0)
         assert report.termination is Termination.STATIONARY
         assert abs(ratio - 1.0) < 0.01, ratio
+
+
+# f'' may vanish on an end (logistic1a at a = 0), which is no inflection
+SMOOTH_CONCAVE_ROWS = [entry for entry in CONCAVE_ROWS
+                       if not any(entry.a < z < entry.b for z in f2_zeros(entry))]
+
+
+class TestCallerStarts:
+    """Random caller starts at large n reach the no-init optimum.
+
+    From such a start, weibull2a's knots past x = 2.4, where f rounds to 1,
+    leave Newton 200 steps short of the optimum at n = 256; equidistributed
+    knots, which the area kind starts at when their phi is lower, do not.
+    """
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_sorted_uniform_starts_end_at_the_optimum(self, n, seed):
+        assert len(SMOOTH_CONCAVE_ROWS) == 6   # every concave row but weibull1a
+        for row, entry in enumerate(SMOOTH_CONCAVE_ROWS):
+            a, b = entry.a, entry.b
+            rng = np.random.default_rng([seed, row, n])
+            init = KnotVector(a, b, np.sort(rng.uniform(a, b, n)))
+            report = solve(entry.curve, AREA, n, init=init)
+            want = solve(entry.curve, AREA, n, a=a, b=b).final_error
+            assert report.termination is Termination.STATIONARY, entry.name
+            assert report.final_error == pytest.approx(want, rel=1e-12), entry.name
 
 
 class TestValidation:
