@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quadrature import _sampled, integrate_segments
+from .quadrature import integrate_segments, sampled
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def equidistributed(curve, a: float, b: float, n: int) -> KnotVector:
     raises ``QuadratureError`` naming its x, as the gap kernel does.
     """
     edges = np.linspace(a, b, 129)
-    f2 = _sampled(curve.deriv2, 0.5 * (edges[:-1] + edges[1:]), "f''")
+    f2 = sampled(curve.deriv2, 0.5 * (edges[:-1] + edges[1:]), "f''")
     rho = np.abs(f2) ** (1.0 / 3.0)
     cdf = np.concatenate(([0.0], np.maximum(rho, 1e-3 * rho.max()).cumsum()))
     if not cdf[-1] > 0.0:

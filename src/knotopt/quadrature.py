@@ -63,7 +63,7 @@ class QuadratureError(RuntimeError):
     """Raised at a non-finite integrand value or a stalled panel refinement."""
 
 
-def _sampled(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+def sampled(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
              what: str = "integrand") -> np.ndarray:
     """func at the nodes x; QuadratureError names the first non-finite sample."""
     fx = np.asarray(func(x), dtype=float)
@@ -107,13 +107,13 @@ def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
     h = 0.5 * width
     x = lo[:, None] + h[:, None] * _START_LEFT.ravel()
     if live is None:
-        fx = _sampled(func, x.ravel())
+        fx = sampled(func, x.ravel())
     else:
         # func may be undefined at a zero-width segment's one point (f'' at
         # an end where it is singular); its gap is 0, and its row stays in
         # the batch as zeros, so the batch keeps its shape and rounding
         fx = np.zeros(x.shape)
-        fx[live] = _sampled(func, x[live].ravel()).reshape(-1, x.shape[1])
+        fx[live] = sampled(func, x[live].ravel()).reshape(-1, x.shape[1])
     g = (fx.reshape(m, _START_PANELS, _NODES.size)
          * _START_WEIGHT).reshape(-1, _NODES.size)
     half = 1.0 / _START_PANELS
@@ -143,7 +143,7 @@ def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
         left = (1.0 + mid)[:, None] + offset
         x = lo[seg][:, None] + h[seg][:, None] * left
         weight = left * ((1.0 - mid)[:, None] - offset)
-        g = _sampled(func, x.ravel()).reshape(left.shape) * weight
+        g = sampled(func, x.ravel()).reshape(left.shape) * weight
         est, err, size = _panel_sums(g)
         done = err <= np.maximum(RTOL * size, floor[seg] / half)
         acc += np.bincount(seg[done], weights=half * est[done], minlength=m)

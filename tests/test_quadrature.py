@@ -191,10 +191,10 @@ class TestNonFiniteIntegrand:
         fx = np.sin(x)
         fx[[3, 5, 8]] = bad
         with pytest.raises(QuadratureError) as caught:
-            quadrature._sampled(lambda _: fx, x)
+            quadrature.sampled(lambda _: fx, x)
         assert str(caught.value) == (f"non-finite integrand at x={float(x[3])!r} "
                                      f"(3 of 9 points)")
-        assert quadrature._sampled(np.sin, x).tobytes() == np.sin(x).tobytes()
+        assert quadrature.sampled(np.sin, x).tobytes() == np.sin(x).tobytes()
 
     # NaN used to bisect up to the panel cap and inf to warn in the panel sums
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -96,18 +96,28 @@ class TestQuadraticHook:
         assert report.iterations <= 2
         assert_allclose(report.final_knots.interior, [0.5, 1.0, 1.5], atol=1e-8)
 
+    # Newton is called directly from here on: solve would start the area
+    # kind at equidistributed knots, which are the hook's optimum
     def test_converges_from_skewed_start(self):
         init = KnotVector(0.0, 2.0, np.array([0.1, 0.2, 0.3]))
-        report = solve(make_hook(), ObjectiveKind.CONCAVE_AREA, 3, init=init)
-        assert report.termination is Termination.STATIONARY
-        assert report.iterations < 200
-        assert np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) < 1e-6
+        result = spg.minimize_x(make_hook(), init, AREA)
+        assert result.termination is Termination.STATIONARY
+        assert result.iterations < 200
+        assert np.max(np.abs(result.point - [0.5, 1.0, 1.5])) < 1e-6
 
     def test_converges_from_start_near_b(self):
         init = KnotVector(0.0, 2.0, np.array([1.2, 1.5, 1.7]))
-        report = solve(make_hook(), ObjectiveKind.CONCAVE_AREA, 3, init=init)
-        assert report.termination is Termination.STATIONARY
-        assert np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) < 1e-6
+        result = spg.minimize_x(make_hook(), init, AREA)
+        assert result.termination is Termination.STATIONARY
+        assert np.max(np.abs(result.point - [0.5, 1.0, 1.5])) < 1e-6
+
+    def test_criterion_4_skewed_start_in_newton(self):
+        # acceptance criterion 4's start, without solve's choice of start
+        init = KnotVector(0.0, 2.0, np.array([0.15, 0.25, 0.4]))
+        result = spg.minimize_x(make_hook(), init, AREA)
+        assert result.termination is Termination.STATIONARY
+        assert result.iterations < 200
+        assert np.max(np.abs(result.point - [0.5, 1.0, 1.5])) < 1e-6
 
     def test_near_endpoint_cluster_is_a_known_trap(self):
         # for SPG in y, knots crowded against b map to huge cone
@@ -136,10 +146,10 @@ class TestNewton:
                                   "right-cluster", "at-b"])
     def test_hook_reaches_even_spacing(self, start):
         init = KnotVector(0.0, 2.0, np.array(start))
-        report = solve(make_hook(), AREA, 3, init=init)
-        assert report.termination is Termination.STATIONARY
-        assert report.iterations <= 10
-        assert np.max(np.abs(report.final_knots.interior - [0.5, 1.0, 1.5])) < 1e-12
+        result = spg.minimize_x(make_hook(), init, AREA)
+        assert result.termination is Termination.STATIONARY
+        assert result.iterations <= 10
+        assert np.max(np.abs(result.point - [0.5, 1.0, 1.5])) < 1e-12
 
     def test_stationary_passes_kkt_at_the_stop_tolerance(self):
         for entry in CONCAVE_ROWS:
@@ -517,9 +527,11 @@ class TestHeldRunsForTheAreaKind:
         entry = CONCAVE_ROWS[row]
         rng = np.random.default_rng([seed, row, n])
         init = KnotVector(entry.a, entry.b, np.sort(rng.uniform(entry.a, entry.b, n)))
-        report = solve(entry.curve, AREA, n, init=init)
-        assert report.termination is Termination.STATIONARY
-        assert report.final_error < self.UNHELD_ERRORS[seed, n]
+        # Newton directly: solve would start at the equidistributed knots
+        result = spg.minimize_x(entry.curve, init, AREA)
+        assert result.termination is Termination.STATIONARY
+        reached = KnotVector(entry.a, entry.b, result.point)
+        assert AREA.error(entry.curve, reached) < self.UNHELD_ERRORS[seed, n]
 
 
 class TestBacktrackStep:
