@@ -16,9 +16,10 @@ zero, negatives are clamped) and the residuals report how far the rows
 remain from holding.  A run tied to a is swept leftwards from the separated
 gap after it, so lambda_0 holds x_1 at a as lambda_n holds x_n at b.
 
-The gradient and the curvature come from ``objective.local_model``, the
-model the Newton solver factors, so every kind, the harness's interior
-window included, can be certified.
+The gradient comes from ``objective.grad_x`` and the curvature from
+``objective.local_model``, the model the Newton solver factors; both use
+one gradient formula, so every kind, the harness's interior window
+included, can be certified, and the first-order check evaluates no f''.
 
 The area objective's stationarity system has a tridiagonal curvature
 matrix: diagonal (x_{i-1} - x_{i+1}) f''(x_i), off-diagonal

@@ -25,9 +25,11 @@ integral and T the trapezoid, the partials of its square are
 Both factors vanish when x_lo = x_hi, so degenerate segments are smooth
 zeros of the objective.  Halved, the brackets are the partials of the gap
 itself, the two entries per row of the gaps' Jacobian J.  ``local_model``
-is the one place that forms a kind's gradient and tridiagonal Newton
-model: from the brackets, the squared kinds' Gauss-Newton matrix 2 J^T J,
-and for the area kind phi's Hessian, which is tridiagonal too.
+is the one place that forms a kind's tridiagonal Newton model: from the
+brackets, the squared kinds' Gauss-Newton matrix 2 J^T J, and for the area
+kind phi's Hessian, which is tridiagonal too.  The gradient is written
+once, beside it; ``grad_x`` takes it without the model, so the area
+kind's gradient evaluates no f''.
 
 The substitution y_i = (x_i - a) / (b - x_i), with inverse
 x_i = b - (b - a) / (1 + y_i), maps ordered knots in [a, b) onto the monotone
@@ -74,6 +76,20 @@ def phi(curve, knots: KnotVector) -> float:
     return evaluate(curve, ObjectiveKind.CONCAVE_AREA, knots.full())[2]
 
 
+def _gradient(xs: np.ndarray, fv: np.ndarray, gaps: np.ndarray | None,
+              fp: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """A kind's gradient, and for a squared kind its bracket factors.
+
+    The area kind (``gaps`` None) has no brackets.  Nothing here reads f''.
+    """
+    if gaps is None:
+        return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:])), None
+    h = xs[1:] - xs[:-1]
+    df = fv[1:] - fv[:-1]
+    upper, lower = df[:-1] - fp * h[:-1], df[1:] - fp * h[1:]
+    return gaps[:-1] * upper + gaps[1:] * lower, (upper, lower)
+
+
 def local_model(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray,
                 gaps: np.ndarray | None, fp: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,8 +110,8 @@ def local_model(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray,
     J has two entries per row, the brackets halved, and 2 J^T J is
     tridiagonal.
     """
-    window = kind.window(xs.size - 2)
-    if window is None:
+    g, brackets = _gradient(xs, fv, gaps, fp)
+    if brackets is None:
         x = xs[1:-1]
         try:
             fpp = np.asarray(curve.deriv2(x), dtype=float)
@@ -108,23 +124,23 @@ def local_model(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray,
             for end in xs[0], xs[-1]:
                 with suppress(CurveDomainError):
                     fpp[x == end] = curve.deriv2(end)
-        return (0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:])),
-                0.5 * (xs[:-2] - xs[2:]) * fpp, 0.5 * (fp[1:] - fp[:-1]))
-    h = xs[1:] - xs[:-1]
-    df = fv[1:] - fv[:-1]
-    upper, lower = df[:-1] - fp * h[:-1], df[1:] - fp * h[1:]
+        return g, 0.5 * (xs[:-2] - xs[2:]) * fpp, 0.5 * (fp[1:] - fp[:-1])
+    upper, lower = brackets
+    window = kind.window(xs.size - 2)
     scored = np.zeros(xs.size - 1)
     scored[window[0]:window[1] + 1] = 1.0
-    return (gaps[:-1] * upper + gaps[1:] * lower,
-            0.5 * (scored[:-1] * upper ** 2 + scored[1:] * lower ** 2),
+    return (g, 0.5 * (scored[:-1] * upper ** 2 + scored[1:] * lower ** 2),
             0.5 * scored[1:-1] * lower[:-1] * upper[1:])
 
 
 def grad_x(curve, kind: ObjectiveKind, xs: np.ndarray) -> np.ndarray:
-    """``local_model``'s gradient in the interior knots of the breakpoints ``xs``."""
+    """``local_model``'s gradient in the interior knots of the breakpoints ``xs``.
+
+    It is the same formula, without the model, so f'' is not evaluated.
+    """
     fv, gaps, _ = evaluate(curve, kind, xs)
     fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)
-    return local_model(curve, kind, xs, fv, gaps, fp)[0]
+    return _gradient(xs, fv, gaps, fp)[0]
 
 
 # -- the cone substitution ------------------------------------------------

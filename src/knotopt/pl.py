@@ -5,8 +5,8 @@ The interpolant agrees with the curve at every knot.  Coincident knots are
 allowed as inputs: a zero-width segment contributes nothing to any error
 measure and is skipped during evaluation.
 
-Every error measure sums the signed area gaps that ``window_gaps`` computes
-for a window of segments, from the curve's second derivative in the Peano
+Every error measure sums the signed area gaps that ``knotopt.quadrature``
+computes from the curve's second derivative in the Peano
 form of the trapezoid error.  Three measures are provided, one per
 ``ObjectiveKind``, which also owns the squared kinds' windows.
 ``error_concave`` is the signed area between the curve and the interpolant
@@ -19,6 +19,14 @@ reported by the experiment harness, matching the known reference values
 for the bundled catalog.  The squared measures and the objectives in
 ``knotopt.objective`` share ``squared_gap_sum``, so a measure and its
 objective agree to the last bit.
+
+The squared measures and objectives take their gaps from ``window_gaps``,
+the gap kernel over a window of segments.  The area measure takes them from
+``segment_gaps``: one Gauss-Jacobi panel per segment, which samples f'' a
+fifth as often and hands the segments it cannot vouch for to the kernel.
+The two rules agree to rounding.  A squared kind's Newton path follows the
+last bits of its gaps, and no Newton loop reads the area measure's, so only
+the area measure takes the cheaper rule.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quadrature import integrate_segments, sampled
+from .quadrature import gauss_jacobi_segments, integrate_segments, sampled
 
 
 @dataclass(frozen=True)
@@ -158,8 +166,13 @@ def squared_gap_sum(gaps: np.ndarray) -> float:
 
 
 def segment_gaps(curve, knots: KnotVector) -> np.ndarray:
-    """Per-segment signed area between curve and chord, all n + 1 segments."""
-    return window_gaps(curve, knots.full(), 0, knots.n)
+    """Per-segment signed area between curve and chord, all n + 1 segments.
+
+    Computed by ``quadrature.gauss_jacobi_segments``, which agrees with
+    ``window_gaps`` to rounding; no Newton loop reads these gaps.
+    """
+    xs = knots.full()
+    return gauss_jacobi_segments(curve.deriv2, xs[:-1], xs[1:])
 
 
 def error_concave(curve, knots: KnotVector) -> float:

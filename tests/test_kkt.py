@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from knotopt import (Curve, CurveFamily, KnotVector, ObjectiveKind,
                      hessian_phi, kkt_check, prop1_test, solve)
-from knotopt.objective import grad_x
+from knotopt.objective import grad_x, local_model
+from knotopt.pl import window_gaps
 
 from helpers import QuadraticCurve
 
@@ -286,3 +287,45 @@ class TestProp1:
                 want = rhs - off ** 2
                 assert np.array_equal(margins, want), (entry.name, n)
                 assert holds == bool(np.all(diag > 0.0) and np.all(want > 0.0))
+
+
+class CountingF2:
+    """A curve that counts the points at which its f'' is evaluated."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.value = curve.value
+        self.deriv1 = curve.deriv1
+        self.f2_points = 0
+
+    def deriv2(self, x):
+        self.f2_points += np.size(x)
+        return self.curve.deriv2(x)
+
+
+class TestGradientWithoutF2:
+    @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda k: k.value)
+    def test_grad_x_is_the_models_gradient(self, catalog_by_name, kind):
+        entry = catalog_by_name["gompertz2b"]
+        rng = np.random.default_rng(3)
+        xs = KnotVector(entry.a, entry.b, np.sort(rng.uniform(entry.a, entry.b, 9))).full()
+        curve = entry.curve
+        fv = curve.value(xs)
+        window = kind.window(9)
+        gaps = None if window is None else window_gaps(curve, xs, *window)
+        g = local_model(curve, kind, xs, fv, gaps, curve.deriv1(xs[1:-1]))[0]
+        assert grad_x(curve, kind, xs).tobytes() == g.tobytes()
+
+    def test_area_kkt_check_evaluates_no_f2(self, catalog_by_name):
+        entry = catalog_by_name["weibull2a"]
+        rng = np.random.default_rng(5)
+        knots = KnotVector(entry.a, entry.b, np.sort(rng.uniform(entry.a, entry.b, 16)))
+        counting = CountingF2(entry.curve)
+        report = kkt_check(counting, knots)
+        assert counting.f2_points == 0
+        xs = knots.full()
+        g = local_model(entry.curve, AREA, xs, entry.curve.value(xs), None,
+                        entry.curve.deriv1(xs[1:-1]))[0]
+        assert report.stationarity_residual == float(np.max(np.abs(g)))
+        assert not report.lam.any()
+

@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from knotopt import (KnotVector, ObjectiveKind, YObjective, error_concave,
-                     from_y, phi, to_y)
+                     error_general, error_interior_squared, from_y, phi, to_y)
 from knotopt.objective import DELTA_SCALE, evaluate, grad_x
-from knotopt.pl import window_gaps
+from knotopt.pl import squared_gap_sum, window_gaps
+from knotopt.quadrature import integrate_segments
 
 from helpers import LinearCurve, QuadraticCurve, fd_gradient, simpson_integral
 
@@ -297,6 +298,26 @@ class TestKindOwnsItsMeasure:
                         if offset is None:
                             offset = diff
                         assert abs(diff - offset) <= 1e-11 * max(1.0, abs(offset)), label
+
+    def test_squared_kinds_sum_the_kernels_gaps(self, catalog):
+        # the squared kinds' Newton paths follow the last bits of their gaps
+        # (catalog-auto's step count moves when they move), so their
+        # measures and objectives stay on the kernel, bit for bit
+        rng = np.random.default_rng(11)
+        measures = {GENERAL: error_general, INTERIOR: error_interior_squared}
+        for entry in catalog:
+            for n in (1, 2, 4, 8, 16):
+                knots = KnotVector(entry.a, entry.b, np.sort(rng.uniform(entry.a, entry.b, n)))
+                xs = knots.full()
+                for kind, measure in measures.items():
+                    lo, hi = kind.window(n)
+                    gaps = np.zeros(n + 1)
+                    gaps[lo:hi + 1] = integrate_segments(entry.curve.deriv2, xs[lo:hi + 1],
+                                                         xs[lo + 1:hi + 2])
+                    want = squared_gap_sum(gaps)
+                    label = (entry.name, kind, n)
+                    assert measure(entry.curve, knots) == want, label
+                    assert evaluate(entry.curve, kind, xs)[2] == want, label
 
     def test_measure_names_are_kind_values(self):
         assert {kind.value for kind in ObjectiveKind} == {"auto", "concave", "general"}

@@ -1,4 +1,8 @@
-"""The gap kernel against an 80-digit oracle, and its failure modes."""
+"""Both gap rules against an 80-digit oracle, and their failure modes.
+
+``segment_gaps`` runs the Gauss-Jacobi front end and ``integrate_segments``
+is the kernel it falls back to; every oracle case checks both.
+"""
 
 import time
 
@@ -9,10 +13,10 @@ from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from knotopt import (Curve, CurveCatalogEntry, CurveDomainError, CurveFamily,
-                     KnotVector, QuadratureError, error_general, harness,
-                     quadrature, run_catalog)
+                     KnotVector, QuadratureError, error_concave, error_general,
+                     harness, quadrature, run_catalog)
 from knotopt.pl import segment_gaps
-from knotopt.quadrature import integrate_segments
+from knotopt.quadrature import gauss_jacobi_segments, integrate_segments
 
 from helpers import HoledCurve, QuadraticCurve, f2_zeros, mp_value
 
@@ -57,12 +61,29 @@ def gap_scale(curve, xs: np.ndarray) -> np.ndarray:
 
 
 def assert_matches_oracle(curve, knots: KnotVector):
+    """The front end and the kernel against one oracle; returns all three."""
     xs = knots.full()
-    got = segment_gaps(curve, knots)
     want = oracle_gaps(curve, xs)
-    rel = np.abs(got - want) / gap_scale(curve, xs)
-    assert np.all(rel <= GAP_RTOL), (rel, got, want)
-    return got, want
+    scale = gap_scale(curve, xs)
+    front = segment_gaps(curve, knots)
+    kernel = integrate_segments(curve.deriv2, xs[:-1], xs[1:])
+    for rule, got in (("front end", front), ("kernel", kernel)):
+        rel = np.abs(got - want) / scale
+        assert np.all(rel <= GAP_RTOL), (rule, rel, got, want)
+    return want, front, kernel
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The (lo, hi) of every segment the front end hands to the kernel."""
+    seen = []
+
+    def recording(func, lo, hi):
+        seen.extend(zip(lo.tolist(), hi.tolist()))
+        return integrate_segments(func, lo, hi)
+
+    monkeypatch.setattr(quadrature, "integrate_segments", recording)
+    return seen
 
 
 class TestOracle:
@@ -70,29 +91,35 @@ class TestOracle:
         # equal spacing, n=8: the last gaps are ~1e-14, 3e-20 and 1e-27,
         # which "integral minus trapezoid" in doubles loses to cancellation
         entry = catalog_by_name["weibull2a"]
-        got, want = assert_matches_oracle(
+        want, *paths = assert_matches_oracle(
             entry.curve, KnotVector.equally_spaced(entry.a, entry.b, 8))
         assert_allclose(want[-3:], [1.2302e-14, 2.8867e-20, 1.3850e-27], rtol=1e-4)
-        assert_allclose(got, want, rtol=GAP_RTOL)
+        for got in paths:
+            assert_allclose(got, want, rtol=GAP_RTOL)
 
     def test_arctan1b_wide_segments(self, catalog_by_name):
         entry = catalog_by_name["arctan1b"]
         assert_matches_oracle(entry.curve, KnotVector.equally_spaced(entry.a, entry.b, 4))
 
     @pytest.mark.parametrize("shape", [1.5, 2.5])
-    def test_f2_not_smooth_at_the_left_end(self, shape):
+    def test_f2_not_smooth_at_the_left_end(self, shape, fallbacks):
         # f'' ~ x^(shape - 2) at x = 0: singular for 1.5, a kink for 2.5; the
         # end panel's relative error never shrinks, so the segment-relative
-        # floor ends its refinement
+        # floor ends its refinement.  The front end's tail test rejects that
+        # segment and hands it to the kernel.
         curve = Curve(CurveFamily.WEIBULL, 1.0, -1.0, shape, 1.0, 0.0)
         assert_matches_oracle(curve, KnotVector.equally_spaced(0.0, 2.0, 2))
+        assert fallbacks == [(0.0, 2.0 / 3.0)]
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
-    def test_random_segments_of_every_row(self, catalog, n):
+    def test_random_segments_of_every_row(self, catalog, n, fallbacks):
+        # wide segments across an inflection or a steep end fail the front
+        # end's tail test; the kernel's gaps for them must match too
         rng = np.random.default_rng([7, n])
         for entry in catalog:
             inner = np.sort(rng.uniform(entry.a, entry.b, n))
             assert_matches_oracle(entry.curve, KnotVector(entry.a, entry.b, inner))
+        assert len(fallbacks) >= 10
 
     @pytest.mark.parametrize("name, offsets", NEAR_INFLECTION,
                              ids=[f"{name}@{','.join(f'{d:+g}' for d in offsets)}"
@@ -131,6 +158,90 @@ class TestRule:
 
     def test_empty_batch(self):
         assert integrate_segments(np.cos, np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+class TestGaussJacobiRule:
+    def test_rule_is_exact_to_degree_47(self):
+        # the integral of (1 - t^2) t^d over [-1, 1]
+        t, w = quadrature._GJ_T, quadrature._GJ_W
+        for d in range(48):
+            exact = 0.0 if d % 2 else 2.0 / (d + 1) - 2.0 / (d + 3)
+            assert abs(w @ t ** d - exact) < 1e-15, d
+
+    def test_tail_sees_only_degrees_22_and_23(self):
+        # the tail rows are the last two discrete orthonormal coefficients:
+        # 0 to rounding below degree 22, and t^d's coefficient on p_d is one
+        # over p_d's leading coefficient, about 2^-d
+        t, tail = quadrature._GJ_T, quadrature._GJ_TAIL
+        for d in range(22):
+            assert np.abs(tail @ t ** d).max() < 1e-15, d
+        assert abs(tail[0] @ t ** 22) > 1e-7 and abs(tail[1] @ t ** 23) > 5e-8
+
+
+class TestGaussJacobiFrontEnd:
+    """Where the front end must fall back, and the kernel's edge cases."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("start", ["equal", "random"])
+    def test_concave_rows_need_no_fallback(self, catalog, n, start, fallbacks):
+        # equal spacing and many-knots' seeded random starts on the seven
+        # concave rows, against the kernel within 1e-13 of each gap's scale
+        rows = [entry for entry in catalog if entry.concave]
+        assert len(rows) == 7
+        for row, entry in enumerate(rows):
+            if start == "equal":
+                knots = KnotVector.equally_spaced(entry.a, entry.b, n)
+            else:
+                rng = np.random.default_rng([42, row, n])
+                knots = KnotVector(entry.a, entry.b,
+                                   np.sort(rng.uniform(entry.a, entry.b, n)))
+            xs = knots.full()
+            kernel = integrate_segments(entry.curve.deriv2, xs[:-1], xs[1:])
+            rel = np.abs(segment_gaps(entry.curve, knots) - kernel) / gap_scale(entry.curve, xs)
+            assert rel.max() <= 1e-13, entry.name
+        assert fallbacks == []
+
+    def test_tied_knots_at_a_singular_end_are_not_sampled(self, fallbacks):
+        curve = TestZeroWidthSegments.SINGULAR
+        seen = []
+
+        def recording(x):
+            seen.append(np.array(x))
+            return curve.deriv2(x)
+
+        lo = np.array([0.0, 0.0, 0.0, 0.7])
+        hi = np.array([0.0, 0.0, 0.7, 2.0])
+        got = gauss_jacobi_segments(recording, lo, hi)
+        assert got[0] == 0.0 and got[1] == 0.0
+        assert np.all(np.concatenate(seen) > 0.0)
+        # the segment at the singular end falls back; the kernel agrees
+        assert fallbacks == [(0.0, 0.7)]
+        assert_allclose(got, integrate_segments(curve.deriv2, lo, hi), rtol=1e-13)
+
+    @pytest.mark.parametrize("lo, hi", [([np.nan], [1.0]), ([0.0], [np.nan]),
+                                        ([0.0, np.nan], [0.0, 1.0])], ids=str)
+    def test_nan_bounds_still_raise(self, catalog_by_name, lo, hi):
+        curve = catalog_by_name["logistic1a"].curve
+        with pytest.raises(CurveDomainError, match="undefined at x=nan"):
+            gauss_jacobi_segments(curve.deriv2, np.array(lo), np.array(hi))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_the_first_non_finite_x(self, bad):
+        knots = KnotVector.equally_spaced(0.0, 2.0, 3)
+        xs = knots.full()
+        nodes = (xs[:-1, None] + 0.5 * np.diff(xs)[:, None] * quadrature._GJ_LEFT).ravel()
+        first = float(nodes[np.argmax(nodes > 1.2)])
+        with pytest.raises(QuadratureError) as caught:
+            error_concave(HoledCurve(bad), knots)
+        assert str(caught.value) == (f"non-finite integrand at x={first!r} "
+                                     f"({np.count_nonzero(nodes > 1.2)} of 96 points)")
+
+    def test_bad_bounds_rejected(self):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            gauss_jacobi_segments(np.cos, np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+        with pytest.raises(ValueError, match="matching shapes"):
+            gauss_jacobi_segments(np.cos, np.zeros(2), np.ones(3))
+        assert gauss_jacobi_segments(np.cos, np.zeros(0), np.zeros(0)).shape == (0,)
 
 
 class NoisyCurve:
