@@ -44,7 +44,7 @@ print(f"  knots -> {np.array2string(result.point, precision=7)}"
       f"  ({result.termination.value} after {result.iterations} Newton steps)")
 
 # `solve` starts the area objective at the caller's knots or at knots
-# equidistributed by |f''|^(1/3), whichever has the lower objective; for a
+# equidistributed by (-f'')^(1/3), whichever has the lower objective; for a
 # parabola the latter are equally spaced, its optimum
 report = solve(Parabola(), ObjectiveKind.CONCAVE_AREA, 3, init=skewed)
 print(f"  solve picked the equidistributed start: "
@@ -62,7 +62,7 @@ for n in (4, 8):
           f"{row.iterations} iterations)")
 
 # the area objective on a catalog curve: the baseline is equal spacing, and
-# Newton starts at knots equidistributed by |f''|^(1/3), near the optimum
+# Newton starts at knots equidistributed by (-f'')^(1/3), near the optimum
 report = solve(entry.curve, ObjectiveKind.CONCAVE_AREA, 4,
                a=entry.a, b=entry.b)
 print(f"gompertz1a area measure: {report.initial_error:.4e} -> "

@@ -45,7 +45,7 @@ print(f"\narbitrary knots residual: "
 
 # knots crowded against b: the squared gaps' Newton works in x and converges
 # from there; for the area objective `solve` starts at the knots
-# equidistributed by |f''|^(1/3) instead, whose objective is lower
+# equidistributed by (-f'')^(1/3) instead, whose objective is lower
 cluster = KnotVector(entry.a, entry.b, np.array([1.9, 1.95, 1.99]))
 general = ObjectiveKind.GENERAL_SQUARED
 for kind in (ObjectiveKind.CONCAVE_AREA, general):

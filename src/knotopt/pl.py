@@ -75,18 +75,22 @@ class KnotVector:
 
 
 def equidistributed(curve, a: float, b: float, n: int) -> KnotVector:
-    """n interior knots at equal shares of the density |f''|^(1/3).
+    """n interior knots at equal shares of the density max(-f'', 0)^(1/3).
 
     de Boor's asymptotic optimum of the area error ("Good approximation by
-    splines with variable knots", 1973), floored at 1e-3 of its maximum and
-    taken at cell midpoints only, never at a or b, where f'' may have an
-    integrable singularity.  Equal spacing when f'' is 0.  The density's
-    cumulative sum is a midpoint rule, so a NaN or infinite f'' sample
-    raises ``QuadratureError`` naming its x, as the gap kernel does.
+    splines with variable knots", 1973): (-f'')^(1/3) where f is concave,
+    and 0 where it is convex, since longer chords there only lower the
+    signed gap.  The density is floored at 1e-3 of its maximum, so the
+    convex part keeps only that floor's share of the knots, and it is taken
+    at the midpoints of 128 equal cells only, never at a or b, where f''
+    may have an integrable singularity.  Equal spacing when f'' is nowhere
+    negative.  The density's cumulative sum is a midpoint rule, so a NaN or
+    infinite f'' sample raises ``QuadratureError`` naming its x, as the gap
+    kernel does.
     """
     edges = np.linspace(a, b, 129)
     f2 = sampled(curve.deriv2, 0.5 * (edges[:-1] + edges[1:]), "f''")
-    rho = np.abs(f2) ** (1.0 / 3.0)
+    rho = np.maximum(-f2, 0.0) ** (1.0 / 3.0)
     cdf = np.concatenate(([0.0], np.maximum(rho, 1e-3 * rho.max()).cumsum()))
     if not cdf[-1] > 0.0:
         return KnotVector.equally_spaced(a, b, n)

@@ -38,6 +38,16 @@ class TestKnotVector:
             KnotVector(a, b, np.empty(0))
 
 
+class Deriv2Only:
+    """A curve given by its f'' alone, all that equidistributed samples."""
+
+    def __init__(self, f2):
+        self.f2 = f2
+
+    def deriv2(self, x):
+        return self.f2(np.asarray(x, dtype=float))
+
+
 class TestEquidistributed:
     def test_constant_density_is_equal_spacing(self):
         kv = equidistributed(QuadraticCurve(-1.0, 0.0, 4.0), 0.0, 2.0, 4)
@@ -54,6 +64,25 @@ class TestEquidistributed:
         kv = equidistributed(QuarticHook(), 0.0, 2.0, 5)
         want = 2.0 * (np.arange(1, 6) / 6.0) ** 0.6
         assert_allclose(kv.interior, want, rtol=2e-3)
+
+    def test_convex_part_keeps_only_the_floors_share(self):
+        # f'' = -x on [-1, 1]: the density is x^(1/3) on the concave half,
+        # whose integral is 3/4, and only the floor, 1e-3 of a peak below 1,
+        # on the convex half, which so carries some knots at large n but
+        # under 1e-3 / (3/4) of the total
+        curve = Deriv2Only(lambda x: -x)
+        assert equidistributed(curve, -1.0, 1.0, 15).interior.min() > 0.0
+        n = 2999
+        convex = np.count_nonzero(equidistributed(curve, -1.0, 1.0, n).interior < 0.0)
+        assert 0 < convex <= (n + 1) * 1e-3 / 0.75
+
+    @pytest.mark.parametrize("curve", [QuadraticCurve(1.0, 0.0, 0.0),
+                                       Deriv2Only(lambda x: x ** 2)],
+                             ids=["convex", "convex-zero-at-0"])
+    def test_nowhere_negative_f2_is_equal_spacing(self, curve):
+        kv = equidistributed(curve, -1.0, 3.0, 5)
+        assert kv.interior.tobytes() == \
+            KnotVector.equally_spaced(-1.0, 3.0, 5).interior.tobytes()
 
     def test_samples_f2_strictly_inside(self):
         # f'' ~ x^-0.5 is infinite at a = 0, which the gap kernel integrates

@@ -867,6 +867,45 @@ class TestCallerStarts:
             assert report.final_error == pytest.approx(want, rel=1e-12), entry.name
 
 
+class TestConcaveOnlyStart:
+    """The area kind's start puts no density where f'' > 0.
+
+    Started by |f''|^(1/3), knots went into convex parts, which the area
+    objective empties: weibull1a, convex on its last 14 %, ended worse
+    without init than from equal spacing, and the singular-end row, convex
+    next to a, kept knots tied at a.
+    """
+
+    @pytest.mark.parametrize("n, from_equal", [(16, -1.489236e-04),
+                                               (32, -3.976304e-04)])
+    def test_weibull1a_ends_at_the_equal_spacing_optimum(self, catalog_by_name,
+                                                         n, from_equal):
+        entry = catalog_by_name["weibull1a"]
+        report = solve(entry.curve, AREA, n, a=entry.a, b=entry.b)
+        assert report.final_error <= from_equal
+
+    @pytest.mark.parametrize("n", [5, 8, 16, 24, 64])
+    def test_singular_end_row_leaves_no_knot_at_a(self, n):
+        report = solve(SINGULAR_END, AREA, n, a=0.0, b=2.0)
+        # Newton directly: solve would start at the equidistributed knots
+        equal = spg.minimize_x(SINGULAR_END, KnotVector.equally_spaced(0.0, 2.0, n), AREA)
+        from_equal = AREA.error(SINGULAR_END, KnotVector(0.0, 2.0, equal.point))
+        assert report.termination is Termination.STATIONARY
+        assert report.final_knots.interior[0] > 0.0
+        assert report.final_error <= from_equal + 1e-12 * abs(from_equal)
+
+    def test_weibull1a_many_knots_start_takes_few_steps(self):
+        # many-knots' seed-42 start at n = 256; equidistributed knots have
+        # the lower phi, so Newton starts there and need not empty a convex part
+        row = [entry.name for entry in CONCAVE_ROWS].index("weibull1a")
+        entry = CONCAVE_ROWS[row]
+        rng = np.random.default_rng([42, row, 256])
+        init = KnotVector(entry.a, entry.b, np.sort(rng.uniform(entry.a, entry.b, 256)))
+        report = solve(entry.curve, AREA, 256, init=init)
+        assert report.termination is Termination.STATIONARY
+        assert report.iterations <= 15
+
+
 class TestValidation:
     @pytest.mark.parametrize("value", [
         float("nan"), float("inf"), -float("inf"), np.float64(np.nan),
