@@ -24,6 +24,8 @@ round the same way.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -40,7 +42,14 @@ def project(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("input must be a nonempty 1-d vector")
-    if not np.isfinite(v).all():
+    # a finite sum proves every entry finite; one that is not, or that
+    # overflows (a numpy warning, raised where warnings are errors), leaves
+    # it to the scan
+    try:
+        finite = math.isfinite(np.add.reduce(v))
+    except (RuntimeWarning, FloatingPointError):
+        finite = False
+    if not (finite or np.isfinite(v).all()):
         raise ValueError("input must be finite")
 
     # 0.0 first, here and below: on a tie np.maximum returns its second

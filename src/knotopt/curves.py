@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -41,7 +42,7 @@ class CurveFamily(Enum):
 def _finite_or_raise(values, family: CurveFamily, x):
     # a finite sum proves every value finite; an overflowing one proves nothing
     # (callers run this inside their errstate block, so it overflows silently)
-    if np.isfinite(values.sum()):
+    if math.isfinite(np.add.reduce(values, axis=None)):
         return values
     flat = np.atleast_1d(values)
     if not np.isfinite(flat).all():

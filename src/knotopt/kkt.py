@@ -6,10 +6,13 @@ x_{n+1} = b fixed) carry multipliers lambda_0..lambda_n.  Stationarity reads
     g_i + lambda_i - lambda_{i-1} = 0,    i = 1..n,
 
 with g the gradient of the chosen objective, together with complementarity
-0 <= x_{i+1} - x_i  perp  lambda_i >= 0.  For this problem every KKT point
-has all multipliers zero and strictly ordered knots, so when the knots are
-strictly separated the report simply sets lambda = 0 and the stationarity
-residual equals the max-norm of the gradient.  When ties are present the
+0 <= x_{i+1} - x_i  perp  lambda_i >= 0.  Complementarity makes every
+multiplier of a separated gap zero, so when the knots are strictly
+separated the report simply sets lambda = 0 and the stationarity residual
+equals the max-norm of the gradient.  A KKT point may tie knots, though:
+gompertz3b's area solves pass through knots tied at a, and its ``general``
+solve at n = 8 from equal spacing ends ``Stationary`` with three knots tied
+at a.  When ties are present the
 multipliers are recovered by substitution through the stationarity rows
 (tied constraints take the value forced by their row, separated ones take
 zero, negatives are clamped) and the residuals report how far the rows

@@ -24,12 +24,14 @@ integral and T the trapezoid, the partials of its square are
 
 Both factors vanish when x_lo = x_hi, so degenerate segments are smooth
 zeros of the objective.  Halved, the brackets are the partials of the gap
-itself, the two entries per row of the gaps' Jacobian J.  ``local_model``
-is the one place that forms a kind's tridiagonal Newton model: from the
-brackets, the squared kinds' Gauss-Newton matrix 2 J^T J, and for the area
-kind phi's Hessian, which is tridiagonal too.  The gradient is written
-once, beside it; ``grad_x`` takes it without the model, so the area
-kind's gradient evaluates no f''.
+itself, the two entries per row of the gaps' Jacobian J.  ``_gradient``
+is the one place that forms a kind's gradient, and ``_model`` the one
+place that forms its tridiagonal Newton model: from the brackets, the
+squared kinds' Gauss-Newton matrix 2 J^T J, and for the area kind phi's
+Hessian, which is tridiagonal too.  ``local_model`` is the two in turn.
+Newton takes the gradient, tests its stop on it, and only then forms the
+model, so a step that stops forms none.  ``grad_x`` takes the gradient
+alone, and so evaluates no f''.
 
 The substitution y_i = (x_i - a) / (b - x_i), with inverse
 x_i = b - (b - a) / (1 + y_i), maps ordered knots in [a, b) onto the monotone
@@ -67,7 +69,8 @@ def evaluate(curve, kind: ObjectiveKind,
     gaps = None if window is None else window_gaps(curve, xs, *window)
     fv = np.asarray(curve.value(xs), dtype=float)
     if gaps is None:
-        return fv, None, float(-0.5 * ((xs[1:] - xs[:-1]) * (fv[:-1] + fv[1:])).sum())
+        terms = -0.5 * ((xs[1:] - xs[:-1]) * (fv[:-1] + fv[1:]))
+        return fv, None, float(np.add.reduce(terms))
     return fv, gaps, squared_gap_sum(gaps)
 
 
@@ -90,27 +93,13 @@ def _gradient(xs: np.ndarray, fv: np.ndarray, gaps: np.ndarray | None,
     return gaps[:-1] * upper + gaps[1:] * lower, (upper, lower)
 
 
-def local_model(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray,
-                gaps: np.ndarray | None, fp: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kind's gradient g and tridiagonal Newton model (diag, off).
+def _model(curve, kind: ObjectiveKind, xs: np.ndarray, fp: np.ndarray,
+           brackets: tuple[np.ndarray, np.ndarray] | None
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The kind's tridiagonal Newton model (diag, off) beside ``_gradient``.
 
-    ``xs`` are the breakpoints, ``fv`` and ``gaps`` as ``evaluate`` gives
-    them and ``fp`` f' at the interior knots.  For the area kind, phi's
-    gradient component i is (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1}
-    - x_{i+1})] and the model is phi's Hessian, (1/2)(x_{i-1} - x_{i+1})
-    f''(x_i) on the diagonal and (1/2)(f'(x_{i+1}) - f'(x_i)) beside it,
-    with f'' evaluated here and 0 at a knot on a or b where f'' is infinite
-    (Weibull with 1 < s < 2 at a).  For a squared kind, interior knot j
-    (breakpoint j + 1) ends segment j and starts segment j + 1, and the
-    bracket factors of the module docstring are twice d gap_j / d x
-    (``upper``) and twice d gap_{j+1} / d x (``lower``).  The model is the
-    Gauss-Newton matrix 2 J^T J, J the Jacobian of the window's gaps in the
-    interior knots: each gap depends only on its segment's two end knots, so
-    J has two entries per row, the brackets halved, and 2 J^T J is
-    tridiagonal.
+    ``brackets`` are ``_gradient``'s; only the area kind (None) reads f''.
     """
-    g, brackets = _gradient(xs, fv, gaps, fp)
     if brackets is None:
         x = xs[1:-1]
         try:
@@ -124,13 +113,39 @@ def local_model(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray,
             for end in xs[0], xs[-1]:
                 with suppress(CurveDomainError):
                     fpp[x == end] = curve.deriv2(end)
-        return g, 0.5 * (xs[:-2] - xs[2:]) * fpp, 0.5 * (fp[1:] - fp[:-1])
+        return 0.5 * (xs[:-2] - xs[2:]) * fpp, 0.5 * (fp[1:] - fp[:-1])
     upper, lower = brackets
     window = kind.window(xs.size - 2)
     scored = np.zeros(xs.size - 1)
     scored[window[0]:window[1] + 1] = 1.0
-    return (g, 0.5 * (scored[:-1] * upper ** 2 + scored[1:] * lower ** 2),
+    return (0.5 * (scored[:-1] * upper ** 2 + scored[1:] * lower ** 2),
             0.5 * scored[1:-1] * lower[:-1] * upper[1:])
+
+
+def local_model(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray,
+                gaps: np.ndarray | None, fp: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kind's gradient g and tridiagonal Newton model (diag, off).
+
+    ``xs`` are the breakpoints, ``fv`` and ``gaps`` as ``evaluate`` gives
+    them and ``fp`` f' at the interior knots.  This is ``_gradient`` then
+    ``_model``; Newton calls the two apart, so a step that stops forms no
+    model.  For the area kind, phi's gradient component i is
+    (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1} - x_{i+1})] and the
+    model is phi's Hessian, (1/2)(x_{i-1} - x_{i+1})
+    f''(x_i) on the diagonal and (1/2)(f'(x_{i+1}) - f'(x_i)) beside it,
+    with f'' evaluated here and 0 at a knot on a or b where f'' is infinite
+    (Weibull with 1 < s < 2 at a).  For a squared kind, interior knot j
+    (breakpoint j + 1) ends segment j and starts segment j + 1, and the
+    bracket factors of the module docstring are twice d gap_j / d x
+    (``upper``) and twice d gap_{j+1} / d x (``lower``).  The model is the
+    Gauss-Newton matrix 2 J^T J, J the Jacobian of the window's gaps in the
+    interior knots: each gap depends only on its segment's two end knots, so
+    J has two entries per row, the brackets halved, and 2 J^T J is
+    tridiagonal.
+    """
+    g, brackets = _gradient(xs, fv, gaps, fp)
+    return (g, *_model(curve, kind, xs, fp, brackets))
 
 
 def grad_x(curve, kind: ObjectiveKind, xs: np.ndarray) -> np.ndarray:

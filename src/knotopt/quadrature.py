@@ -37,6 +37,7 @@ reads, uses the front end (``pl.segment_gaps``).
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -77,6 +78,7 @@ _MAX_LEVELS = 48
 _START_MID = -1.0 + (2.0 * np.arange(_START_PANELS) + 1.0) / _START_PANELS
 _START_LEFT = (1.0 + _START_MID)[:, None] + _NODES / _START_PANELS
 _START_WEIGHT = _START_LEFT * ((1.0 - _START_MID)[:, None] - _NODES / _START_PANELS)
+_START_LEFT_FLAT = _START_LEFT.ravel()
 
 
 #: nodes of the Gauss-Jacobi rule for the weight (1 - t^2) on [-1, 1]
@@ -116,6 +118,14 @@ def sampled(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
              what: str = "integrand") -> np.ndarray:
     """func at the nodes x; QuadratureError names the first non-finite sample."""
     fx = np.asarray(func(x), dtype=float)
+    # a finite sum proves every sample finite; one that is not, or that
+    # overflows (a numpy warning, raised where warnings are errors), leaves
+    # it to the scan
+    try:
+        if math.isfinite(np.add.reduce(fx, axis=None)):
+            return fx
+    except (RuntimeWarning, FloatingPointError):
+        pass
     if not np.isfinite(fx).all():
         bad = ~np.isfinite(fx)
         first = float(x[np.argmax(bad)])
@@ -136,7 +146,8 @@ def _bounds(lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | No
         raise ValueError("lo and hi must be 1-d arrays of matching shapes")
     width = hi - lo
     live = None
-    if not (width > 0.0).all():
+    # the minimum is NaN at a NaN bound, and an empty batch has none
+    if width.size and not np.minimum.reduce(width) > 0.0:
         if (width < 0.0).any():
             raise ValueError("segment bounds must satisfy lo <= hi")
         live = width != 0.0
@@ -164,7 +175,7 @@ def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
     m = width.size
 
     h = 0.5 * width
-    x = lo[:, None] + h[:, None] * _START_LEFT.ravel()
+    x = lo[:, None] + h[:, None] * _START_LEFT_FLAT
     if live is None:
         fx = sampled(func, x.ravel())
     else:
@@ -176,10 +187,13 @@ def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
     g = (fx.reshape(m, _START_PANELS, _NODES.size)
          * _START_WEIGHT).reshape(-1, _NODES.size)
     half = 1.0 / _START_PANELS
-    est, err, size = _panel_sums(g)
-    done = err <= RTOL * size
-    if done.all():
-        return -0.5 * half * h ** 3 * est.reshape(m, _START_PANELS).sum(axis=1)
+    # _panel_sums, inline: the first level is most of the kernel's calls
+    est, err = (g @ _RULES).T
+    size = np.abs(g) @ _K15
+    done = np.abs(err) <= RTOL * size
+    if np.logical_and.reduce(done):
+        return (-0.5 * half * h ** 3
+                * np.add.reduce(est.reshape(m, _START_PANELS), axis=1))
 
     acc = half * np.where(done, est, 0.0).reshape(m, _START_PANELS).sum(axis=1)
     # the absolute error a panel may always have, in the t-integral's units

@@ -1,15 +1,18 @@
 """The solvers: damped Newton in x behind ``solve``, and SPG in y.
 
 ``minimize_x`` works in the breakpoints (a, the knots, b) for every kind:
-``objective.evaluate`` gives the kind's value and ``objective.local_model``
-its gradient and tridiagonal model, phi's Hessian for the area kind and the
-Gauss-Newton matrix 2 J^T J of the window's gaps for a squared kind.  Each
+``objective.evaluate`` gives the kind's value.  Each step takes the
+gradient (``objective._gradient``), then the stop test on it, then the
+tridiagonal model (``objective._model``), phi's Hessian for the area kind
+and the Gauss-Newton matrix 2 J^T J of the window's gaps for a squared
+kind, so the step that stops forms no model and evaluates no f''.  Each
 model step solves (H + mu I) s = -g by an O(n) LDL^T sweep; the Levenberg
 damping mu grows fourfold until s is a descent direction, tending to
 steepest descent.
 Trial points follow the projected arc P(x + t s), t = 1, 1/2, ..., with P
-the exact projection onto the ordered knots in [a, b], until an Armijo test
-holds; being ordered by P, they need no ``KnotVector`` check.
+the exact projection onto the ordered knots in [a, b] (``_onto_knots``),
+until an Armijo test holds; being ordered by P, they need no
+``KnotVector`` check.
 For every kind the model is projected Newton's (Bertsekas, SIAM J.
 Control Optim. 20, 1982): the knots that a short steepest-descent step
 keeps tied, or at a or b, move as one run or stay put, so P never pools a
@@ -60,7 +63,7 @@ from functools import partial
 import numpy as np
 
 from .cone import project
-from .objective import evaluate, local_model, phi
+from .objective import _gradient, _model, evaluate, phi
 from .pl import KnotVector, ObjectiveKind, equidistributed
 
 
@@ -80,10 +83,21 @@ class SolverError(RuntimeError):
 
 
 def _checked(value, k: int, point: np.ndarray, what: str):
-    if not (math.isfinite(value) if isinstance(value, float)
-            else np.isfinite(value).all()):
-        raise SolverError(f"non-finite {what}", k, point)
-    return value
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return value
+    else:
+        # a finite sum proves every entry finite; one that is not, or that
+        # overflows (a numpy warning, raised where warnings are errors),
+        # leaves it to the scan
+        try:
+            if math.isfinite(np.add.reduce(value, axis=None)):
+                return value
+        except (RuntimeWarning, FloatingPointError):
+            pass
+        if np.isfinite(value).all():
+            return value
+    raise SolverError(f"non-finite {what}", k, point)
 
 
 # the minimisers read these at call time; none is bound as a default argument
@@ -199,17 +213,23 @@ def minimize_y(value_fn, grad_fn, y0: np.ndarray, config: SpgConfig) -> Minimize
     return done(best_y, best_f, MAX_ITER, Termination.MAX_ITER)
 
 
-def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray | None:
-    """Solve T s = rhs by an LDL^T sweep; None unless T is positive definite."""
+def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray,
+                       mu: float = 0.0) -> np.ndarray | None:
+    """Solve (T + mu I) s = rhs by an LDL^T sweep.
+
+    T has the diagonal ``diag`` and the off-diagonal ``off``; the result is
+    None unless T + mu I is positive definite.  The sweep adds the damping
+    mu to each diagonal entry as it reads it, which rounds as ``diag + mu``
+    does without building that array.
+    """
     diag, z = diag.tolist(), rhs.tolist()
-    pivot, zi, steps = diag[0], z[0], []
+    pivot, zi, steps = diag[0] + mu, z[0], []
     for o, d, r in zip(off.tolist(), diag[1:], z[1:]):
         if not pivot > 0.0:
             return None
         factor = o / pivot
         steps.append((pivot, factor, zi))
-        pivot, zi = d - factor * o, r - factor * zi
+        pivot, zi = d + mu - factor * o, r - factor * zi
     if not pivot > 0.0:
         return None
     s = [zi / pivot]
@@ -240,15 +260,24 @@ def _held_model(probe: np.ndarray, a: float, b: float, diag: np.ndarray,
     return diag, off, np.bincount(runs[free], g[free], m), runs
 
 
+def _onto_knots(v: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The exact projection of v onto the ordered knots in [a, b].
+
+    Monotone rounding keeps the shifted cone point ordered and at least a.
+    A finite, nondecreasing v with v[0] >= a shifts to a nondecreasing
+    point at least 0, which ``project`` would only clamp at 0, leaving every
+    bit as it is; such a v skips ``project``, and an empty one is its error.
+    """
+    if (v.size and v[0] >= a and v[-1] < math.inf
+            and np.logical_and.reduce(v[1:] >= v[:-1])):
+        return np.minimum((v - a) + a, b)
+    return np.minimum(project(v - a) + a, b)
+
+
 def minimize_x(curve, start: KnotVector,
                kind: ObjectiveKind = ObjectiveKind.CONCAVE_AREA) -> MinimizeResult:
     """Minimise the kind's objective over breakpoints a <= x_1 <= ... <= x_n <= b."""
     a, b = start.a, start.b
-
-    def onto_knots(v):
-        # exact projection onto the ordered knots in [a, b]; monotone rounding
-        # keeps the shifted cone point ordered and at least a
-        return np.minimum(project(v - a) + a, b)
 
     def evaluated(xs, k):
         fv, gaps, f = evaluate(curve, kind, xs)
@@ -261,13 +290,13 @@ def minimize_x(curve, start: KnotVector,
     for k in range(NEWTON_MAX_ITER):
         x = xs[1:-1]
         fp = _checked(np.asarray(curve.deriv1(x), dtype=float), k, x, "derivative")
-        g, diag, off = local_model(curve, kind, xs, fv, gaps, fp)
-        residual = np.abs(onto_knots(x - g) - x).max()
+        g, brackets = _gradient(xs, fv, gaps, fp)
+        residual = np.maximum.reduce(np.abs(_onto_knots(x - g, a, b) - x))
         # a rise within a few roundings of the objective's terms is noise,
         # which would stall Newton near the optimum: phi sums terms bounded
         # by (b - a) max |f|, the squared-gap sum nonnegative ones
         if gaps is None:
-            f_scale = float(np.abs(fv).max())
+            f_scale = float(np.maximum.reduce(np.abs(fv)))
             tol = NEWTON_TOL * max(1.0, f_scale)
             noise = PHI_ROUNDING * (b - a) * f_scale
         else:
@@ -279,19 +308,21 @@ def minimize_x(curve, start: KnotVector,
         if residual <= tol:
             return done(x, f, k, Termination.STATIONARY)
 
+        # the model only for a step that is taken
+        diag, off = _model(curve, kind, xs, fp, brackets)
         _checked(diag, k, x, "curvature")
         runs, g_model, h = None, g, xs[1:] - xs[:-1]
-        if h.min() <= 0.0:
+        if np.minimum.reduce(h) <= 0.0:
             # projected Newton: the knots that a short steepest-descent step
             # keeps tied, or at a or b, move as one run or stay put; it moves
             # no knot a quarter of the narrowest segment, so no two runs meet
             tau = 0.25 * h[h > 0.0].min() / np.abs(g).max()
-            probe = onto_knots(x - tau * g)
+            probe = _onto_knots(x - tau * g, a, b)
             diag, off, g_model, runs = _held_model(probe, a, b, diag, off, g)
             if not g_model.any():   # stationary on the held face
                 return done(x, f, k, Termination.STATIONARY)
-        h_scale = float(np.abs(diag).max()) or 1.0
-        while ((s := _solve_tridiagonal(diag + mu, off, -g_model)) is None
+        h_scale = float(np.maximum.reduce(np.abs(diag))) or 1.0
+        while ((s := _solve_tridiagonal(diag, off, -g_model, mu)) is None
                or g_model @ s >= 0.0):
             mu = max(4.0 * mu, 1e-10 * h_scale)
         if runs is not None:
@@ -299,10 +330,12 @@ def minimize_x(curve, start: KnotVector,
 
         t = 1.0
         while True:
-            trial = onto_knots(x + t * s)
+            trial = _onto_knots(x + s if t == 1.0 else x + t * s, a, b)
             slope = float(g @ (trial - x))
             if slope < 0.0:
-                new = evaluated(np.concatenate(([a], trial, [b])), k)
+                trial_xs = xs.copy()
+                trial_xs[1:-1] = trial
+                new = evaluated(trial_xs, k)
                 if new[3] <= f + NU * slope + noise:
                     break
             t *= 0.5

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,6 +140,24 @@ class TestValidation:
             v[where] = bad
             with pytest.raises(ValueError, match="input must be finite"):
                 project(v)
+
+    # a sum that overflows proves nothing, so the entries are scanned,
+    # whether numpy raises its overflow warning or only emits it
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_finite_input_whose_sum_overflows_passes(self, action):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            ordered = project(np.array([1e308, 1e308]))
+            pooled = project(np.array([1e308, 1e308, -1e308]))
+        assert ordered.tolist() == [1e308, 1e308]
+        assert pooled.tolist() == [1e308 / 3.0] * 3
+
+    @pytest.mark.parametrize("v", [[np.inf, -np.inf], [1e308, 1e308, np.nan],
+                                   [-np.inf, 1e308, 1e308], [np.nan, np.inf]],
+                             ids=str)
+    def test_rejects_non_finite_whatever_the_sum(self, v):
+        with pytest.raises(ValueError, match="^input must be finite$"):
+            project(np.array(v))
 
     def test_no_descent_keeps_negative_zero(self):
         # the clamp alone: -0.0 entries come back with their sign bit

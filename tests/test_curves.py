@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from knotopt import (Curve, CurveCatalogEntry, CurveDomainError, CurveFamily,
-                     default_catalog, load_catalog)
+                     curves, default_catalog, load_catalog)
 from knotopt.quadrature import integrate_segments
 
 from helpers import central_diff, f2_zeros, mp_value, simpson_integral
@@ -221,6 +221,18 @@ class TestValidation:
         # finite, and each above max_float / len(x), so their sum overflows
         assert np.all(np.isfinite(out))
         assert np.all(np.abs(out) > np.finfo(float).max / len(x))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_named_whatever_the_sum(self, bad):
+        # the check runs inside the methods' errstate block, as here
+        x = np.array([0.25, 0.5, 0.75, 1.0])
+        values = np.array([1e308, 1e308, bad, -bad])
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = values[:2]   # its sum overflows
+            assert curves._finite_or_raise(finite, CurveFamily.ARCTAN, x[:2]) is finite
+            with pytest.raises(CurveDomainError) as caught:
+                curves._finite_or_raise(values, CurveFamily.ARCTAN, x)
+        assert str(caught.value) == "Arctan formula undefined at x=0.75 (2 of 4 points)"
 
     @pytest.mark.parametrize("method", ["value", "deriv1", "deriv2"])
     def test_undefined_weibull_still_raises_without_warning(self, method):

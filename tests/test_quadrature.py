@@ -5,6 +5,7 @@ is the kernel it falls back to; every oracle case checks both.
 """
 
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -306,6 +307,26 @@ class TestNonFiniteIntegrand:
         assert str(caught.value) == (f"non-finite integrand at x={float(x[3])!r} "
                                      f"(3 of 9 points)")
         assert quadrature.sampled(np.sin, x).tobytes() == np.sin(x).tobytes()
+
+    # a sum that overflows proves nothing, so the samples are scanned,
+    # whether numpy raises its overflow warning or only emits it
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_sampled_passes_samples_whose_sum_overflows(self, action):
+        x = np.linspace(0.0, 1.0, 3)
+        fx = np.array([1e308, 1e308, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert quadrature.sampled(lambda _: fx, x) is fx
+
+    @pytest.mark.parametrize("bad", [[np.nan, np.inf], [np.inf, -np.inf],
+                                     [-np.inf, np.nan]], ids=str)
+    def test_sampled_names_the_first_bad_node_whatever_the_sum(self, bad):
+        x = np.linspace(0.0, 1.0, 5)
+        fx = np.array([1e308, 1e308, bad[0], 1.0, bad[1]])
+        with pytest.raises(QuadratureError) as caught:
+            quadrature.sampled(lambda _: fx, x, "f''")
+        assert str(caught.value) == (f"non-finite f'' at x={float(x[2])!r} "
+                                     f"(2 of 5 points)")
 
     # NaN used to bisect up to the panel cap and inf to warn in the panel sums
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

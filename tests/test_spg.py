@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from collections import Counter
 from types import SimpleNamespace
 
@@ -11,9 +12,9 @@ from numpy.testing import assert_allclose
 from knotopt import (Curve, CurveFamily, KnotVector, MinimizeResult,
                      ObjectiveKind, QuadratureError, SolverError, SpgConfig,
                      Termination, YObjective, backtrack_step, default_catalog,
-                     error_concave, from_y, kkt_check, minimize_y, phi, solve,
-                     to_y)
-from knotopt import pl, spg
+                     error_concave, from_y, kkt_check, minimize_y, phi, project,
+                     solve, to_y)
+from knotopt import objective, pl, spg
 from knotopt.objective import evaluate, grad_x, local_model
 from knotopt.pl import equidistributed, window_gaps
 
@@ -304,40 +305,53 @@ class TestGaussNewton:
         assert_allclose(bands, want, rtol=0, atol=1e-6 * np.max(np.abs(want)))
 
     @staticmethod
-    def recorded_models(entry, kind, monkeypatch):
-        """Each (xs, local_model output) of a Newton solve from equal knots."""
-        seen = []
+    def recorded_steps(entry, kind, monkeypatch):
+        """Each (xs, g) and each (xs, model) of a Newton solve from equal knots.
 
-        def recording(curve, kind, xs, *cached):
-            seen.append((xs, local_model(curve, kind, xs, *cached)))
-            return seen[-1][1]
+        Newton takes the gradient at every step, the one that stops
+        included, and forms the model only for each step it takes.
+        """
+        gradients, models = [], []
 
-        monkeypatch.setattr(spg, "local_model", recording)
+        def gradient(xs, *cached):
+            gradients.append((xs, objective._gradient(xs, *cached)))
+            return gradients[-1][1]
+
+        def model(curve, kind, xs, *cached):
+            models.append((xs, objective._model(curve, kind, xs, *cached)))
+            return models[-1][1]
+
+        monkeypatch.setattr(spg, "_gradient", gradient)
+        monkeypatch.setattr(spg, "_model", model)
         report = solve(entry.curve, kind, 4, a=entry.a, b=entry.b)
         assert report.termination is Termination.STATIONARY
-        assert len(seen) == report.iterations + 1 > 1
-        return seen
+        assert len(gradients) == report.iterations + 1 > 1
+        assert len(models) == report.iterations
+        return gradients, models
 
     @pytest.mark.parametrize("kind", SQUARED, ids=lambda kind: kind.value)
     def test_gradient_is_grad_x_bit_for_bit(self, catalog_by_name, monkeypatch,
                                             kind):
-        # the loop hands local_model the f, gaps and f' it already has; the
+        # the loop hands _gradient the f, gaps and f' it already has; the
         # gradient must be grad_x's at the same knots
         entry = catalog_by_name["gompertz1b"]
-        for xs, (g, _, _) in self.recorded_models(entry, kind, monkeypatch):
+        gradients, _ = self.recorded_steps(entry, kind, monkeypatch)
+        for xs, (g, _) in gradients:
             assert g.tobytes() == grad_x(entry.curve, kind, xs).tobytes()
 
     @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda kind: kind.value)
     def test_bands_are_model_bands_bit_for_bit(self, catalog_by_name, monkeypatch,
                                                kind):
-        # the model's gradient and bands must be the ones computed afresh at
-        # the same knots
+        # the gradient and bands Newton uses must be local_model's, computed
+        # afresh at the same knots
         entry = catalog_by_name["gompertz1b"]
-        for xs, model in self.recorded_models(entry, kind, monkeypatch):
+        gradients, models = self.recorded_steps(entry, kind, monkeypatch)
+        for (xs, (g, _)), (model_xs, model) in zip(gradients, models):
+            assert model_xs is xs
             fv, gaps, _ = evaluate(entry.curve, kind, xs)
             fresh = local_model(entry.curve, kind, xs, fv, gaps,
                                 entry.curve.deriv1(xs[1:-1]))
-            assert [part.tobytes() for part in model] \
+            assert [part.tobytes() for part in (g, *model)] \
                 == [part.tobytes() for part in fresh]
 
     @pytest.mark.parametrize("kind", SQUARED, ids=lambda kind: kind.value)
@@ -470,6 +484,112 @@ class TestGaussNewton:
         reached = from_y(spg_in_y(entry.curve, start, GENERAL).point,
                          entry.a, entry.b)
         assert newton <= GENERAL.error(entry.curve, reached)
+
+
+def _fail(v):
+    raise AssertionError("project was called")
+
+
+class TestOntoKnots:
+    """Newton's projection onto the knots, and its path that skips ``project``."""
+
+    @staticmethod
+    def via_project(v, a, b):
+        return np.minimum(project(v - a) + a, b)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ordered_input_skips_project_bit_for_bit(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        a, b = np.sort(rng.uniform(-3.0, 3.0, 2))
+        inputs = [
+            np.sort(rng.uniform(a, b, 8)),                                # ordered
+            np.repeat(np.sort(rng.uniform(a, b, 4)), 2),                  # tied
+            np.concatenate(([a, a], np.sort(rng.uniform(a, b, 6)))),      # at a
+            np.concatenate((np.sort(rng.uniform(a, b, 6)), [b, b])),      # at b
+            np.sort(rng.uniform(a, 2.0 * b - a, 8)),                      # past b
+            np.array([a]),
+        ]
+        want = [self.via_project(v, a, b) for v in inputs]
+        monkeypatch.setattr(spg, "project", _fail)
+        for v, expected in zip(inputs, want):
+            assert spg._onto_knots(v, a, b).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("a, v", [
+        (0.0, [-0.0, 0.0, 0.5]), (-0.0, [0.0, -0.0, 0.5]), (-0.0, [-0.0, -0.0]),
+        (0.0, [0.0, 0.0]), (-1.0, [-1.0, -0.0, 0.0, 1.0])], ids=str)
+    def test_signed_zeros_keep_projects_bits(self, monkeypatch, a, v):
+        v = np.array(v)
+        expected = self.via_project(v, a, 1.0)
+        monkeypatch.setattr(spg, "project", _fail)
+        assert spg._onto_knots(v, a, 1.0).tobytes() == expected.tobytes()
+
+    def test_other_input_goes_through_project(self, monkeypatch):
+        # a descent or a knot below a is projected; a non-finite entry
+        # raises project's error
+        calls = []
+
+        def counting(v):
+            calls.append(v)
+            return project(v)
+
+        monkeypatch.setattr(spg, "project", counting)
+        for v in ([0.5, 0.4, 0.9], [-0.1, 0.2, 0.3], [0.3, -2.0], [-0.5]):
+            v = np.array(v)
+            got = spg._onto_knots(v, 0.0, 1.0)
+            assert got.tobytes() == self.via_project(v, 0.0, 1.0).tobytes()
+        assert len(calls) == 4
+        for bad in ([0.1, np.nan, 0.3], [0.1, 0.2, np.inf], [np.nan], [np.inf],
+                    [-np.inf, 0.5], [0.2, np.nan]):
+            with pytest.raises(ValueError, match="input must be finite"):
+                spg._onto_knots(np.array(bad), 0.0, 1.0)
+        with pytest.raises(ValueError, match="nonempty"):
+            spg._onto_knots(np.empty(0), 0.0, 1.0)
+        assert len(calls) == 11
+
+
+class CountingCurve:
+    """A catalog curve that counts its f'' calls."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.value = curve.value
+        self.deriv1 = curve.deriv1
+        self.f2_calls = 0
+
+    def deriv2(self, x):
+        self.f2_calls += 1
+        return self.curve.deriv2(x)
+
+
+class TestModelOnlyForStepsTaken:
+    """Newton tests its stop on the gradient and forms no model for that step."""
+
+    @pytest.mark.parametrize("name, n", [("logistic1a", 8), ("gompertz1a", 4),
+                                         ("weibull2a", 16), ("logistic3a", 32)])
+    def test_area_kind_evaluates_f2_once_per_step(self, catalog_by_name, name, n):
+        # called directly: solve's equidistributed start samples f'' too
+        entry = catalog_by_name[name]
+        counting = CountingCurve(entry.curve)
+        report = spg.minimize_x(counting, equal_start(entry, n), AREA)
+        assert report.termination is Termination.STATIONARY
+        assert counting.f2_calls == report.iterations > 0
+
+    @pytest.mark.parametrize("kind", SQUARED, ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("name, n", [("logistic1a", 4), ("gompertz2b", 8),
+                                         ("arctan3b", 8)])
+    def test_squared_kind_forms_one_model_per_step(self, catalog_by_name,
+                                                   monkeypatch, kind, name, n):
+        formed = []
+
+        def model(*args):
+            formed.append(args)
+            return objective._model(*args)
+
+        monkeypatch.setattr(spg, "_model", model)
+        entry = catalog_by_name[name]
+        report = spg.minimize_x(entry.curve, equal_start(entry, n), kind)
+        assert report.termination is Termination.STATIONARY
+        assert len(formed) == report.iterations > 0
 
 
 @st.composite
@@ -922,6 +1042,25 @@ class TestValidation:
                                        np.array([1.0, -0.0])], ids=repr)
     def test_checked_passes_finite_values_through(self, value):
         assert spg._checked(value, 0, np.array([0.5]), "objective") is value
+
+    # a sum that overflows proves nothing, so the entries are scanned, whether
+    # numpy raises its overflow warning or only emits it
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_checked_passes_an_array_whose_sum_overflows(self, action):
+        value = np.array([1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert spg._checked(value, 0, np.array([0.5]), "curvature") is value
+
+    @pytest.mark.parametrize("value", [
+        [1e308, 1e308, np.nan], [1.0, np.inf], [-np.inf, 1.0], [np.inf, -np.inf],
+        [1e308, 1e308, -np.inf]], ids=str)
+    def test_checked_rejects_a_non_finite_entry_whatever_its_sum(self, value):
+        point = np.array([0.5])
+        with pytest.raises(SolverError,
+                           match="^non-finite curvature at iteration 2$") as caught:
+            spg._checked(np.array(value), 2, point, "curvature")
+        assert caught.value.point is point
 
     def test_solver_error_on_nan_objective(self):
         value = lambda y: float("nan")
