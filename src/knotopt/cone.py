@@ -28,6 +28,10 @@ import math
 
 import numpy as np
 
+from ._finite import all_finite
+
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 def project(v: np.ndarray) -> np.ndarray:
     """Project v onto {y : 0 <= y_1 <= ... <= y_n}.
@@ -42,14 +46,7 @@ def project(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("input must be a nonempty 1-d vector")
-    # a finite sum proves every entry finite; one that is not, or that
-    # overflows (a numpy warning, raised where warnings are errors), leaves
-    # it to the scan
-    try:
-        finite = math.isfinite(np.add.reduce(v))
-    except (RuntimeWarning, FloatingPointError):
-        finite = False
-    if not (finite or np.isfinite(v).all()):
+    if not all_finite(v):
         raise ValueError("input must be finite")
 
     # 0.0 first, here and below: on a tie np.maximum returns its second
@@ -60,6 +57,20 @@ def project(v: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, v)
     j = int(descent.argmax()) + 1
 
+    # a block's total is at most n max|v|, and the pooling test multiplies
+    # it by a count, so it stays finite while n^2 max|v| does.  Past that,
+    # v is scaled by 2^-e with n^2 < 2^e, which is exact (up to entries
+    # that become subnormal) and scaled back at the end; below it, nothing
+    # is scaled, so no other input changes a bit
+    n2 = v.size * v.size
+    if max(np.maximum.reduce(v), -np.minimum.reduce(v)) > _FLOAT_MAX / n2:
+        e = n2.bit_length()
+        return math.ldexp(1.0, e) * _pooled(math.ldexp(1.0, -e) * v, j)
+    return _pooled(v, j)
+
+
+def _pooled(v: np.ndarray, j: int) -> np.ndarray:
+    """PAVA and the clamp of v, whose first descent is at index j."""
     # stack of blocks as (total, count); invariant: nondecreasing means.
     # only strict violations are pooled: merging tied blocks would change
     # nothing mathematically but recomputing their mean can drift one ulp,

@@ -55,7 +55,7 @@ class KnotVector:
         # both checks are written so that a NaN knot fails them
         if xs.size and not (self.a <= xs[0] and xs[-1] <= self.b):
             raise ValueError("interior knots must lie in [a, b]")
-        if not np.all(np.diff(xs) >= 0):
+        if not np.logical_and.reduce(xs[1:] >= xs[:-1]):
             raise ValueError("interior knots must be nondecreasing")
         xs.flags.writeable = False
         object.__setattr__(self, "interior", xs)
@@ -71,7 +71,9 @@ class KnotVector:
 
     def full(self) -> np.ndarray:
         """All n + 2 breakpoints including the endpoints."""
-        return np.concatenate(([self.a], self.interior, [self.b]))
+        xs = np.empty(self.interior.size + 2)
+        xs[0], xs[1:-1], xs[-1] = self.a, self.interior, self.b
+        return xs
 
 
 def equidistributed(curve, a: float, b: float, n: int) -> KnotVector:
@@ -166,7 +168,9 @@ def window_gaps(curve, xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 def squared_gap_sum(gaps: np.ndarray) -> float:
     """Sum of the squared gaps: a squared kind's measure and objective value."""
-    return float((gaps ** 2).sum())
+    # the bits of (gaps ** 2).sum(): ``**`` 2 is numpy's square, gaps * gaps,
+    # and ``.sum`` is this reduction behind a Python wrapper
+    return float(np.add.reduce(gaps * gaps))
 
 
 def segment_gaps(curve, knots: KnotVector) -> np.ndarray:

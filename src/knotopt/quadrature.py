@@ -10,13 +10,16 @@ rules compute that integral.
 ``integrate_segments``, the kernel, splits the t-integral into dyadic
 panels.  At t = m + d on a panel with exact midpoint m, the weight
 ((1 + m) + d)((1 - m) - d) stays precise up to both ends.  Each panel is
-integrated with the Gauss-Kronrod 7/15 pair of QUADPACK's ``qk15``.  It is
-done when |K15 - G7| <= RTOL * K15(|integrand|), or when its error
-estimate is below RTOL / _MAX_PANELS_PER_SEGMENT of its segment's
-K15(|integrand|); the second test ends the refinement at a kink or an
-integrable singularity of f'' at a segment end.  Other panels are
-bisected, and each level integrates all of them in one batch.  Every
-segment starts with 8 panels of 15 nodes: 120 samples of f''.
+integrated with the Gauss-Kronrod 7/15 pair of QUADPACK's ``qk15``.  Every
+segment starts with 8 panels of 15 nodes: 120 samples of f''.  On that
+first level a panel is done only when |K15 - G7| <= RTOL * K15(|integrand|).
+From the first bisection on, a panel is also done when its error estimate
+is below the segment floor, RTOL / _MAX_PANELS_PER_SEGMENT of its
+segment's first-level K15(|integrand|); the floor ends the refinement at a
+kink or an integrable singularity of f'' at a segment end.  The first
+level has no floor because it would settle few panels there and would move
+the last bits of gaps that a squared kind's Newton path follows.  Panels
+not done are bisected, and each level integrates all of them in one batch.
 
 ``gauss_jacobi_segments``, the front end, takes one 24-node Gauss-Jacobi
 panel per segment for the weight (1 - t^2) (Golub and Welsch, "Calculation
@@ -37,11 +40,12 @@ reads, uses the front end (``pl.segment_gaps``).
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from ._finite import all_finite
 
 # qk15's xgk and wgk: Kronrod nodes in [0, 1), the odd ones those of G7
 _XGK = np.array([
@@ -79,6 +83,8 @@ _START_MID = -1.0 + (2.0 * np.arange(_START_PANELS) + 1.0) / _START_PANELS
 _START_LEFT = (1.0 + _START_MID)[:, None] + _NODES / _START_PANELS
 _START_WEIGHT = _START_LEFT * ((1.0 - _START_MID)[:, None] - _NODES / _START_PANELS)
 _START_LEFT_FLAT = _START_LEFT.ravel()
+# a bisected panel's two midpoints lie at -1 and +1 times its new half-width
+_HALVES = np.array([-1.0, 1.0])
 
 
 #: nodes of the Gauss-Jacobi rule for the weight (1 - t^2) on [-1, 1]
@@ -118,20 +124,12 @@ def sampled(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
              what: str = "integrand") -> np.ndarray:
     """func at the nodes x; QuadratureError names the first non-finite sample."""
     fx = np.asarray(func(x), dtype=float)
-    # a finite sum proves every sample finite; one that is not, or that
-    # overflows (a numpy warning, raised where warnings are errors), leaves
-    # it to the scan
-    try:
-        if math.isfinite(np.add.reduce(fx, axis=None)):
-            return fx
-    except (RuntimeWarning, FloatingPointError):
-        pass
-    if not np.isfinite(fx).all():
-        bad = ~np.isfinite(fx)
-        first = float(x[np.argmax(bad)])
-        raise QuadratureError(f"non-finite {what} at x={first!r} "
-                              f"({np.count_nonzero(bad)} of {x.size} points)")
-    return fx
+    if all_finite(fx):
+        return fx
+    bad = ~np.isfinite(fx)
+    first = float(x[np.argmax(bad)])
+    raise QuadratureError(f"non-finite {what} at x={first!r} "
+                          f"({np.count_nonzero(bad)} of {x.size} points)")
 
 
 def _bounds(lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
@@ -152,12 +150,6 @@ def _bounds(lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | No
             raise ValueError("segment bounds must satisfy lo <= hi")
         live = width != 0.0
     return lo, hi, width, live
-
-
-def _panel_sums(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per panel (row of g): the K15 sum, |K15 - G7| and the K15 sum of |g|."""
-    est, err = (g @ _RULES).T
-    return est, np.abs(err), np.abs(g) @ _K15
 
 
 def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
@@ -187,7 +179,6 @@ def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
     g = (fx.reshape(m, _START_PANELS, _NODES.size)
          * _START_WEIGHT).reshape(-1, _NODES.size)
     half = 1.0 / _START_PANELS
-    # _panel_sums, inline: the first level is most of the kernel's calls
     est, err = (g @ _RULES).T
     size = np.abs(g) @ _K15
     done = np.abs(err) <= RTOL * size
@@ -195,31 +186,36 @@ def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
         return (-0.5 * half * h ** 3
                 * np.add.reduce(est.reshape(m, _START_PANELS), axis=1))
 
-    acc = half * np.where(done, est, 0.0).reshape(m, _START_PANELS).sum(axis=1)
+    acc = half * np.add.reduce(np.where(done, est, 0.0).reshape(m, _START_PANELS),
+                               axis=1)
     # the absolute error a panel may always have, in the t-integral's units
     floor = (RTOL / _MAX_PANELS_PER_SEGMENT * half) \
-        * size.reshape(m, _START_PANELS).sum(axis=1)
-    seg = np.repeat(np.arange(m), _START_PANELS)
-    mid = np.tile(_START_MID, m)
+        * np.add.reduce(size.reshape(m, _START_PANELS), axis=1)
+    # the pending panels' segments and midpoints
+    pending = np.flatnonzero(~done)
+    seg = pending // _START_PANELS
+    mid = _START_MID[pending % _START_PANELS]
     cap = _MAX_PANELS_PER_SEGMENT * m
     for _ in range(_MAX_LEVELS):
-        keep = ~done
-        if not keep.any():
+        if not seg.size:
             return -0.5 * h ** 3 * acc
-        if 2 * np.count_nonzero(keep) > cap:
+        if 2 * seg.size > cap:
             raise QuadratureError(f"bisection would need over {cap} live panels")
         # bisect the pending panels and integrate the halves in one batch
         half *= 0.5
-        seg = np.repeat(seg[keep], 2)
-        mid = (mid[keep][:, None] + [-half, half]).ravel()
+        seg = np.repeat(seg, 2)
+        mid = (mid[:, None] + half * _HALVES).ravel()
         offset = half * _NODES
         left = (1.0 + mid)[:, None] + offset
         x = lo[seg][:, None] + h[seg][:, None] * left
         weight = left * ((1.0 - mid)[:, None] - offset)
         g = sampled(func, x.ravel()).reshape(left.shape) * weight
-        est, err, size = _panel_sums(g)
+        est, err = (g @ _RULES).T
+        err, size = np.abs(err), np.abs(g) @ _K15
         done = err <= np.maximum(RTOL * size, floor[seg] / half)
         acc += np.bincount(seg[done], weights=half * est[done], minlength=m)
+        keep = ~done
+        seg, mid = seg[keep], mid[keep]
 
     raise QuadratureError(f"no convergence after {_MAX_LEVELS} bisections")
 

@@ -62,6 +62,7 @@ from functools import partial
 
 import numpy as np
 
+from ._finite import all_finite
 from .cone import project
 from .objective import _gradient, _model, evaluate, phi
 from .pl import KnotVector, ObjectiveKind, equidistributed
@@ -83,20 +84,8 @@ class SolverError(RuntimeError):
 
 
 def _checked(value, k: int, point: np.ndarray, what: str):
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return value
-    else:
-        # a finite sum proves every entry finite; one that is not, or that
-        # overflows (a numpy warning, raised where warnings are errors),
-        # leaves it to the scan
-        try:
-            if math.isfinite(np.add.reduce(value, axis=None)):
-                return value
-        except (RuntimeWarning, FloatingPointError):
-            pass
-        if np.isfinite(value).all():
-            return value
+    if math.isfinite(value) if isinstance(value, float) else all_finite(value):
+        return value
     raise SolverError(f"non-finite {what}", k, point)
 
 
@@ -222,21 +211,22 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray,
     mu to each diagonal entry as it reads it, which rounds as ``diag + mu``
     does without building that array.
     """
-    diag, z = diag.tolist(), rhs.tolist()
-    pivot, zi, steps = diag[0] + mu, z[0], []
-    for o, d, r in zip(off.tolist(), diag[1:], z[1:]):
+    # the sweep overwrites the lists: d with the pivots, o with the factors
+    # and z with the forward and then the backward substitution
+    d, o, z = diag.tolist(), off.tolist(), rhs.tolist()
+    pivot, zi = d[0] + mu, z[0]
+    for i, oi in enumerate(o):
         if not pivot > 0.0:
             return None
-        factor = o / pivot
-        steps.append((pivot, factor, zi))
-        pivot, zi = d + mu - factor * o, r - factor * zi
+        factor = oi / pivot
+        d[i], o[i], z[i] = pivot, factor, zi
+        pivot, zi = d[i + 1] + mu - factor * oi, z[i + 1] - factor * zi
     if not pivot > 0.0:
         return None
-    s = [zi / pivot]
-    for pivot, factor, zi in reversed(steps):
-        s.append(zi / pivot - factor * s[-1])
-    s.reverse()
-    return np.array(s)
+    z[-1] = si = zi / pivot
+    for i in range(len(o) - 1, -1, -1):
+        z[i] = si = z[i] / d[i] - o[i] * si
+    return np.array(z)
 
 
 def _held_model(probe: np.ndarray, a: float, b: float, diag: np.ndarray,

@@ -152,6 +152,20 @@ class TestValidation:
         assert ordered.tolist() == [1e308, 1e308]
         assert pooled.tolist() == [1e308 / 3.0] * 3
 
+    # a block total near the largest float, or the pooling test's product of
+    # one and a count, would overflow: the input is scaled by a power of two
+    # and back, so the means are those of exact-exponent arithmetic
+    @pytest.mark.parametrize("v, mean", [
+        ([1e308, 1e308, 1.0], 1e308 / 3.0 * 2.0),
+        ([1.7e308] * 3 + [1.0], 1.7e308 / 4.0 * 2.0 + 1.7e308 / 4.0),
+        ([1e308, 1e308, -1e308], 1e308 / 3.0),
+    ], ids=["two-large-then-one", "three-near-max-then-one", "sum-overflows"])
+    def test_pools_finite_input_near_the_largest_float(self, v, mean):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = project(np.array(v))
+        assert out.tolist() == [mean] * len(v)
+
     @pytest.mark.parametrize("v", [[np.inf, -np.inf], [1e308, 1e308, np.nan],
                                    [-np.inf, 1e308, 1e308], [np.nan, np.inf]],
                              ids=str)

@@ -185,6 +185,37 @@ class TestShape:
         assert np.all(entry.curve.deriv2(right) > 0.0)
 
 
+class TestWeibullDeriv2Bits:
+    """deriv2 reuses one w ** s; the result is the two-pow formula's, bit for bit."""
+
+    @staticmethod
+    def two_pow(curve, x):
+        v2, s, d1, d2 = curve.v2, curve.s, curve.d1, curve.d2
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w = d1 * x + d2
+            return (-v2 * s * d1 * d1 * np.exp(-(w ** s)) * w ** (s - 2.0)
+                    * ((s - 1.0) - s * w ** s))
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_equals_two_pows_at_the_kernel_nodes(self, catalog, n):
+        rows = [e for e in catalog if e.curve.family is CurveFamily.WEIBULL]
+        assert {e.name for e in rows} >= {"weibull1b", "weibull2b"}
+        for entry in rows:
+            nodes = []
+
+            def recorded(x, curve=entry.curve):
+                nodes.append(x.copy())
+                return curve.deriv2(x)
+
+            xs = np.linspace(entry.a, entry.b, n + 2)
+            integrate_segments(recorded, xs[:-1], xs[1:])
+            x = np.concatenate(nodes)
+            if entry.name == "weibull2b":    # numpy's slow negative-base pow
+                assert (entry.curve.d1 * x + entry.curve.d2 < 0.0).any()
+            got = entry.curve.deriv2(x)
+            assert got.tobytes() == self.two_pow(entry.curve, x).tobytes(), entry.name
+
+
 class TestValidation:
     def test_arctan_rejects_shape(self):
         with pytest.raises(ValueError):

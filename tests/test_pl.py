@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from knotopt import (Curve, CurveFamily, KnotVector, QuadratureError, build_pl,
                      error_concave, error_general, error_interior_squared,
                      segment_gaps)
-from knotopt.pl import equidistributed
+from knotopt.pl import equidistributed, squared_gap_sum
 
 from helpers import HoledCurve, LinearCurve, QuadraticCurve, simpson_integral
 
@@ -30,6 +30,9 @@ class TestKnotVector:
         for bad in ([np.nan], [0.2, np.nan], [np.nan, 0.2], [0.1, np.nan, 0.5]):
             with pytest.raises(ValueError):
                 KnotVector(0.0, 1.0, np.array(bad))
+        # a NaN between two knots is the order test's to reject
+        with pytest.raises(ValueError, match="nondecreasing"):
+            KnotVector(0.0, 1.0, np.array([0.1, 0.3, np.nan, 0.7, 0.9]))
 
     @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 1.0),
                                       (-np.inf, np.inf), (np.nan, 1.0)])
@@ -214,6 +217,20 @@ class TestErrorGeneral:
         for entry in catalog[:5]:
             inner = np.sort(rng.uniform(entry.a, entry.b, size=4))
             assert error_general(entry.curve, KnotVector(entry.a, entry.b, inner)) >= 0.0
+
+
+class TestSquaredGapSum:
+    # the sum reduces gaps * gaps directly; the bits are those of the square
+    # and the sum through numpy's wrappers, at every length the pairwise sum
+    # treats differently
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300])
+    def test_equals_the_sum_of_squares(self, rng, size):
+        gaps = rng.normal(size=size) * 10.0 ** rng.uniform(-20.0, 0.0, size)
+        gaps[rng.random(size) < 0.2] = 0.0
+        gaps[rng.random(size) < 0.2] *= 1e-150    # squares below the normal range
+        if size:
+            gaps[0] = -0.0
+        assert repr(squared_gap_sum(gaps)) == repr(float((gaps ** 2).sum()))
 
 
 class TestReferenceErrors:
