@@ -8,8 +8,13 @@ kind from sorted uniform knots drawn by ``default_rng([seed, row, n])`` on
 the concave-flagged rows, n = 64 and 256.  Each cell gives one line: the
 ``repr`` of the errors and objectives, the final knots' bytes, the steps,
 the termination and the ``kkt_check`` stationarity residual in the cell's
-kind, or the error the cell raised.  The digest is the sha256 of those
-lines.  It imports ``knotopt`` from ``src/`` beside this directory.
+kind, or the error the cell raised.  An area cell (``concave`` and
+many-knots) adds the area kind's certificate at its final knots: a
+sha256 of ``hessian_phi``'s bytes and one of ``prop1_test``'s verdict and
+margins' bytes, each replaced by the error it raised, if any, so the
+digest also covers the curvature model that ``kkt`` reads.  The digest
+is the sha256 of those lines.  It imports ``knotopt`` from ``src/``
+beside this directory.
 
 A squared kind's Newton path follows the last bits of its gaps, and those
 depend on the platform's libm and numpy build, so the digest compares two
@@ -38,16 +43,36 @@ MANY_KNOTS_SEEDS = (42, 7, 11)
 MANY_KNOTS_COUNTS = (64, 256)
 
 
+def hashed(compute) -> str:
+    """The sha256 of the bytes ``compute()`` returns, or the error it raises."""
+    try:
+        return hashlib.sha256(compute()).hexdigest()
+    except Exception as exc:     # a raising certificate is part of the output too
+        return f"error,{type(exc).__name__}: {exc}"
+
+
+def certificate(curve, knots) -> str:
+    def verdict() -> bytes:
+        holds, margins = knotopt.prop1_test(curve, knots)
+        return bytes([holds]) + margins.tobytes()
+
+    return (f"{hashed(lambda: knotopt.hessian_phi(curve, knots).tobytes())},"
+            f"{hashed(verdict)}")
+
+
 def cell_line(label: str, curve, kind, n: int, **where) -> str:
     try:
         report = knotopt.solve(curve, kind, n, **where)
         kkt = knotopt.kkt_check(curve, report.final_knots, kind)
     except Exception as exc:     # a raising cell is part of the output too
         return f"{label},error,{type(exc).__name__}: {exc}"
-    return (f"{label},{report.initial_error!r},{report.final_error!r},"
+    line = (f"{label},{report.initial_error!r},{report.final_error!r},"
             f"{report.initial_objective!r},{report.objective!r},"
             f"{report.final_knots.full().tobytes().hex()},{report.iterations},"
             f"{report.termination.value},{kkt.stationarity_residual!r}")
+    if kind is knotopt.ObjectiveKind.CONCAVE_AREA:
+        line += f",{certificate(curve, report.final_knots)}"
+    return line
 
 
 def lines() -> list[str]:

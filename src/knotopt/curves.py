@@ -181,9 +181,10 @@ def load_catalog(path: str | Path) -> list[CurveCatalogEntry]:
     Expected columns: name, type, v1, v2, s, d1, d2, concave, a, b.  The
     shape column accepts "-" (or blank) for families without one; the
     concave column is Y or N, in either case; every number must be finite.
-    Names must be unique.  The file is UTF-8, with or without a byte-order
-    mark.  ValueError names the file and line of a bad row (and the row once
-    split into fields), or the file if it has no curve rows.
+    Names must be unique and not blank.  The file is UTF-8, with or without
+    a byte-order mark.  ValueError names the file and line of a bad row (and
+    the row once split into fields), or the file alone if it is not UTF-8 or
+    has no curve rows.
     """
     entries: list[CurveCatalogEntry] = []
     seen: set[str] = set()
@@ -194,12 +195,17 @@ def load_catalog(path: str | Path) -> list[CurveCatalogEntry]:
             rows = [(reader.line_num, fields) for fields in reader if fields]
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # the text layer decodes ahead of the reader, so no line is known
+            raise ValueError(f"{path}: {exc}") from None
         for line, fields in rows:      # blank lines skipped
             try:
                 if len(fields) != len(header):
                     raise ValueError(f"{len(fields)} fields for {len(header)} columns")
                 row = dict(zip(header, fields))
                 name = row["name"].strip()
+                if not name:
+                    raise ValueError("empty curve name")
                 if name in seen:
                     raise ValueError(f"duplicate catalog entry {name!r}")
                 concave = row["concave"].strip().upper()

@@ -19,10 +19,10 @@ zero, negatives are clamped) and the residuals report how far the rows
 remain from holding.  A run tied to a is swept leftwards from the separated
 gap after it, so lambda_0 holds x_1 at a as lambda_n holds x_n at b.
 
-The gradient comes from ``objective.grad_x`` and the curvature from
-``objective.local_model``, the model the Newton solver factors; both use
-one gradient formula, so every kind, the harness's interior window
-included, can be certified, and the first-order check evaluates no f''.
+The gradient comes from ``objective.grad_x``, the Newton solver's
+gradient formula, so every kind, the harness's interior window included,
+can be certified, and the first-order check evaluates no f''.  The
+curvature comes from ``objective._model``, the model the solver factors.
 
 The area objective's stationarity system has a tridiagonal curvature
 matrix: diagonal (x_{i-1} - x_{i+1}) f''(x_i), off-diagonal
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import grad_x, local_model
+from .objective import _model, grad_x
 from .pl import KnotVector, ObjectiveKind
 
 #: a segment narrower than this counts as an active (tied) constraint
@@ -106,8 +106,8 @@ def kkt_check(curve, knots: KnotVector,
 def _curvature_bands(curve, knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the area objective's curvature matrix."""
     xs = knots.full()
-    _, diag, off = local_model(curve, ObjectiveKind.CONCAVE_AREA, xs,
-                               curve.value(xs), None, curve.deriv1(xs[1:-1]))
+    diag, off = _model(curve, ObjectiveKind.CONCAVE_AREA, xs,
+                       curve.deriv1(xs[1:-1]), None)
     return 2.0 * diag, 2.0 * off
 
 
@@ -115,7 +115,7 @@ def hessian_phi(curve, knots: KnotVector) -> np.ndarray:
     """Tridiagonal curvature matrix of the area objective (twice its Hessian).
 
     A knot on a or b takes 0 only where f'' is infinite there
-    (``objective.local_model``); elsewhere the entries are exact.
+    (``objective._model``); elsewhere the entries are exact.
     """
     diag, off = _curvature_bands(curve, knots)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

@@ -28,17 +28,17 @@ itself, the two entries per row of the gaps' Jacobian J.  ``_gradient``
 is the one place that forms a kind's gradient, and ``_model`` the one
 place that forms its tridiagonal Newton model: from the brackets, the
 squared kinds' Gauss-Newton matrix 2 J^T J, and for the area kind phi's
-Hessian, which is tridiagonal too.  ``local_model`` is the two in turn.
-Newton takes the gradient, tests its stop on it, and only then forms the
-model, so a step that stops forms none.  ``grad_x`` takes the gradient
-alone, and so evaluates no f''.
+Hessian, which is tridiagonal too.  Newton takes the gradient, tests its
+stop on it, and only then forms the model, so a step that stops forms
+none; the KKT certificate (``kkt.hessian_phi``) forms the area kind's
+model alone.  ``grad_x`` takes the gradient alone, and so evaluates no f''.
 
 The substitution y_i = (x_i - a) / (b - x_i), with inverse
 x_i = b - (b - a) / (1 + y_i), maps ordered knots in [a, b) onto the monotone
 nonnegative cone 0 <= y_1 <= ... <= y_n, turning the ordering constraints
 into a cone membership that admits a fast exact projection.
 ``YObjective.value`` and ``YObjective.grad`` evaluate any kind through that
-substitution; the gradient is ``grad_x``, the gradient of ``local_model``,
+substitution; the gradient is ``grad_x``, the gradient Newton takes,
 times the chain-rule factor dx_i/dy_i = (b - a) / (1 + y_i)^2.
 """
 
@@ -83,7 +83,11 @@ def _gradient(xs: np.ndarray, fv: np.ndarray, gaps: np.ndarray | None,
               fp: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """A kind's gradient, and for a squared kind its bracket factors.
 
-    The area kind (``gaps`` None) has no brackets.  Nothing here reads f''.
+    ``xs`` are the breakpoints, ``fv`` and ``gaps`` as ``evaluate`` gives
+    them and ``fp`` f' at the interior knots.  For the area kind (``gaps``
+    None) component i is phi's partial,
+    (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1} - x_{i+1})], and there
+    are no brackets.  Nothing here reads f''.
     """
     if gaps is None:
         return 0.5 * (fv[2:] - fv[:-2] + fp * (xs[:-2] - xs[2:])), None
@@ -99,6 +103,13 @@ def _model(curve, kind: ObjectiveKind, xs: np.ndarray, fp: np.ndarray,
     """The kind's tridiagonal Newton model (diag, off) beside ``_gradient``.
 
     ``brackets`` are ``_gradient``'s; only the area kind (None) reads f''.
+    For the area kind the model is phi's Hessian, (1/2)(x_{i-1} - x_{i+1})
+    f''(x_i) on the diagonal and (1/2)(f'(x_{i+1}) - f'(x_i)) beside it,
+    with 0 for f'' at a knot on a or b where f'' is infinite (Weibull with
+    1 < s < 2 at a).  For a squared kind, interior knot j (breakpoint
+    j + 1) ends segment j and starts segment j + 1, so ``upper`` is twice
+    d gap_j / d x and ``lower`` twice d gap_{j+1} / d x, and 2 J^T J is
+    tridiagonal: each gap depends only on its segment's two end knots.
     """
     if brackets is None:
         x = xs[1:-1]
@@ -122,36 +133,10 @@ def _model(curve, kind: ObjectiveKind, xs: np.ndarray, fp: np.ndarray,
             0.5 * scored[1:-1] * lower[:-1] * upper[1:])
 
 
-def local_model(curve, kind: ObjectiveKind, xs: np.ndarray, fv: np.ndarray,
-                gaps: np.ndarray | None, fp: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kind's gradient g and tridiagonal Newton model (diag, off).
-
-    ``xs`` are the breakpoints, ``fv`` and ``gaps`` as ``evaluate`` gives
-    them and ``fp`` f' at the interior knots.  This is ``_gradient`` then
-    ``_model``; Newton calls the two apart, so a step that stops forms no
-    model.  For the area kind, phi's gradient component i is
-    (1/2)[f(x_{i+1}) - f(x_{i-1}) + f'(x_i)(x_{i-1} - x_{i+1})] and the
-    model is phi's Hessian, (1/2)(x_{i-1} - x_{i+1})
-    f''(x_i) on the diagonal and (1/2)(f'(x_{i+1}) - f'(x_i)) beside it,
-    with f'' evaluated here and 0 at a knot on a or b where f'' is infinite
-    (Weibull with 1 < s < 2 at a).  For a squared kind, interior knot j
-    (breakpoint j + 1) ends segment j and starts segment j + 1, and the
-    bracket factors of the module docstring are twice d gap_j / d x
-    (``upper``) and twice d gap_{j+1} / d x (``lower``).  The model is the
-    Gauss-Newton matrix 2 J^T J, J the Jacobian of the window's gaps in the
-    interior knots: each gap depends only on its segment's two end knots, so
-    J has two entries per row, the brackets halved, and 2 J^T J is
-    tridiagonal.
-    """
-    g, brackets = _gradient(xs, fv, gaps, fp)
-    return (g, *_model(curve, kind, xs, fp, brackets))
-
-
 def grad_x(curve, kind: ObjectiveKind, xs: np.ndarray) -> np.ndarray:
-    """``local_model``'s gradient in the interior knots of the breakpoints ``xs``.
+    """``_gradient`` in the interior knots of the breakpoints ``xs``.
 
-    It is the same formula, without the model, so f'' is not evaluated.
+    It is Newton's formula, without the model, so f'' is not evaluated.
     """
     fv, gaps, _ = evaluate(curve, kind, xs)
     fp = np.asarray(curve.deriv1(xs[1:-1]), dtype=float)

@@ -306,6 +306,16 @@ class TestCatalog:
         with pytest.raises(ValueError):
             load_catalog(path)
 
+    @pytest.mark.parametrize("name", ["", "  "], ids=["empty", "blank"])
+    def test_empty_names_rejected(self, tmp_path, name):
+        path = tmp_path / "empty.csv"
+        row = f"{name},Logistic,0,1,1,1,0,N,-2,2"
+        path.write_text("name,type,v1,v2,s,d1,d2,concave,a,b\n"
+                        "demo,Arctan,0.0,1.0,-,1.0,0.0,N,-1.0,1.0\n" + row + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_catalog(path)
+        assert str(exc.value) == f"{path}, line 3: {row!r}: empty curve name"
+
     def test_interval_validated(self):
         curve = Curve(CurveFamily.ARCTAN, 0.0, 1.0, None, 1.0, 0.0)
         with pytest.raises(ValueError):

@@ -498,11 +498,19 @@ class TestCli:
             f"error: bisection would need over {panels} live panels")
 
     def test_unreadable_csv_exits_with_error(self, tmp_path):
-        # a field over the csv module's limit makes its reader raise
         catalog = tmp_path / "catalog.csv"
-        catalog.write_text(HEADER + f'"{"x" * 200_000}",Logistic,0,1,1,-1,0,Y,0,2\n')
-        with pytest.raises(ValueError, match="field larger than field limit"):
-            load_catalog(catalog)
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--catalog", str(catalog)])
-        assert str(exc.value).startswith(f"error: {catalog}, line 2: ")
+        for body, reason, where in [
+            # a field over the csv module's limit makes its reader raise
+            (f'"{"x" * 200_000}",Logistic,0,1,1,-1,0,Y,0,2\n'.encode(),
+             "field larger than field limit", ", line 2: "),
+            # the text layer decodes ahead of the reader, so no line is named
+            (b"ok,Logistic,0,1,1,-1,0,Y,0,2\nbad\xff,Logistic,0,1,1,-1,0,Y,0,2\n",
+             "'utf-8' codec can't decode byte 0xff", ": "),
+        ]:
+            catalog.write_bytes(HEADER.encode() + body)
+            with pytest.raises(ValueError, match=reason):
+                load_catalog(catalog)
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--catalog", str(catalog)])
+            assert str(exc.value).startswith(f"error: {catalog}{where}")
+            assert reason in str(exc.value)

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from knotopt import (Curve, CurveFamily, KnotVector, ObjectiveKind,
                      hessian_phi, kkt_check, prop1_test, solve)
-from knotopt.objective import grad_x, local_model
+from knotopt import objective
+from knotopt.objective import grad_x
 from knotopt.pl import window_gaps
 
 from helpers import QuadraticCurve
@@ -289,14 +290,18 @@ class TestProp1:
                 assert holds == bool(np.all(diag > 0.0) and np.all(want > 0.0))
 
 
-class CountingF2:
-    """A curve that counts the points at which its f'' is evaluated."""
+class Counting:
+    """A curve that counts its f calls and the points of its f'' calls."""
 
     def __init__(self, curve):
         self.curve = curve
-        self.value = curve.value
         self.deriv1 = curve.deriv1
+        self.value_calls = 0
         self.f2_points = 0
+
+    def value(self, x):
+        self.value_calls += 1
+        return self.curve.value(x)
 
     def deriv2(self, x):
         self.f2_points += np.size(x)
@@ -313,19 +318,48 @@ class TestGradientWithoutF2:
         fv = curve.value(xs)
         window = kind.window(9)
         gaps = None if window is None else window_gaps(curve, xs, *window)
-        g = local_model(curve, kind, xs, fv, gaps, curve.deriv1(xs[1:-1]))[0]
+        g = objective._gradient(xs, fv, gaps, curve.deriv1(xs[1:-1]))[0]
         assert grad_x(curve, kind, xs).tobytes() == g.tobytes()
 
     def test_area_kkt_check_evaluates_no_f2(self, catalog_by_name):
         entry = catalog_by_name["weibull2a"]
         rng = np.random.default_rng(5)
         knots = KnotVector(entry.a, entry.b, np.sort(rng.uniform(entry.a, entry.b, 16)))
-        counting = CountingF2(entry.curve)
+        counting = Counting(entry.curve)
         report = kkt_check(counting, knots)
         assert counting.f2_points == 0
         xs = knots.full()
-        g = local_model(entry.curve, AREA, xs, entry.curve.value(xs), None,
-                        entry.curve.deriv1(xs[1:-1]))[0]
+        g = objective._gradient(xs, entry.curve.value(xs), None,
+                                entry.curve.deriv1(xs[1:-1]))[0]
         assert report.stationarity_residual == float(np.max(np.abs(g)))
         assert not report.lam.any()
 
+
+class TestCertificateReadsNewtonsModel:
+    def test_curvature_evaluates_no_f(self, logistic1a_solution):
+        # the bands come from _model alone, so f is evaluated only by the
+        # first-order check that prop1_test makes
+        entry, knots = logistic1a_solution
+        counting = Counting(entry.curve)
+        hessian_phi(counting, knots)
+        assert counting.value_calls == 0
+        holds, _ = prop1_test(counting, knots)
+        assert holds
+        assert counting.value_calls == 1
+
+    def test_matrix_is_twice_the_model_bit_for_bit(self, catalog_by_name_module):
+        entry = catalog_by_name_module["gompertz1a"]
+        rng = np.random.default_rng(8)
+        # f'' ~ x^-0.5 is infinite at a = 0, where the model puts 0
+        singular = Curve(CurveFamily.WEIBULL, 1.0, -1.0, 1.5, 1.0, 0.0)
+        for curve, knots in [
+                (entry.curve, KnotVector(entry.a, entry.b,
+                                         np.sort(rng.uniform(entry.a, entry.b, 7)))),
+                (singular, KnotVector(0.0, 2.0, np.array([0.0, 0.0, 0.7, 1.4])))]:
+            xs = knots.full()
+            diag, off = objective._model(curve, AREA, xs, curve.deriv1(xs[1:-1]), None)
+            twice = (np.diag(2.0 * diag) + np.diag(2.0 * off, 1)
+                     + np.diag(2.0 * off, -1))
+            assert hessian_phi(curve, knots).tobytes() == twice.tobytes()
+        # the last point's two knots at a took the model's 0, the others not
+        assert not diag[:2].any() and diag[2:].all()

@@ -15,7 +15,7 @@ from knotopt import (Curve, CurveFamily, KnotVector, MinimizeResult,
                      error_concave, from_y, kkt_check, minimize_y, phi, project,
                      solve, to_y)
 from knotopt import objective, pl, spg
-from knotopt.objective import evaluate, grad_x, local_model
+from knotopt.objective import evaluate, grad_x
 from knotopt.pl import equidistributed, window_gaps
 
 from helpers import HoledCurve, QuadraticCurve, f2_zeros, sequential_ldlt_solve
@@ -289,8 +289,9 @@ class TestGaussNewton:
         xs[1:-1] += np.random.default_rng(3).uniform(-0.3, 0.3, n) * width
         window = kind.window(n)
         fv, gaps, _ = evaluate(entry.curve, kind, xs)
-        _, diag, off = local_model(entry.curve, kind, xs, fv, gaps,
-                                   entry.curve.deriv1(xs[1:-1]))
+        fp = entry.curve.deriv1(xs[1:-1])
+        _, brackets = objective._gradient(xs, fv, gaps, fp)
+        diag, off = objective._model(entry.curve, kind, xs, fp, brackets)
 
         step = 1e-6 * width
         jac = np.empty((n + 1, n))
@@ -342,15 +343,16 @@ class TestGaussNewton:
     @pytest.mark.parametrize("kind", list(ObjectiveKind), ids=lambda kind: kind.value)
     def test_bands_are_model_bands_bit_for_bit(self, catalog_by_name, monkeypatch,
                                                kind):
-        # the gradient and bands Newton uses must be local_model's, computed
-        # afresh at the same knots
+        # the gradient and bands Newton uses must be _gradient's and
+        # _model's, computed afresh at the same knots
         entry = catalog_by_name["gompertz1b"]
         gradients, models = self.recorded_steps(entry, kind, monkeypatch)
         for (xs, (g, _)), (model_xs, model) in zip(gradients, models):
             assert model_xs is xs
             fv, gaps, _ = evaluate(entry.curve, kind, xs)
-            fresh = local_model(entry.curve, kind, xs, fv, gaps,
-                                entry.curve.deriv1(xs[1:-1]))
+            fp = entry.curve.deriv1(xs[1:-1])
+            g_fresh, brackets = objective._gradient(xs, fv, gaps, fp)
+            fresh = (g_fresh, *objective._model(entry.curve, kind, xs, fp, brackets))
             assert [part.tobytes() for part in (g, *model)] \
                 == [part.tobytes() for part in fresh]
 
