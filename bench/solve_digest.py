@@ -10,9 +10,11 @@ the concave-flagged rows, n = 64 and 256.  Each cell gives one line: the
 the termination and the ``kkt_check`` stationarity residual in the cell's
 kind, or the error the cell raised.  An area cell (``concave`` and
 many-knots) adds the area kind's certificate at its final knots: a
-sha256 of ``hessian_phi``'s bytes and one of ``prop1_test``'s verdict and
-margins' bytes, each replaced by the error it raised, if any, so the
-digest also covers the curvature model that ``kkt`` reads.  The digest
+sha256 of ``hessian_phi``'s bytes and one of the verdict and margins'
+bytes that ``prop1_test`` reads off the cell's ``kkt_check`` report and
+that one matrix, each replaced by the error it raised, if any (a raising
+``hessian_phi`` fills both), so the digest also covers the curvature
+model that ``kkt`` reads.  The digest
 is the sha256 of those lines.  It imports ``knotopt`` from ``src/``
 beside this directory.
 
@@ -51,13 +53,20 @@ def hashed(compute) -> str:
         return f"error,{type(exc).__name__}: {exc}"
 
 
-def certificate(curve, knots) -> str:
+def certificate(curve, knots, kkt) -> str:
+    """The hashes of ``hessian_phi`` at ``knots`` and of ``prop1_test`` on
+    the cell's area-kind ``kkt`` report and that matrix."""
+    try:
+        hessian = knotopt.hessian_phi(curve, knots)
+    except Exception as exc:     # a raising certificate is part of the output too
+        error = f"error,{type(exc).__name__}: {exc}"
+        return f"{error},{error}"
+
     def verdict() -> bytes:
-        holds, margins = knotopt.prop1_test(curve, knots)
+        holds, margins = knotopt.prop1_test(kkt, hessian)
         return bytes([holds]) + margins.tobytes()
 
-    return (f"{hashed(lambda: knotopt.hessian_phi(curve, knots).tobytes())},"
-            f"{hashed(verdict)}")
+    return f"{hashed(hessian.tobytes)},{hashed(verdict)}"
 
 
 def cell_line(label: str, curve, kind, n: int, **where) -> str:
@@ -71,7 +80,7 @@ def cell_line(label: str, curve, kind, n: int, **where) -> str:
             f"{report.final_knots.full().tobytes().hex()},{report.iterations},"
             f"{report.termination.value},{kkt.stationarity_residual!r}")
     if kind is knotopt.ObjectiveKind.CONCAVE_AREA:
-        line += f",{certificate(curve, report.final_knots)}"
+        line += f",{certificate(curve, report.final_knots, kkt)}"
     return line
 
 

@@ -30,13 +30,12 @@ print(f"solution knots {np.array2string(report.final_knots.interior, precision=6
 print(f"stationarity residual {kkt.stationarity_residual:.2e}, "
       f"multipliers {kkt.lam}")
 
-holds, margins = prop1_test(entry.curve, report.final_knots)
+hessian = hessian_phi(entry.curve, report.final_knots)
+holds, margins = prop1_test(kkt, hessian)
 print(f"sufficient condition holds: {holds}, "
       f"margins {np.array2string(margins, precision=3)}")
 print("curvature matrix eigenvalues:",
-      np.array2string(np.linalg.eigvalsh(hessian_phi(entry.curve,
-                                                     report.final_knots)),
-                      precision=4))
+      np.array2string(np.linalg.eigvalsh(hessian), precision=4))
 
 # an arbitrary knot vector fails the first-order check
 arbitrary = KnotVector(entry.a, entry.b, np.array([0.1, 0.4, 0.6, 1.9]))

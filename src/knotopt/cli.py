@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -89,11 +90,12 @@ def _cmd_check(args) -> int:
     kind = ObjectiveKind(args.measure)
     report = kkt_check(entry.curve, knots, kind)
     record = report.to_dict()
-    area = kind is ObjectiveKind.CONCAVE_AREA
-    record["hessian"] = hessian_phi(entry.curve, knots).tolist() if area else None
-    if area:
+    record["hessian"] = None
+    if kind is ObjectiveKind.CONCAVE_AREA:
+        hessian = hessian_phi(entry.curve, knots)
+        record["hessian"] = hessian.tolist()
         try:
-            holds, margins = prop1_test(entry.curve, knots)
+            holds, margins = prop1_test(report, hessian)
             record["prop1"] = {"holds": holds, "margins": margins.tolist()}
         except ValueError as exc:
             record["prop1"] = {"holds": None, "note": str(exc)}
@@ -166,6 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a list such as -1,0,1 for a flag: join it to --knots
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--knots" and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"--knots={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -28,8 +28,9 @@ The area objective's stationarity system has a tridiagonal curvature
 matrix: diagonal (x_{i-1} - x_{i+1}) f''(x_i), off-diagonal
 f'(x_{i+1}) - f'(x_i).  This equals twice the Hessian of phi (the scale
 does not affect definiteness), the area kind's model doubled.
-``hessian_phi`` assembles it densely; ``prop1_test`` reads the bands and
-applies a sufficient local-minimum condition for tridiagonal matrices:
+``hessian_phi`` assembles it densely; ``prop1_test`` reads the bands off
+that matrix and applies a sufficient local-minimum condition for
+tridiagonal matrices:
 positive diagonal entries plus, for i = 1..n-1,
 
     [f'(x_{i+1}) - f'(x_i)]^2
@@ -50,7 +51,7 @@ import numpy as np
 from .objective import _model, grad_x
 from .pl import KnotVector, ObjectiveKind
 
-#: a segment narrower than this counts as an active (tied) constraint
+#: a gap below this share of b - a counts as an active (tied) constraint
 COMPLEMENTARITY_TOL = 1e-8
 
 #: largest stationarity residual at which ``prop1_test`` gives a verdict
@@ -79,7 +80,7 @@ def kkt_check(curve, knots: KnotVector,
     g = grad_x(curve, kind, xs)
     n = knots.n
 
-    active = gaps <= COMPLEMENTARITY_TOL
+    active = gaps <= COMPLEMENTARITY_TOL * (knots.b - knots.a)
     lam = np.zeros(n + 1)
     if np.any(active):
         # substitution through g_i + lam_i - lam_{i-1} = 0: leftwards from
@@ -103,40 +104,35 @@ def kkt_check(curve, knots: KnotVector,
     return KktReport(lam, stationarity, complementarity)
 
 
-def _curvature_bands(curve, knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the area objective's curvature matrix."""
-    xs = knots.full()
-    diag, off = _model(curve, ObjectiveKind.CONCAVE_AREA, xs,
-                       curve.deriv1(xs[1:-1]), None)
-    return 2.0 * diag, 2.0 * off
-
-
 def hessian_phi(curve, knots: KnotVector) -> np.ndarray:
     """Tridiagonal curvature matrix of the area objective (twice its Hessian).
 
     A knot on a or b takes 0 only where f'' is infinite there
     (``objective._model``); elsewhere the entries are exact.
     """
-    diag, off = _curvature_bands(curve, knots)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    xs = knots.full()
+    diag, off = _model(curve, ObjectiveKind.CONCAVE_AREA, xs,
+                       curve.deriv1(xs[1:-1]), None)
+    return 2.0 * (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
-def prop1_test(curve, knots: KnotVector) -> tuple[bool, np.ndarray]:
+def prop1_test(report: KktReport, hessian: np.ndarray) -> tuple[bool, np.ndarray]:
     """Sufficient second-order test at a KKT point of the area objective.
 
+    ``report`` is the area kind's ``kkt_check`` and ``hessian`` is
+    ``hessian_phi``, both at the same knots; no curve is evaluated.
     Returns (holds, margins) where margins[i] is the slack of the strict
     inequality for index i + 1 (empty when n == 1, in which case the verdict
     is positivity of the single diagonal entry).  Raises if the point fails
     the first-order check at tolerance ``KKT_TOL``.
     """
-    report = kkt_check(curve, knots, ObjectiveKind.CONCAVE_AREA)
     if report.stationarity_residual > KKT_TOL:
         raise ValueError(
             f"not a KKT point: stationarity residual "
             f"{report.stationarity_residual:.3e} exceeds {KKT_TOL:.1e}")
 
-    n = knots.n
-    diag, off = _curvature_bands(curve, knots)
+    diag, off = np.diagonal(hessian), np.diagonal(hessian, 1)
+    n = len(diag)
     if n == 1:
         return bool(diag[0] > 0.0), np.empty(0)
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import (KnotVector, ObjectiveKind, emit_plot_data, error_concave,
+from knotopt import (Curve, KnotVector, ObjectiveKind, emit_plot_data,
+                     error_concave,
                      error_general, harness, hessian_phi, load_catalog,
                      run_catalog, run_experiment, solve)
 from knotopt.cli import main
@@ -376,6 +377,43 @@ class TestCli:
         assert record["stationarity_residual"] < 1e-12
         assert record["prop1"]["holds"] is True
         assert len(record["prop1"]["margins"]) == 3
+
+    def test_check_evaluates_each_derivative_once_at_a_kkt_point(
+            self, catalog_by_name, capsys, monkeypatch):
+        # the certificate reads the report and matrix that check prints, so
+        # kkt_check makes the value call and one deriv1 call, hessian_phi
+        # the other deriv1 call and the deriv2 call
+        entry = catalog_by_name["logistic1a"]
+        knots = solve(entry.curve, ObjectiveKind.CONCAVE_AREA, 4,
+                      a=entry.a, b=entry.b).final_knots
+        positions = ",".join(repr(float(x)) for x in knots.interior)
+        calls = dict.fromkeys(["value", "deriv1", "deriv2"], 0)
+        for name in calls:
+            def counted(self, x, name=name, method=getattr(Curve, name)):
+                calls[name] += 1
+                return method(self, x)
+            monkeypatch.setattr(Curve, name, counted)
+        assert main(["check", "--curves", "logistic1a", "--measure", "concave",
+                     "--knots", positions]) == 0
+        assert json.loads(capsys.readouterr().out)["prop1"]["holds"] is True
+        assert calls == {"value": 1, "deriv1": 2, "deriv2": 1}
+
+    def test_knot_list_may_start_with_a_minus_sign(self, tmp_path, capsys):
+        # argparse alone takes "-1,0,1" for a flag and says --knots lacks
+        # its argument
+        printed = []
+        for knots in (["--knots", "-1,0,1"], ["--knots=-1,0,1"]):
+            assert main(["check", "--curves", "logistic1b", *knots]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert len(json.loads(printed[0])["lambda"]) == 4     # three knots
+        written = []
+        for knots in (["--knots", "-1,0,1"], ["--knots=-1,0,1"]):
+            out = tmp_path / f"plot{len(written)}.csv"
+            assert main(["plot-data", "--curves", "logistic1b", *knots,
+                         "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_plot_data_with_a_knot_count(self, catalog_by_name, tmp_path, capsys):
         entry = catalog_by_name["logistic1a"]

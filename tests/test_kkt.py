@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from knotopt import (Curve, CurveFamily, KnotVector, ObjectiveKind,
+from knotopt import (Curve, CurveFamily, KktReport, KnotVector, ObjectiveKind,
                      hessian_phi, kkt_check, prop1_test, solve)
 from knotopt import objective
 from knotopt.objective import grad_x
@@ -29,6 +29,11 @@ class Mirrored:
 
     def deriv2(self, x):
         return self.curve.deriv2(-np.asarray(x, dtype=float))
+
+
+def prop1_at(curve, knots):
+    """Proposition 1 on the area kind's report and matrix at ``knots``."""
+    return prop1_test(kkt_check(curve, knots), hessian_phi(curve, knots))
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +144,25 @@ class TestKktCheck:
         assert report.stationarity_residual > 0.0
         assert_allclose(report.lam, 0.0)
 
+    def test_ties_are_measured_against_the_interval(self):
+        # 16 separated knots on [0, 5e-8], every gap below 1e-8: they are
+        # not tied, so the multipliers stay 0 and the residual is max|g|, as
+        # for the same knots on [0, 1] with the curve stretched to match
+        short = Curve(CurveFamily.ARCTAN, 0.0, 1.0, None, 2e7, 0.0)
+        kv = KnotVector(0.0, 5e-8, 5e-8 * (np.arange(1, 17) / 17) ** 2)
+        assert np.all(np.diff(kv.full()) < 1e-8)
+        report = kkt_check(short, kv)
+        assert not report.lam.any()
+        g = grad_x(short, AREA, kv.full())
+        assert report.stationarity_residual == float(np.max(np.abs(g)))
+        unit = Curve(CurveFamily.ARCTAN, 0.0, 1.0, None, 1.0, 0.0)
+        stretched = kkt_check(unit, KnotVector(0.0, 1.0, kv.interior / 5e-8))
+        assert report.stationarity_residual == pytest.approx(
+            stretched.stationarity_residual, rel=1e-9)
+        assert report.stationarity_residual == pytest.approx(2.08e-4, rel=1e-3)
+        with pytest.raises(ValueError, match="not a KKT point"):
+            prop1_test(report, hessian_phi(short, kv))
+
     def test_report_serialises(self, catalog_by_name_module):
         import json
         entry = catalog_by_name_module["logistic1a"]
@@ -222,7 +246,7 @@ class TestProp1:
     def test_quadratic_even_spacing_holds(self):
         curve = QuadraticCurve(-1.0, 0.0, 4.0)
         kv = KnotVector.equally_spaced(0.0, 2.0, 4)
-        holds, margins = prop1_test(curve, kv)
+        holds, margins = prop1_at(curve, kv)
         assert holds
         assert margins.shape == (3,)
         assert np.all(margins > 0.0)
@@ -230,7 +254,7 @@ class TestProp1:
     def test_convex_quadratic_fails_without_error(self):
         curve = QuadraticCurve(1.0, 0.0, 0.0)  # convex, even spacing still KKT
         kv = KnotVector.equally_spaced(0.0, 2.0, 3)
-        holds, _ = prop1_test(curve, kv)
+        holds, _ = prop1_at(curve, kv)
         assert holds is False
 
     def test_single_knot_positive_diagonal(self, catalog_by_name_module):
@@ -240,23 +264,23 @@ class TestProp1:
         secant = (curve.value(b) - curve.value(a)) / (b - a)
         # two symmetric stationary points; concave side passes, convex fails
         root_pos = brentq(lambda x: curve.deriv1(x) - secant, 0.0, b)
-        holds_pos, _ = prop1_test(curve, KnotVector(a, b, np.array([root_pos])))
+        holds_pos, _ = prop1_at(curve, KnotVector(a, b, np.array([root_pos])))
         assert holds_pos is True
         root_neg = brentq(lambda x: curve.deriv1(x) - secant, a, 0.0)
-        holds_neg, _ = prop1_test(curve, KnotVector(a, b, np.array([root_neg])))
+        holds_neg, _ = prop1_at(curve, KnotVector(a, b, np.array([root_neg])))
         assert holds_neg is False
 
     def test_raises_away_from_kkt_points(self, catalog_by_name_module):
         entry = catalog_by_name_module["logistic1a"]
         kv = KnotVector(entry.a, entry.b, np.array([0.2, 0.3, 1.8]))
         with pytest.raises(ValueError):
-            prop1_test(entry.curve, kv)
+            prop1_at(entry.curve, kv)
 
     def test_eigenvalues_positive_when_condition_holds(self):
         curve = QuadraticCurve(-2.0, 1.0, 3.0)
         for n in range(2, 9):
             kv = KnotVector.equally_spaced(-1.0, 1.0, n)
-            holds, _ = prop1_test(curve, kv)
+            holds, _ = prop1_at(curve, kv)
             assert holds
             eigenvalues = np.linalg.eigvalsh(hessian_phi(curve, kv))
             assert np.all(eigenvalues > 0.0)
@@ -265,12 +289,28 @@ class TestProp1:
         curve = QuadraticCurve(-1.0, 0.0, 4.0)
         n = 4
         kv = KnotVector.equally_spaced(0.0, 2.0, n)
-        _, margins = prop1_test(curve, kv)
+        _, margins = prop1_at(curve, kv)
         step = 2.0 / (n + 1)
         lhs = (2.0 * -1.0 * step) ** 2
         diag = -2.0 * step * -2.0
         rhs = 0.25 * diag * diag / math.cos(math.pi / (n + 1)) ** 2
         assert_allclose(margins, rhs - lhs, rtol=1e-12)
+
+    def test_reads_only_its_two_arguments(self):
+        # a hand-built report and matrix, no curve: n = 3, cos^2(pi/4) = 1/2,
+        # so each margin is 2 * 2 / 2 - off^2
+        report = KktReport(np.zeros(4), 0.0, 0.0)
+        diag = np.diag([2.0, 2.0, 2.0])
+        for off, holds_want, margin in [(-1.0, True, 1.0), (-1.5, False, -0.25)]:
+            matrix = diag + np.diag([off, off], 1) + np.diag([off, off], -1)
+            holds, margins = prop1_test(report, matrix)
+            assert holds is holds_want
+            assert_allclose(margins, [margin, margin], rtol=1e-14)
+        holds, margins = prop1_test(report, np.array([[-1.0]]))
+        assert holds is False and margins.shape == (0,)
+        with pytest.raises(ValueError, match="^not a KKT point: stationarity "
+                           "residual 2.000e-06 exceeds 1.0e-06$"):
+            prop1_test(KktReport(np.zeros(4), 2e-6, 0.0), matrix)
 
     def test_bands_match_the_dense_matrix_on_concave_small(self,
                                                           catalog_by_name_module):
@@ -281,7 +321,7 @@ class TestProp1:
                 continue
             for n in (4, 8, 16, 32):
                 knots = solve(entry.curve, AREA, n, a=entry.a, b=entry.b).final_knots
-                holds, margins = prop1_test(entry.curve, knots)
+                holds, margins = prop1_at(entry.curve, knots)
                 matrix = hessian_phi(entry.curve, knots)
                 diag, off = np.diag(matrix), np.diag(matrix, 1)
                 rhs = 0.25 * diag[:-1] * diag[1:] / math.cos(math.pi / (n + 1)) ** 2
@@ -337,13 +377,15 @@ class TestGradientWithoutF2:
 
 class TestCertificateReadsNewtonsModel:
     def test_curvature_evaluates_no_f(self, logistic1a_solution):
-        # the bands come from _model alone, so f is evaluated only by the
-        # first-order check that prop1_test makes
+        # the bands come from _model alone and prop1_test reads the matrix,
+        # so f is evaluated only by the first-order check
         entry, knots = logistic1a_solution
         counting = Counting(entry.curve)
-        hessian_phi(counting, knots)
+        hessian = hessian_phi(counting, knots)
         assert counting.value_calls == 0
-        holds, _ = prop1_test(counting, knots)
+        report = kkt_check(counting, knots)
+        assert counting.value_calls == 1
+        holds, _ = prop1_test(report, hessian)
         assert holds
         assert counting.value_calls == 1
 
