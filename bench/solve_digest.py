@@ -15,14 +15,16 @@ bytes that ``prop1_test`` reads off the cell's ``kkt_check`` report and
 that one matrix, each replaced by the error it raised, if any (a raising
 ``hessian_phi`` fills both), so the digest also covers the curvature
 model that ``kkt`` reads.  The digest
-is the sha256 of those lines.  It imports ``knotopt`` from ``src/``
-beside this directory.
+is the sha256 of those lines.  Under it, one sha256 per group of cells
+(auto, general, concave and many-knots) shows which kinds a change moved:
+the squared kinds' groups can stay bit for bit while the area cells move.
+It imports ``knotopt`` from ``src/`` beside this directory.
 
 A squared kind's Newton path follows the last bits of its gaps, and those
 depend on the platform's libm and numpy build, so the digest compares two
 commits on one machine, not across machines.
 
-    python3 bench/solve_digest.py            # prints the digest and line count
+    python3 bench/solve_digest.py            # prints the digests and line counts
     python3 bench/solve_digest.py --lines    # also prints every line first
 """
 
@@ -43,6 +45,7 @@ CATALOG_CELLS = {"auto": (1, 2, 4, 8), "general": (1, 4, 8, 16),
                  "concave": (4, 16, 64)}
 MANY_KNOTS_SEEDS = (42, 7, 11)
 MANY_KNOTS_COUNTS = (64, 256)
+GROUPS = ("auto", "general", "concave", "many-knots")
 
 
 def hashed(compute) -> str:
@@ -116,6 +119,11 @@ def main() -> None:
         print("\n".join(cells))
     digest = hashlib.sha256("\n".join(cells).encode()).hexdigest()
     print(f"{digest}  {len(cells)} cells")
+    for group in GROUPS:
+        # a cell's label is "<row>,<measure or many-knots-<seed>>,<n>"
+        part = [cell for cell in cells if cell.split(",")[1].startswith(group)]
+        digest = hashlib.sha256("\n".join(part).encode()).hexdigest()
+        print(f"{digest}  {len(part)} {group} cells")
 
 
 if __name__ == "__main__":

@@ -169,9 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse takes a list such as -1,0,1 for a flag: join it to --knots
+    # argparse takes a list such as -1,0,1 for a flag: join it to --knots or
+    # to an abbreviation of it (no other flag starts with --k)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--knots" and re.match(r"-[\d.]", argv[i]):
+        if argv[i - 1].startswith("--k") and "--knots".startswith(argv[i - 1]) \
+                and re.match(r"-[\d.]", argv[i]):
             argv[i - 1:i + 1] = [f"--knots={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:

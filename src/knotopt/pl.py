@@ -20,13 +20,13 @@ for the bundled catalog.  The squared measures and the objectives in
 ``knotopt.objective`` share ``squared_gap_sum``, so a measure and its
 objective agree to the last bit.
 
-The squared measures and objectives take their gaps from ``window_gaps``,
-the gap kernel over a window of segments.  The area measure takes them from
-``segment_gaps``: one Gauss-Jacobi panel per segment, which samples f'' a
-fifth as often and hands the segments it cannot vouch for to the kernel.
-The two rules agree to rounding.  A squared kind's Newton path follows the
+The squared measures and objectives take their gaps from ``window_gaps``:
+the gap loop's Gauss-Kronrod table over a window of segments.  The area
+measure takes them from ``segment_gaps``: the same loop with one 24-node
+Gauss-Legendre panel per segment to start, a fifth of the f'' samples.
+The two tables agree to rounding.  A squared kind's Newton path follows the
 last bits of its gaps, and no Newton loop reads the area measure's, so only
-the area measure takes the cheaper rule.
+the area measure takes the cheaper table.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quadrature import gauss_jacobi_segments, integrate_segments, sampled
+from .quadrature import gauss_legendre_segments, integrate_segments, sampled
 
 
 @dataclass(frozen=True)
@@ -176,11 +176,11 @@ def squared_gap_sum(gaps: np.ndarray) -> float:
 def segment_gaps(curve, knots: KnotVector) -> np.ndarray:
     """Per-segment signed area between curve and chord, all n + 1 segments.
 
-    Computed by ``quadrature.gauss_jacobi_segments``, which agrees with
+    Computed by ``quadrature.gauss_legendre_segments``, which agrees with
     ``window_gaps`` to rounding; no Newton loop reads these gaps.
     """
     xs = knots.full()
-    return gauss_jacobi_segments(curve.deriv2, xs[:-1], xs[1:])
+    return gauss_legendre_segments(curve.deriv2, xs[:-1], xs[1:])
 
 
 def error_concave(curve, knots: KnotVector) -> float:

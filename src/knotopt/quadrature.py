@@ -4,38 +4,33 @@ On [lo, hi] with half-width h, the integral of f minus its trapezoid is
 
     -(1/2) h^3 * integral over [-1, 1] of (1 - t^2) f''(lo + h(1 + t)) dt.
 
-So a gap comes from f'' without subtracting two nearly equal areas.  Two
-rules compute that integral.
+So a gap comes from f'' without subtracting two nearly equal areas.  One
+loop computes it for a batch of segments on dyadic panels of the
+t-integral.  At t = m + d on a panel with exact midpoint m, the weight
+((1 + m) + d)((1 - m) - d) stays precise up to both ends, and it is folded
+into the samples g of f''.  A table sets the rule: its nodes, the columns
+that take g to a panel's estimate and error terms, the weights of its sum
+of |g|, and the panels each segment starts with.  A panel is done when its
+error is at most RTOL times its sum of |g| or, from the first bisection on,
+below the segment floor: RTOL / _MAX_PANELS_PER_SEGMENT of its segment's
+first-level sum of |g|, which ends the refinement at a kink or an
+integrable singularity of f'' at a segment end.  A floor on the first level
+would settle few panels and would move the last bits of gaps that a
+squared kind's Newton path follows.  Each level bisects the panels not done
+and integrates all the halves in one batch.
 
-``integrate_segments``, the kernel, splits the t-integral into dyadic
-panels.  At t = m + d on a panel with exact midpoint m, the weight
-((1 + m) + d)((1 - m) - d) stays precise up to both ends.  Each panel is
-integrated with the Gauss-Kronrod 7/15 pair of QUADPACK's ``qk15``.  Every
-segment starts with 8 panels of 15 nodes: 120 samples of f''.  On that
-first level a panel is done only when |K15 - G7| <= RTOL * K15(|integrand|).
-From the first bisection on, a panel is also done when its error estimate
-is below the segment floor, RTOL / _MAX_PANELS_PER_SEGMENT of its
-segment's first-level K15(|integrand|); the floor ends the refinement at a
-kink or an integrable singularity of f'' at a segment end.  The first
-level has no floor because it would settle few panels there and would move
-the last bits of gaps that a squared kind's Newton path follows.  Panels
-not done are bisected, and each level integrates all of them in one batch.
-
-``gauss_jacobi_segments``, the front end, takes one 24-node Gauss-Jacobi
-panel per segment for the weight (1 - t^2) (Golub and Welsch, "Calculation
-of Gauss quadrature rules", Math. Comp. 23, 1969), which is exact for f''
-up to degree 47.  The rule's discrete orthonormal coefficients of f'' come
-from the same samples; a segment is accepted when the last two are below
-RTOL times the rule's integral of |f''|.  The rest, such as segments with
-a singular or kinked end, go to the kernel in one batch.  A smooth segment
-thus costs 24 samples instead of 120.
-
-The two rules agree to rounding, but they round differently, and a squared
-kind's Newton path follows the last bits of its gaps: scaling every gap by
-1 +- 2.2e-16 moves the step count of the catalog's ``auto`` cells by up to
-a third.  So the squared kinds' objectives and measures use the kernel
-(``pl.window_gaps``), and only the area measure, which no Newton loop
-reads, uses the front end (``pl.segment_gaps``).
+``integrate_segments`` takes QUADPACK's Gauss-Kronrod 7/15 pair (``qk15``,
+Piessens et al. 1983) on 8 start panels, 120 samples of f'' per segment,
+with the error |K15 - G7|.  ``gauss_legendre_segments`` takes one 24-node
+Gauss-Legendre panel, exact for g up to degree 47, with g's last two
+discrete orthonormal Legendre coefficients as its error terms: a smooth
+segment costs it 24 samples, and one with a singular or kinked end, or a
+wide one across an inflection, bisects.  The tables agree to rounding but
+round differently, and a squared kind's Newton path follows the last bits
+of its gaps: scaling every gap by 1 +- 2.2e-16 moves the step count of the
+catalog's ``auto`` cells by up to a third.  So the squared kinds keep
+Gauss-Kronrod (``pl.window_gaps``), and only the area measure, which no
+Newton loop reads, takes the 24-node table (``pl.segment_gaps``).
 """
 
 from __future__ import annotations
@@ -43,9 +38,34 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 from ._finite import all_finite
+
+#: per-panel relative tolerance on the error terms, never tightened on bisection
+RTOL = 1e-13
+
+#: bound on the live panels of one call, per segment integrated
+_MAX_PANELS_PER_SEGMENT = 256
+
+_MAX_LEVELS = 48
+
+# a bisected panel's two midpoints lie at -1 and +1 times its new half-width
+_HALVES = np.array([-1.0, 1.0])
+
+
+def _table(nodes: np.ndarray, cols: np.ndarray, abs_weights: np.ndarray,
+           panels: int) -> tuple:
+    """A panel rule, and its first level of ``panels`` panels per segment:
+    ``cols`` take a panel's weighted samples g to its estimate and error
+    terms, ``abs_weights`` take |g| to its sum, and the start panels come with
+    their midpoints and, at their nodes, 1 + t (flattened) and (1 + t)(1 - t).
+    """
+    mid = -1.0 + (2.0 * np.arange(panels) + 1.0) / panels
+    left = (1.0 + mid)[:, None] + nodes / panels
+    weight = left * ((1.0 - mid)[:, None] - nodes / panels)
+    return nodes, cols, abs_weights, panels, mid, left.ravel(), weight
+
 
 # qk15's xgk and wgk: Kronrod nodes in [0, 1), the odd ones those of G7
 _XGK = np.array([
@@ -64,56 +84,31 @@ _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
 _K15 = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _G7 = np.zeros(15)
 _G7[1::2] = leggauss(7)[1]
-# columns: the K15 estimate and the K15 - G7 error estimate
-_RULES = np.stack((_K15, _K15 - _G7), axis=1)
-
-#: per-panel relative tolerance on |K15 - G7|, never tightened on bisection
-RTOL = 1e-13
-
-#: panels each segment starts with, all evaluated in the first batch
-_START_PANELS = 8
-
-#: bound on the live panels of one call, per segment integrated
-_MAX_PANELS_PER_SEGMENT = 256
-
-_MAX_LEVELS = 48
-
-# the first level's panel midpoints, and per node 1 + t and (1 + t)(1 - t)
-_START_MID = -1.0 + (2.0 * np.arange(_START_PANELS) + 1.0) / _START_PANELS
-_START_LEFT = (1.0 + _START_MID)[:, None] + _NODES / _START_PANELS
-_START_WEIGHT = _START_LEFT * ((1.0 - _START_MID)[:, None] - _NODES / _START_PANELS)
-_START_LEFT_FLAT = _START_LEFT.ravel()
-# a bisected panel's two midpoints lie at -1 and +1 times its new half-width
-_HALVES = np.array([-1.0, 1.0])
+# the K15 estimate and the K15 - G7 error on 8 start panels
+_KRONROD = _table(_NODES, np.stack((_K15, _K15 - _G7), axis=1), _K15, 8)
 
 
-#: nodes of the Gauss-Jacobi rule for the weight (1 - t^2) on [-1, 1]
-_GJ_NODES = 24
+def _legendre(m: int) -> tuple:
+    """The m-node Gauss-Legendre rule on one start panel.
 
-
-def _gauss_jacobi(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, weights and tail rows of the m-node rule for the weight 1 - t^2.
-
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    orthonormal polynomials p_k, whose recurrence coefficients are
-    beta_k = k(k + 2) / ((2k + 1)(2k + 3)), and the weights are mu0 = 4/3
-    times the squared first components of the eigenvectors.  Row k of
-    eigenvector j is p_k(t_j) sqrt(w_j), so tail row k holds p_k(t_j) w_j
-    for k = m - 2 and m - 1, and takes samples g_j to the discrete
-    orthonormal coefficient c_k = sum_j w_j p_k(t_j) g_j.
+    At numpy's nodes t, q = P_{m-1}(t) - t P_m(t) is (1 - t^2) P_m'(t) / m,
+    and the weights are 2 (1 - t^2) / (m q)^2; numpy's own are scaled to sum
+    to 2, and are off by up to 1.5e-15 at m = 24.  The error terms are the
+    coefficients on p_k = sqrt(k + 1/2) P_k, k = m - 2 and m - 1: sums of
+    w p_k(t) g, with q for P_{m-1} and the recurrence at a zero of P_m for
+    P_{m-2}, so that they vanish to rounding below degree k.
     """
-    k = np.arange(1.0, m)
-    off = np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    vectors *= np.sign(vectors[0])
-    weights = 4.0 / 3.0 * vectors[0] ** 2
-    return nodes, weights, vectors[-2:] * np.sqrt(weights)
+    t = leggauss(m)[0]
+    p = legvander(t, m)
+    q = p[:, m - 1] - t * p[:, m]
+    w = 2.0 * (1.0 - t * t) / (m * q) ** 2
+    last = w * q
+    tail = np.column_stack(((2 * m - 1) / (m - 1) * t * last, last)) \
+        * np.sqrt(np.arange(m - 2, m) + 0.5)
+    return _table(t, np.column_stack((w, tail)), w, 1)
 
 
-_GJ_T, _GJ_W, _GJ_TAIL = _gauss_jacobi(_GJ_NODES)
-# columns: the rule's integral and the two tail coefficients
-_GJ_RULES = np.column_stack((_GJ_W, _GJ_TAIL.T))
-_GJ_LEFT = 1.0 + _GJ_T
+_LEGENDRE = _legendre(24)
 
 
 class QuadratureError(RuntimeError):
@@ -132,42 +127,33 @@ def sampled(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                           f"({np.count_nonzero(bad)} of {x.size} points)")
 
 
-def _bounds(lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """lo, hi and hi - lo as float arrays, and which segments to sample.
+def _panels(g: np.ndarray, cols: np.ndarray, abs_weights: np.ndarray) -> tuple:
+    """Each panel's estimate, error and sum of |g| from its weighted samples."""
+    sums = g @ cols
+    err = np.add.reduce(np.abs(sums[:, 1:]), axis=1)
+    return sums[:, 0], err, np.abs(g) @ abs_weights
 
-    The mask is None when every segment has a positive width.  NaN bounds
-    are sampled, and raise there.
-    """
+
+def _integrate(table: tuple, func: Callable[[np.ndarray], np.ndarray],
+               lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The panel loop of ``integrate_segments``, with the given table's rule."""
+    nodes, cols, abs_weights, panels, start_mid, start_left, start_weight = table
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise ValueError("lo and hi must be 1-d arrays of matching shapes")
     width = hi - lo
+    m, k = width.size, nodes.size
+    # the segments to sample, None for all; the minimum is NaN at a NaN
+    # bound, which is sampled and raises there, and an empty batch has none
     live = None
-    # the minimum is NaN at a NaN bound, and an empty batch has none
-    if width.size and not np.minimum.reduce(width) > 0.0:
+    if m and not np.minimum.reduce(width) > 0.0:
         if (width < 0.0).any():
             raise ValueError("segment bounds must satisfy lo <= hi")
         live = width != 0.0
-    return lo, hi, width, live
-
-
-def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
-                       lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """-(1/2) * integral of (x - lo_j)(hi_j - x) func(x) over each [lo_j, hi_j].
-
-    With ``func`` = f'' this is the gap of segment j: the integral of f over
-    it minus its trapezoid.  Zero-width segments give 0, and ``func`` is not
-    called there.  Requires 1-d arrays with lo <= hi.  Raises
-    QuadratureError at a non-finite value of ``func``, after _MAX_LEVELS
-    levels, or when the live panels would pass _MAX_PANELS_PER_SEGMENT per
-    segment.
-    """
-    lo, hi, width, live = _bounds(lo, hi)
-    m = width.size
 
     h = 0.5 * width
-    x = lo[:, None] + h[:, None] * _START_LEFT_FLAT
+    x = lo[:, None] + h[:, None] * start_left
     if live is None:
         fx = sampled(func, x.ravel())
     else:
@@ -176,25 +162,21 @@ def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
         # the batch as zeros, so the batch keeps its shape and rounding
         fx = np.zeros(x.shape)
         fx[live] = sampled(func, x[live].ravel()).reshape(-1, x.shape[1])
-    g = (fx.reshape(m, _START_PANELS, _NODES.size)
-         * _START_WEIGHT).reshape(-1, _NODES.size)
-    half = 1.0 / _START_PANELS
-    est, err = (g @ _RULES).T
-    size = np.abs(g) @ _K15
-    done = np.abs(err) <= RTOL * size
+    g = (fx.reshape(m, panels, k) * start_weight).reshape(-1, k)
+    half = 1.0 / panels
+    est, err, size = _panels(g, cols, abs_weights)
+    done = err <= RTOL * size
     if np.logical_and.reduce(done):
-        return (-0.5 * half * h ** 3
-                * np.add.reduce(est.reshape(m, _START_PANELS), axis=1))
+        return -0.5 * half * h ** 3 * np.add.reduce(est.reshape(m, panels), axis=1)
 
-    acc = half * np.add.reduce(np.where(done, est, 0.0).reshape(m, _START_PANELS),
-                               axis=1)
+    acc = half * np.add.reduce(np.where(done, est, 0.0).reshape(m, panels), axis=1)
     # the absolute error a panel may always have, in the t-integral's units
     floor = (RTOL / _MAX_PANELS_PER_SEGMENT * half) \
-        * np.add.reduce(size.reshape(m, _START_PANELS), axis=1)
+        * np.add.reduce(size.reshape(m, panels), axis=1)
     # the pending panels' segments and midpoints
     pending = np.flatnonzero(~done)
-    seg = pending // _START_PANELS
-    mid = _START_MID[pending % _START_PANELS]
+    seg = pending // panels
+    mid = start_mid[pending % panels]
     cap = _MAX_PANELS_PER_SEGMENT * m
     for _ in range(_MAX_LEVELS):
         if not seg.size:
@@ -205,13 +187,12 @@ def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
         half *= 0.5
         seg = np.repeat(seg, 2)
         mid = (mid[:, None] + half * _HALVES).ravel()
-        offset = half * _NODES
+        offset = half * nodes
         left = (1.0 + mid)[:, None] + offset
         x = lo[seg][:, None] + h[seg][:, None] * left
         weight = left * ((1.0 - mid)[:, None] - offset)
         g = sampled(func, x.ravel()).reshape(left.shape) * weight
-        est, err = (g @ _RULES).T
-        err, size = np.abs(err), np.abs(g) @ _K15
+        est, err, size = _panels(g, cols, abs_weights)
         done = err <= np.maximum(RTOL * size, floor[seg] / half)
         acc += np.bincount(seg[done], weights=half * est[done], minlength=m)
         keep = ~done
@@ -220,26 +201,22 @@ def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
     raise QuadratureError(f"no convergence after {_MAX_LEVELS} bisections")
 
 
-def gauss_jacobi_segments(func: Callable[[np.ndarray], np.ndarray],
-                          lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``integrate_segments``'s integrals, from one Gauss-Jacobi panel each.
+def integrate_segments(func: Callable[[np.ndarray], np.ndarray],
+                       lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """-(1/2) * integral of (x - lo_j)(hi_j - x) func(x) over each [lo_j, hi_j].
 
-    Samples ``func`` at the 24 nodes of every segment of positive width.  A
-    segment whose tail coefficients |c_22| + |c_23| exceed RTOL times the
-    rule's integral of |func| goes, with the others like it, to one
-    ``integrate_segments`` call.  Zero-width segments give 0 and are not
-    sampled.  Takes the same arguments and raises the same errors as
-    ``integrate_segments``.
+    With ``func`` = f'' this is the gap of segment j: the integral of f over
+    it minus its trapezoid, from Gauss-Kronrod panels.  Zero-width segments
+    give 0, and ``func`` is not called there.  Requires 1-d arrays with
+    lo <= hi.  Raises QuadratureError at a non-finite value of ``func``,
+    after _MAX_LEVELS levels, or when the live panels would pass
+    _MAX_PANELS_PER_SEGMENT per segment.
     """
-    lo, hi, width, live = _bounds(lo, hi)
-    seg = np.arange(width.size) if live is None else np.flatnonzero(live)
-    h = 0.5 * width[seg]
-    x = lo[seg][:, None] + h[:, None] * _GJ_LEFT
-    g = sampled(func, x.ravel()).reshape(x.shape)
-    est, tail1, tail2 = (g @ _GJ_RULES).T
-    gaps = np.zeros(width.size)
-    gaps[seg] = -0.5 * h ** 3 * est
-    rejected = seg[np.abs(tail1) + np.abs(tail2) > RTOL * (np.abs(g) @ _GJ_W)]
-    if rejected.size:
-        gaps[rejected] = integrate_segments(func, lo[rejected], hi[rejected])
-    return gaps
+    return _integrate(_KRONROD, func, lo, hi)
+
+
+def gauss_legendre_segments(func: Callable[[np.ndarray], np.ndarray],
+                            lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``integrate_segments``'s integrals from 24-node Gauss-Legendre panels,
+    one per segment to start; the same arguments and the same errors."""
+    return _integrate(_LEGENDRE, func, lo, hi)

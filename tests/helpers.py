@@ -234,3 +234,76 @@ def f2_zeros(entry) -> list[float]:
             us += [0.0] if c.s > 2 else []
         xs = [(u - c.d2) / c.d1 for u in us]
     return sorted(x for x in set(xs) if entry.a <= x <= entry.b)
+
+
+
+
+
+def shooting_knots(curve, a: float, b: float, n: int) -> tuple[np.ndarray, list]:
+    """The area kind's stationary knots on a concave curve, by shooting.
+
+    With separated knots, a stationary point has the tangent at each knot
+    parallel to its neighbours' chord: f'(x_i) (x_{i+1} - x_{i-1}) =
+    f(x_{i+1}) - f(x_{i-1}), with x_0 = a and x_{n+1} = b.  So a and x_1 fix
+    x_2, x_3, ... in turn (``_shoot``).  Bisection on x_1 lands x_{n+1} on b,
+    assuming that x_{n+1} rises with x_1.  Returns the n interior knots of
+    the last shot that stayed within b, and every shot's (x_1, x_{n+1}), in
+    order, with x_{n+1} = inf where a knot passed b.
+    """
+    fb = float(curve.value(b))
+    lo, hi, xs, within, shots = a, b, [], [], []
+    while True:
+        x1 = 0.5 * (lo + hi)
+        if not lo < x1 < hi:
+            return np.array(within[1:-1]), shots
+        # the last shot's knots are the next one's first guesses
+        xs = _shoot(curve, a, b, x1, n, fb, xs)
+        if len(xs) == n + 2:
+            lo, within = x1, xs
+            shots.append((x1, xs[-1]))
+        else:
+            hi = x1
+            shots.append((x1, math.inf))
+
+
+def _shoot(curve, a: float, b: float, x1: float, n: int, fb: float,
+           guess: list = ()) -> list:
+    """x_0 = a, x_1, ..., x_{n+1} along the tangent-chord condition, up to
+    the last knot before one that would pass b; fb is f(b).
+
+    x_{i+1} is the root beyond x_i of F(x) = f(x) - f(x_{i-1}) - f'(x_i)(x -
+    x_{i-1}); where f is concave, F falls from F(x_i) >= 0, and F(b) > 0
+    puts the root past b.  Each root is found by Newton on the known f'
+    from guess[i + 1], or else from the last ratio of spacings, bisecting
+    whenever a step would leave the root's bracket.  The root is the last
+    point evaluated once F there is within its rounding, or the step below
+    1e-15 (b - a).
+    """
+    f = lambda x: float(curve.value(x))          # noqa: E731
+    df = lambda x: float(curve.deriv1(x))        # noqa: E731
+    xs, fs, slope = [a, x1], [f(a), f(x1)], df(x1)
+    while len(xs) < n + 2:
+        prev, x, fprev = xs[-2], xs[-1], fs[-2]
+        if fb - fprev - slope * (b - prev) > 0.0:
+            break
+        lo, hi = x, b
+        t = guess[len(xs)] if len(xs) < len(guess) else math.inf
+        if not lo < t < hi:
+            ratio = (x - prev) / (prev - xs[-3]) if len(xs) > 2 else 1.0
+            t = min(x + ratio * (x - prev), b)
+        while True:
+            ft, dft = f(t), df(t)
+            gap = ft - fprev - slope * (t - prev)
+            if abs(gap) <= 4e-16 * (abs(ft) + abs(fprev) + abs(slope * (t - prev))):
+                break
+            lo, hi = (t, hi) if gap > 0.0 else (lo, t)
+            step = t - gap / (dft - slope) if dft < slope else math.nan
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            if abs(step - t) <= 1e-15 * (b - a):
+                break
+            t = step
+        xs.append(t)
+        fs.append(ft)
+        slope = dft
+    return xs

@@ -400,20 +400,20 @@ class TestCli:
 
     def test_knot_list_may_start_with_a_minus_sign(self, tmp_path, capsys):
         # argparse alone takes "-1,0,1" for a flag and says --knots lacks
-        # its argument
+        # its argument; it resolves --kno and --k to --knots
         printed = []
-        for knots in (["--knots", "-1,0,1"], ["--knots=-1,0,1"]):
+        for knots in (["--knots", "-1,0,1"], ["--knots=-1,0,1"], ["--kno", "-1,0,1"]):
             assert main(["check", "--curves", "logistic1b", *knots]) == 0
             printed.append(capsys.readouterr().out)
-        assert printed[0] == printed[1]
+        assert printed[0] == printed[1] == printed[2]
         assert len(json.loads(printed[0])["lambda"]) == 4     # three knots
         written = []
-        for knots in (["--knots", "-1,0,1"], ["--knots=-1,0,1"]):
+        for knots in (["--knots", "-1,0,1"], ["--knots=-1,0,1"], ["--k", "-1,0,1"]):
             out = tmp_path / f"plot{len(written)}.csv"
             assert main(["plot-data", "--curves", "logistic1b", *knots,
                          "--out", str(out)]) == 0
             written.append(out.read_bytes())
-        assert written[0] == written[1]
+        assert written[0] == written[1] == written[2]
 
     def test_plot_data_with_a_knot_count(self, catalog_by_name, tmp_path, capsys):
         entry = catalog_by_name["logistic1a"]

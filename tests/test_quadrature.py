@@ -1,7 +1,7 @@
-"""Both gap rules against an 80-digit oracle, and their failure modes.
+"""Both tables of the gap loop against an 80-digit oracle, and its failure modes.
 
-``segment_gaps`` runs the Gauss-Jacobi front end and ``integrate_segments``
-is the kernel it falls back to; every oracle case checks both.
+``segment_gaps`` runs the 24-node Gauss-Legendre table and
+``integrate_segments`` the Gauss-Kronrod one; every oracle case checks both.
 """
 
 import time
@@ -17,7 +17,7 @@ from knotopt import (Curve, CurveCatalogEntry, CurveDomainError, CurveFamily,
                      KnotVector, QuadratureError, error_concave, error_general,
                      harness, quadrature, run_catalog)
 from knotopt.pl import segment_gaps
-from knotopt.quadrature import gauss_jacobi_segments, integrate_segments
+from knotopt.quadrature import gauss_legendre_segments, integrate_segments
 
 from helpers import HoledCurve, QuadraticCurve, f2_zeros, mp_value
 
@@ -62,28 +62,40 @@ def gap_scale(curve, xs: np.ndarray) -> np.ndarray:
 
 
 def assert_matches_oracle(curve, knots: KnotVector):
-    """The front end and the kernel against one oracle; returns all three."""
+    """Both tables against one oracle; returns all three."""
     xs = knots.full()
     want = oracle_gaps(curve, xs)
     scale = gap_scale(curve, xs)
-    front = segment_gaps(curve, knots)
-    kernel = integrate_segments(curve.deriv2, xs[:-1], xs[1:])
-    for rule, got in (("front end", front), ("kernel", kernel)):
+    legendre = segment_gaps(curve, knots)
+    kronrod = integrate_segments(curve.deriv2, xs[:-1], xs[1:])
+    for rule, got in (("Gauss-Legendre", legendre), ("Gauss-Kronrod", kronrod)):
         rel = np.abs(got - want) / scale
         assert np.all(rel <= GAP_RTOL), (rule, rel, got, want)
-    return want, front, kernel
+    return want, legendre, kronrod
 
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """The (lo, hi) of every segment the front end hands to the kernel."""
+def bisected(monkeypatch):
+    """The (lo, hi) of every segment whose 24-node panel is bisected."""
     seen = []
+    integrate = quadrature._integrate
 
-    def recording(func, lo, hi):
-        seen.extend(zip(lo.tolist(), hi.tolist()))
-        return integrate_segments(func, lo, hi)
+    def recording(table, func, lo, hi):
+        levels = []
 
-    monkeypatch.setattr(quadrature, "integrate_segments", recording)
+        def sampling(x):
+            levels.append(x)
+            return func(x)
+
+        gaps = integrate(table, sampling, lo, hi)
+        if table is quadrature._LEGENDRE and len(levels) > 1:
+            # the first bisection samples inside every segment it bisects
+            lo, hi = np.asarray(lo), np.asarray(hi)
+            inside = ((lo[:, None] < levels[1]) & (levels[1] < hi[:, None])).any(axis=1)
+            seen.extend(zip(lo[inside].tolist(), hi[inside].tolist()))
+        return gaps
+
+    monkeypatch.setattr(quadrature, "_integrate", recording)
     return seen
 
 
@@ -103,24 +115,24 @@ class TestOracle:
         assert_matches_oracle(entry.curve, KnotVector.equally_spaced(entry.a, entry.b, 4))
 
     @pytest.mark.parametrize("shape", [1.5, 2.5])
-    def test_f2_not_smooth_at_the_left_end(self, shape, fallbacks):
+    def test_f2_not_smooth_at_the_left_end(self, shape, bisected):
         # f'' ~ x^(shape - 2) at x = 0: singular for 1.5, a kink for 2.5; the
         # end panel's relative error never shrinks, so the segment-relative
-        # floor ends its refinement.  The front end's tail test rejects that
-        # segment and hands it to the kernel.
+        # floor ends its refinement.  The 24-node table's tail test bisects
+        # that segment and no other.
         curve = Curve(CurveFamily.WEIBULL, 1.0, -1.0, shape, 1.0, 0.0)
         assert_matches_oracle(curve, KnotVector.equally_spaced(0.0, 2.0, 2))
-        assert fallbacks == [(0.0, 2.0 / 3.0)]
+        assert bisected == [(0.0, 2.0 / 3.0)]
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
-    def test_random_segments_of_every_row(self, catalog, n, fallbacks):
-        # wide segments across an inflection or a steep end fail the front
-        # end's tail test; the kernel's gaps for them must match too
+    def test_random_segments_of_every_row(self, catalog, n, bisected):
+        # wide segments across an inflection or a steep end fail the 24-node
+        # table's tail test; their bisected gaps must match too
         rng = np.random.default_rng([7, n])
         for entry in catalog:
             inner = np.sort(rng.uniform(entry.a, entry.b, n))
             assert_matches_oracle(entry.curve, KnotVector(entry.a, entry.b, inner))
-        assert len(fallbacks) >= 10
+        assert len(bisected) >= 10
 
     @pytest.mark.parametrize("name, offsets", NEAR_INFLECTION,
                              ids=[f"{name}@{','.join(f'{d:+g}' for d in offsets)}"
@@ -162,31 +174,40 @@ class TestRule:
 
 
 class TestGaussJacobiRule:
+    """The 24-node Gauss-Legendre table, which took the Gauss-Jacobi rule's place."""
+
     def test_rule_is_exact_to_degree_47(self):
-        # the integral of (1 - t^2) t^d over [-1, 1]
-        t, w = quadrature._GJ_T, quadrature._GJ_W
+        # the integral of t^d over [-1, 1]; the weight (1 - t^2) is in the
+        # samples.  At degree 48 a 24-node Gauss rule is off by 1.1e-14
+        t, cols, w = quadrature._LEGENDRE[:3]
+        assert cols[:, 0].tobytes() == w.tobytes()
         for d in range(48):
-            exact = 0.0 if d % 2 else 2.0 / (d + 1) - 2.0 / (d + 3)
+            exact = 0.0 if d % 2 else 2.0 / (d + 1)
             assert abs(w @ t ** d - exact) < 1e-15, d
+        assert abs(w @ t ** 48 - 2.0 / 49) > 5e-15
 
     def test_tail_sees_only_degrees_22_and_23(self):
-        # the tail rows are the last two discrete orthonormal coefficients:
-        # 0 to rounding below degree 22, and t^d's coefficient on p_d is one
-        # over p_d's leading coefficient, about 2^-d
-        t, tail = quadrature._GJ_T, quadrature._GJ_TAIL
+        # the tail columns give the last two discrete orthonormal
+        # coefficients: 0 to rounding below their degrees, 22 and 23, and
+        # t^d's coefficient on p_d is one over p_d's leading coefficient,
+        # about 2^-d
+        t, cols = quadrature._LEGENDRE[:2]
+        tail = cols[:, 1:].T
         for d in range(22):
             assert np.abs(tail @ t ** d).max() < 1e-15, d
+        assert abs(tail[1] @ t ** 22) < 1e-15
         assert abs(tail[0] @ t ** 22) > 1e-7 and abs(tail[1] @ t ** 23) > 5e-8
 
 
 class TestGaussJacobiFrontEnd:
-    """Where the front end must fall back, and the kernel's edge cases."""
+    """Where the 24-node table bisects, and its edge cases."""
 
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("start", ["equal", "random"])
-    def test_concave_rows_need_no_fallback(self, catalog, n, start, fallbacks):
+    def test_concave_rows_need_no_fallback(self, catalog, n, start, bisected):
         # equal spacing and many-knots' seeded random starts on the seven
-        # concave rows, against the kernel within 1e-13 of each gap's scale
+        # concave rows, against Gauss-Kronrod within 1e-13 of each gap's
+        # scale, and with no 24-node panel bisected
         rows = [entry for entry in catalog if entry.concave]
         assert len(rows) == 7
         for row, entry in enumerate(rows):
@@ -197,12 +218,12 @@ class TestGaussJacobiFrontEnd:
                 knots = KnotVector(entry.a, entry.b,
                                    np.sort(rng.uniform(entry.a, entry.b, n)))
             xs = knots.full()
-            kernel = integrate_segments(entry.curve.deriv2, xs[:-1], xs[1:])
-            rel = np.abs(segment_gaps(entry.curve, knots) - kernel) / gap_scale(entry.curve, xs)
+            kronrod = integrate_segments(entry.curve.deriv2, xs[:-1], xs[1:])
+            rel = np.abs(segment_gaps(entry.curve, knots) - kronrod) / gap_scale(entry.curve, xs)
             assert rel.max() <= 1e-13, entry.name
-        assert fallbacks == []
+        assert bisected == []
 
-    def test_tied_knots_at_a_singular_end_are_not_sampled(self, fallbacks):
+    def test_tied_knots_at_a_singular_end_are_not_sampled(self, bisected):
         curve = TestZeroWidthSegments.SINGULAR
         seen = []
 
@@ -212,11 +233,11 @@ class TestGaussJacobiFrontEnd:
 
         lo = np.array([0.0, 0.0, 0.0, 0.7])
         hi = np.array([0.0, 0.0, 0.7, 2.0])
-        got = gauss_jacobi_segments(recording, lo, hi)
+        got = gauss_legendre_segments(recording, lo, hi)
         assert got[0] == 0.0 and got[1] == 0.0
         assert np.all(np.concatenate(seen) > 0.0)
-        # the segment at the singular end falls back; the kernel agrees
-        assert fallbacks == [(0.0, 0.7)]
+        # the segment at the singular end bisects; Gauss-Kronrod agrees
+        assert bisected == [(0.0, 0.7)]
         assert_allclose(got, integrate_segments(curve.deriv2, lo, hi), rtol=1e-13)
 
     @pytest.mark.parametrize("lo, hi", [([np.nan], [1.0]), ([0.0], [np.nan]),
@@ -224,13 +245,14 @@ class TestGaussJacobiFrontEnd:
     def test_nan_bounds_still_raise(self, catalog_by_name, lo, hi):
         curve = catalog_by_name["logistic1a"].curve
         with pytest.raises(CurveDomainError, match="undefined at x=nan"):
-            gauss_jacobi_segments(curve.deriv2, np.array(lo), np.array(hi))
+            gauss_legendre_segments(curve.deriv2, np.array(lo), np.array(hi))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_names_the_first_non_finite_x(self, bad):
         knots = KnotVector.equally_spaced(0.0, 2.0, 3)
         xs = knots.full()
-        nodes = (xs[:-1, None] + 0.5 * np.diff(xs)[:, None] * quadrature._GJ_LEFT).ravel()
+        t = quadrature._LEGENDRE[0]
+        nodes = (xs[:-1, None] + 0.5 * np.diff(xs)[:, None] * (1.0 + t)).ravel()
         first = float(nodes[np.argmax(nodes > 1.2)])
         with pytest.raises(QuadratureError) as caught:
             error_concave(HoledCurve(bad), knots)
@@ -239,10 +261,10 @@ class TestGaussJacobiFrontEnd:
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError, match="lo <= hi"):
-            gauss_jacobi_segments(np.cos, np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+            gauss_legendre_segments(np.cos, np.array([0.0, 1.0]), np.array([0.0, 0.5]))
         with pytest.raises(ValueError, match="matching shapes"):
-            gauss_jacobi_segments(np.cos, np.zeros(2), np.ones(3))
-        assert gauss_jacobi_segments(np.cos, np.zeros(0), np.zeros(0)).shape == (0,)
+            gauss_legendre_segments(np.cos, np.zeros(2), np.ones(3))
+        assert gauss_legendre_segments(np.cos, np.zeros(0), np.zeros(0)).shape == (0,)
 
 
 class NoisyCurve:
@@ -337,7 +359,8 @@ class TestNonFiniteIntegrand:
         message = str(caught.value)
         first = float(message.split("x=")[1].split()[0])
         nodes = np.linspace(0.0, 2.0, 5)
-        assert 1.2 < first < 1.2 + (nodes[1] - nodes[0]) / quadrature._START_PANELS
+        panels = quadrature._KRONROD[3]
+        assert 1.2 < first < 1.2 + (nodes[1] - nodes[0]) / panels
         assert message.endswith(" of 480 points)")
 
 

@@ -18,7 +18,8 @@ from knotopt import objective, pl, spg
 from knotopt.objective import evaluate, grad_x
 from knotopt.pl import equidistributed, window_gaps
 
-from helpers import HoledCurve, QuadraticCurve, f2_zeros, sequential_ldlt_solve
+from helpers import (HoledCurve, QuadraticCurve, f2_zeros, sequential_ldlt_solve,
+                     shooting_knots)
 
 AREA = ObjectiveKind.CONCAVE_AREA
 GENERAL = ObjectiveKind.GENERAL_SQUARED
@@ -965,6 +966,29 @@ class TestAsymptoticOracle:
 # f'' may vanish on an end (logistic1a at a = 0), which is no inflection
 SMOOTH_CONCAVE_ROWS = [entry for entry in CONCAVE_ROWS
                        if not any(entry.a < z < entry.b for z in f2_zeros(entry))]
+
+
+class TestShootingOracle:
+    """The area kind's optimum against the tangent-chord shooting oracle.
+
+    ``helpers.shooting_knots`` reads f and f' only, so it checks the solver,
+    its objective and the area measure's gap rule at an exact optimum.
+    """
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    @pytest.mark.parametrize("entry", SMOOTH_CONCAVE_ROWS, ids=lambda entry: entry.name)
+    def test_solve_lands_on_the_shooting_optimum(self, entry, n):
+        a, b = entry.a, entry.b
+        knots, shots = shooting_knots(entry.curve, a, b, n)
+        # the bisection's first 30 values of x_1 lie 2^-30 (b - a) apart or
+        # more; closer than that, x_{n+1} differs by rounding only
+        ends = [end for _, end in sorted(shots[:30])]
+        assert ends == sorted(ends)
+        report = solve(entry.curve, AREA, n, a=a, b=b)
+        assert report.termination is Termination.STATIONARY
+        assert np.abs(report.final_knots.full()[1:-1] - knots).max() <= 1e-9 * (b - a)
+        want = error_concave(entry.curve, KnotVector(a, b, knots))
+        assert report.final_error == pytest.approx(want, rel=1e-12)
 
 
 class TestCallerStarts:
